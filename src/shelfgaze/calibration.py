@@ -1,4 +1,4 @@
-"""Planning for gaze calibration recordings on the 36-cell panel grid.
+"""Planning for gaze calibration recordings on the panel grid.
 
 A calibration session records a fixed number of frames while the subject
 looks at each target cell. Training targets come in nested set sizes, and
@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from math import isclose
 
 from .errors import UnknownSetSizeError
-from .grid import GridSpec, PlanePoint, cell_center, to_camera_coords
-
-MIN_CELL = 1
-MAX_CELL = 36
+from .geometry import ShelfConfig
+from .grid import PlanePoint, cell_center, to_camera_coords
 
 VALIDATION_CELLS: tuple[int, ...] = (8, 11, 26, 29)
 
@@ -34,14 +32,12 @@ TRAINING_SETS: dict[int, tuple[int, ...]] = {
 }
 
 
-def _default_training_sets() -> dict[int, tuple[int, ...]]:
-    return dict(TRAINING_SETS)
-
-
 def _check_cells(label: str, cells: tuple[int, ...]) -> None:
+    """Layout-free checks; the upper bound depends on the grid, so
+    validate_spec reports cells beyond it."""
     for cell in cells:
-        if not MIN_CELL <= cell <= MAX_CELL:
-            raise ValueError(f"{label} cell {cell} outside {MIN_CELL}..{MAX_CELL}")
+        if cell < 1:
+            raise ValueError(f"{label} cell {cell} is below 1")
     if len(set(cells)) != len(cells):
         raise ValueError(f"{label} cells contain duplicates: {cells}")
 
@@ -52,7 +48,7 @@ class CalibrationSpec:
     train_frames_per_point: int = 3
     val_frames_per_point: int = 1
     validation_cells: tuple[int, ...] = VALIDATION_CELLS
-    training_sets: dict[int, tuple[int, ...]] = field(default_factory=_default_training_sets)
+    training_sets: dict[int, tuple[int, ...]] = field(default_factory=TRAINING_SETS.copy)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -77,13 +73,21 @@ class Violation:
     detail: str
 
 
-def validate_spec(spec: CalibrationSpec, grid: GridSpec) -> list[Violation]:
+def validate_spec(spec: CalibrationSpec, cfg: ShelfConfig) -> list[Violation]:
     """Soft consistency checks. Returns problems instead of raising so a
     proposed protocol can be inspected as data."""
     violations: list[Violation] = []
 
+    def check_range(label: str, cells: tuple[int, ...]) -> None:
+        outside = [cell for cell in cells if cell > cfg.cell_count]
+        if outside:
+            violations.append(
+                Violation("cell-range", f"{label} cells {outside} outside 1..{cfg.cell_count}")
+            )
+
     for size in sorted(spec.training_sets):
         cells = spec.training_sets[size]
+        check_range(f"set {size}", cells)
         if len(cells) != size:
             violations.append(
                 Violation("size-mismatch", f"set {size} lists {len(cells)} cells")
@@ -96,8 +100,11 @@ def validate_spec(spec: CalibrationSpec, grid: GridSpec) -> list[Violation]:
 
     # Validation targets should mirror each other across the vertical
     # midline of the panel so left and right gaze are probed equally.
-    xs = sorted(cell_center(grid, cell).x_cm for cell in spec.validation_cells)
-    mirrored = sorted(grid.panel_width_cm - x for x in xs)
+    check_range("validation", spec.validation_cells)
+    xs = sorted(
+        cell_center(cfg, cell).x_cm for cell in spec.validation_cells if cell <= cfg.cell_count
+    )
+    mirrored = sorted(cfg.panel_width_cm - x for x in xs)
     if not all(isclose(a, b, abs_tol=1e-9) for a, b in zip(xs, mirrored)):
         violations.append(
             Violation("asymmetric-validation", f"center x values {xs} not mirror-symmetric")
@@ -130,7 +137,7 @@ class CalibrationPlan:
     entries: tuple[PlanEntry, ...]
 
 
-def plan(spec: CalibrationSpec, set_size: int, grid: GridSpec) -> CalibrationPlan:
+def plan(spec: CalibrationSpec, set_size: int, cfg: ShelfConfig) -> CalibrationPlan:
     """Frame selection for one session: training cells in their listed
     order, then validation cells. Each cell gets an independent shuffle of
     the recorded frame indices from one shared seeded generator."""
@@ -150,7 +157,7 @@ def plan(spec: CalibrationSpec, set_size: int, grid: GridSpec) -> CalibrationPla
         rng.shuffle(perm)
         train = tuple(perm[: spec.train_frames_per_point])
         val = tuple(perm[spec.train_frames_per_point : budget])
-        entries.append(PlanEntry(cell, cell_center(grid, cell), train, val))
+        entries.append(PlanEntry(cell, cell_center(cfg, cell), train, val))
     return CalibrationPlan(set_size, tuple(entries))
 
 
@@ -163,14 +170,14 @@ class GroundTruthRecord:
     split: str
 
 
-def emit_ground_truth(cal_plan: CalibrationPlan, grid: GridSpec) -> list[GroundTruthRecord]:
+def emit_ground_truth(cal_plan: CalibrationPlan, cfg: ShelfConfig) -> list[GroundTruthRecord]:
     """Per-frame labels for the planned session, training frames first
     within each cell. Targets are cell centers in both panel coordinates
     and camera-origin coordinates."""
     records = []
     for entry in cal_plan.entries:
         shelf = (entry.target.x_cm, entry.target.y_cm)
-        cam = to_camera_coords(grid, entry.target)
+        cam = to_camera_coords(cfg, entry.target)
         camera = (cam.x_cm, cam.y_cm)
         for frame in entry.train_frames:
             records.append(GroundTruthRecord(frame, entry.cell, shelf, camera, "train"))

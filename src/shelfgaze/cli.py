@@ -20,7 +20,7 @@ from .calibration import CalibrationSpec, emit_ground_truth, ground_truth_jsonl,
 from .ear import EarReading, ear, landmarks_from_csv, landmarks_from_json
 from .errors import ShelfGazeError
 from .geometry import PersonSample, ShelfConfig
-from .grid import GazeRay, GridSpec, PlanePoint, cell_center, point_cell_json, point_to_cell, ray_to_cell
+from .grid import GazeRay, PlanePoint, cell_center, point_cell_json, point_to_cell, ray_to_cell
 from .pipeline import SimConfig, parse_distribution, simulate, sweep_processing_time, trace, trace_csv
 from .placement import (
     STATUS_OK,
@@ -140,23 +140,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:
-    grid = GridSpec.from_shelf(_shelf_from_args(args))
+    cfg = _shelf_from_args(args)
     by_index = args.index is not None
     by_point = args.x is not None or args.y is not None
     if by_index == by_point:
         raise ValueError("give either --index or both --x and --y")
     if by_index:
-        print(point_cell_json(cell_center(grid, args.index), args.index))
+        print(point_cell_json(cell_center(cfg, args.index), args.index))
         return 0
     if args.x is None or args.y is None:
         raise ValueError("point lookup needs both --x and --y")
     point = PlanePoint(args.x, args.y)
-    print(point_cell_json(point, point_to_cell(grid, point)))
+    print(point_cell_json(point, point_to_cell(cfg, point)))
     return 0
 
 
 def _cmd_gaze(args: argparse.Namespace) -> int:
-    grid = GridSpec.from_shelf(_shelf_from_args(args))
+    cfg = _shelf_from_args(args)
     eye = _parse_floats(args.eye, 3, "--eye")
     if (args.direction is None) == (args.target is None):
         raise ValueError("give exactly one of --direction or --target")
@@ -169,7 +169,7 @@ def _cmd_gaze(args: argparse.Namespace) -> int:
     else:
         tx, ty = _parse_floats(args.target, 2, "--target")
         ray = GazeRay.aimed_at(eye, PlanePoint(tx, ty))
-    hit, cell = ray_to_cell(grid, ray)
+    hit, cell = ray_to_cell(cfg, ray)
     print(point_cell_json(hit, cell))
     return 0
 
@@ -234,17 +234,17 @@ def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
 
 
 def _cmd_calib_plan(args: argparse.Namespace) -> int:
-    grid = GridSpec.from_shelf(_shelf_from_args(args))
+    cfg = _shelf_from_args(args)
     spec = _calibration_spec_from_args(args)
-    session = plan(spec, args.size, grid)
-    print(ground_truth_jsonl(emit_ground_truth(session, grid)), end="")
+    session = plan(spec, args.size, cfg)
+    print(ground_truth_jsonl(emit_ground_truth(session, cfg)), end="")
     return 0
 
 
 def _cmd_validate_calib(args: argparse.Namespace) -> int:
-    grid = GridSpec.from_shelf(_shelf_from_args(args))
+    cfg = _shelf_from_args(args)
     spec = _calibration_spec_from_args(args)
-    violations = validate_spec(spec, grid)
+    violations = validate_spec(spec, cfg)
     print(
         json.dumps(
             [{"kind": v.kind, "detail": v.detail} for v in violations],
@@ -313,7 +313,7 @@ def build_parser() -> _Parser:
         description="With --index, print that cell's center. With --x/--y, print the "
         "cell owning the point. Coordinates are panel cm, origin top-left, y down.",
     )
-    p.add_argument("--index", type=int, help="cell index 1..36, row-major from top-left")
+    p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
     p.add_argument("--x", type=float, help="point x in cm")
     p.add_argument("--y", type=float, help="point y in cm")
     p.set_defaults(func=_cmd_cell)

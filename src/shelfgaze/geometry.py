@@ -11,7 +11,7 @@ shelf plane. The panel hangs with its top edge flush with the shelf top
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import EyeBelowPanelBottomError
 
@@ -22,9 +22,12 @@ MAX_EYE_HEIGHT_CM = 250.0
 
 @dataclass(frozen=True)
 class ShelfConfig:
-    """Physical shelf, panel, and camera layout. Defaults match the 181 cm
-    shelf with a 102x138 cm panel split into a 6x6 grid, camera centered
-    horizontally and 55.5 cm below the top."""
+    """Physical shelf, panel, camera, and grid layout. Defaults match the
+    181 cm shelf with a 102x138 cm panel split into a 6x6 grid of 17x23 cm
+    cells, camera centered horizontally and 55.5 cm below the top.
+
+    Construction also sets the derived ``cell_width_cm``, ``cell_height_cm``
+    and ``cell_count``."""
 
     shelf_height_cm: float = 181.0
     panel_height_cm: float = 138.0
@@ -36,6 +39,10 @@ class ShelfConfig:
     grid_cols: int = 6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_cm") and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0 < self.panel_height_cm <= self.shelf_height_cm:
             raise ValueError(
                 f"panel height {self.panel_height_cm} must be in (0, shelf height"
@@ -55,25 +62,18 @@ class ShelfConfig:
             raise ValueError("eye-to-crown offset must be nonnegative")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid must have at least one row and one column")
-        for dim, count, name in (
-            (self.panel_width_cm, self.grid_cols, "width"),
-            (self.panel_height_cm, self.grid_rows, "height"),
-        ):
-            if not math.isclose(dim / count * count, dim, rel_tol=1e-12):
-                raise ValueError(f"panel {name} {dim} does not divide into {count} cells")
+        # Derived grid sizes are plain attributes, not fields, so --config keys
+        # stay the fields and the per-call grid lookup reads them at field
+        # speed: a property recomputes on each read, and cached_property
+        # materializes the instance __dict__, which slows every attribute read.
+        object.__setattr__(self, "cell_width_cm", self.panel_width_cm / self.grid_cols)
+        object.__setattr__(self, "cell_height_cm", self.panel_height_cm / self.grid_rows)
+        object.__setattr__(self, "cell_count", self.grid_rows * self.grid_cols)
 
     @property
     def panel_bottom_height_cm(self) -> float:
         """Height of the panel's bottom edge above the floor (43 for defaults)."""
         return self.shelf_height_cm - self.panel_height_cm
-
-    @property
-    def cell_width_cm(self) -> float:
-        return self.panel_width_cm / self.grid_cols
-
-    @property
-    def cell_height_cm(self) -> float:
-        return self.panel_height_cm / self.grid_rows
 
 
 @dataclass(frozen=True)
@@ -163,22 +163,16 @@ def _split_angles(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) -> t
     return theta_top - theta_cam, theta_cam - theta_bottom
 
 
-def bisector_split(cfg: ShelfConfig, p: PersonSample, *, ac_numerator: bool = False) -> SplitResult:
+def bisector_split(cfg: ShelfConfig, p: PersonSample) -> SplitResult:
     """Where the bisector of the top/bottom gaze rays crosses the panel.
 
     The bisector of angle A in a triangle divides the opposite side in the
     ratio of the adjacent sides, so the split point measured from the shelf
     top is ``panel_height * AB / (AB + AC)``.
-
-    ``ac_numerator=True`` computes the variant with the eye-to-bottom
-    distance in the numerator instead. That form contradicts the bisector
-    ratio (it returns the complementary segment) and is kept only as a
-    debug reference for comparison tests.
     """
     ab = eye_to_top(cfg, p)
     ac = eye_to_bottom(cfg, p)
-    numerator = ac if ac_numerator else ab
-    db = cfg.panel_height_cm * numerator / (ab + ac)
+    db = cfg.panel_height_cm * ab / (ab + ac)
     alpha1, alpha2 = _split_angles(cfg, p, cfg.camera_drop_cm)
     return SplitResult(ab_cm=ab, ac_cm=ac, db_cm=db, alpha1_rad=alpha1, alpha2_rad=alpha2)
 

@@ -27,47 +27,14 @@ class PlanePoint:
     y_cm: float
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    panel_width_cm: float = 102.0
-    panel_height_cm: float = 138.0
-    rows: int = 6
-    cols: int = 6
-    cell_w_cm: float = 17.0
-    cell_h_cm: float = 23.0
-    camera_point: tuple[float, float] = (51.0, 55.5)
+    """Former name of the grid layout, kept only because bench/workloads.py
+    runs ``from shelfgaze import GridSpec`` and ``GRID = GridSpec.from_shelf(CFG)``.
+    ``ShelfConfig`` is the layout: ``from_shelf(cfg)`` returns ``cfg``."""
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
-        # Exactness matters: the tiling rule below relies on cell edges
-        # landing exactly on the panel edges.
-        if self.cols * self.cell_w_cm != self.panel_width_cm:
-            raise ValueError(
-                f"{self.cols} cells of width {self.cell_w_cm} do not tile"
-                f" panel width {self.panel_width_cm}"
-            )
-        if self.rows * self.cell_h_cm != self.panel_height_cm:
-            raise ValueError(
-                f"{self.rows} cells of height {self.cell_h_cm} do not tile"
-                f" panel height {self.panel_height_cm}"
-            )
-
-    @classmethod
-    def from_shelf(cls, cfg: ShelfConfig) -> GridSpec:
-        return cls(
-            panel_width_cm=cfg.panel_width_cm,
-            panel_height_cm=cfg.panel_height_cm,
-            rows=cfg.grid_rows,
-            cols=cfg.grid_cols,
-            cell_w_cm=cfg.panel_width_cm / cfg.grid_cols,
-            cell_h_cm=cfg.panel_height_cm / cfg.grid_rows,
-            camera_point=(cfg.camera_x_cm, cfg.camera_drop_cm),
-        )
-
-    @property
-    def cell_count(self) -> int:
-        return self.rows * self.cols
+    @staticmethod
+    def from_shelf(cfg: ShelfConfig) -> ShelfConfig:
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -96,38 +63,39 @@ class GazeRay:
         return cls(eye_point, (dx / norm, dy / norm, dz / norm))
 
 
-def cell_center(g: GridSpec, index: int) -> PlanePoint:
+def cell_center(cfg: ShelfConfig, index: int) -> PlanePoint:
     """Center of the numbered cell, shelf coordinates."""
-    if not 1 <= index <= g.cell_count:
-        raise IndexOutOfRangeError(f"cell index {index} outside 1..{g.cell_count}")
-    col = (index - 1) % g.cols
-    row = (index - 1) // g.cols
-    return PlanePoint(col * g.cell_w_cm + g.cell_w_cm / 2.0, row * g.cell_h_cm + g.cell_h_cm / 2.0)
+    if not 1 <= index <= cfg.cell_count:
+        raise IndexOutOfRangeError(f"cell index {index} outside 1..{cfg.cell_count}")
+    col = (index - 1) % cfg.grid_cols
+    row = (index - 1) // cfg.grid_cols
+    w, h = cfg.cell_width_cm, cfg.cell_height_cm
+    return PlanePoint(col * w + w / 2.0, row * h + h / 2.0)
 
 
-def point_to_cell(g: GridSpec, p: PlanePoint) -> int:
+def point_to_cell(cfg: ShelfConfig, p: PlanePoint) -> int:
     """Cell owning the point. Cells are half-open in both axes except that
     the panel's right and bottom edges belong to the last column and row, so
     the closed panel is tiled exactly."""
-    if not (0.0 <= p.x_cm <= g.panel_width_cm and 0.0 <= p.y_cm <= g.panel_height_cm):
+    if not (0.0 <= p.x_cm <= cfg.panel_width_cm and 0.0 <= p.y_cm <= cfg.panel_height_cm):
         raise OutOfPanelError(
             f"point ({p.x_cm}, {p.y_cm}) outside panel"
-            f" [0, {g.panel_width_cm}] x [0, {g.panel_height_cm}]"
+            f" [0, {cfg.panel_width_cm}] x [0, {cfg.panel_height_cm}]"
         )
-    col = min(int(p.x_cm // g.cell_w_cm), g.cols - 1)
-    row = min(int(p.y_cm // g.cell_h_cm), g.rows - 1)
-    return row * g.cols + col + 1
+    col = min(int(p.x_cm // cfg.cell_width_cm), cfg.grid_cols - 1)
+    row = min(int(p.y_cm // cfg.cell_height_cm), cfg.grid_rows - 1)
+    return row * cfg.grid_cols + col + 1
 
 
-def to_camera_coords(g: GridSpec, p: PlanePoint) -> PlanePoint:
-    return PlanePoint(p.x_cm - g.camera_point[0], p.y_cm - g.camera_point[1])
+def to_camera_coords(cfg: ShelfConfig, p: PlanePoint) -> PlanePoint:
+    return PlanePoint(p.x_cm - cfg.camera_x_cm, p.y_cm - cfg.camera_drop_cm)
 
 
-def from_camera_coords(g: GridSpec, p: PlanePoint) -> PlanePoint:
-    return PlanePoint(p.x_cm + g.camera_point[0], p.y_cm + g.camera_point[1])
+def from_camera_coords(cfg: ShelfConfig, p: PlanePoint) -> PlanePoint:
+    return PlanePoint(p.x_cm + cfg.camera_x_cm, p.y_cm + cfg.camera_drop_cm)
 
 
-def ray_to_cell(g: GridSpec, ray: GazeRay) -> tuple[PlanePoint, int]:
+def ray_to_cell(cfg: ShelfConfig, ray: GazeRay) -> tuple[PlanePoint, int]:
     """Intersect the gaze ray with the panel plane and resolve the cell.
 
     The plane is z = 0 with the eye at z > 0, so the ray must descend in z
@@ -143,7 +111,7 @@ def ray_to_cell(g: GridSpec, ray: GazeRay) -> tuple[PlanePoint, int]:
         ray.eye_point[0] + t * ray.direction[0],
         ray.eye_point[1] + t * ray.direction[1],
     )
-    return hit, point_to_cell(g, hit)
+    return hit, point_to_cell(cfg, hit)
 
 
 def point_cell_json(p: PlanePoint, cell: int) -> str:

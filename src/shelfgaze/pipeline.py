@@ -25,8 +25,6 @@ DROP = "drop"
 TAKE = "take"
 COMPLETE = "complete"
 
-LATEST_ONLY = "latest-only"
-
 
 @dataclass(frozen=True)
 class FixedTime:
@@ -37,9 +35,6 @@ class FixedTime:
             raise ValueError(f"fixed time must be positive, got {self.ms}")
 
     def sample(self, rng: random.Random) -> float:
-        return self.ms
-
-    def min_ms(self) -> float:
         return self.ms
 
 
@@ -54,9 +49,6 @@ class UniformTime:
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.lo_ms, self.hi_ms)
-
-    def min_ms(self) -> float:
-        return self.lo_ms
 
 
 @dataclass(frozen=True)
@@ -77,9 +69,6 @@ class NormalTime:
             value = rng.gauss(self.mean_ms, self.std_ms)
             if value > 0:
                 return value
-
-    def min_ms(self) -> float:
-        return 0.0
 
 
 Distribution = Union[FixedTime, UniformTime, NormalTime]
@@ -109,7 +98,6 @@ class SimConfig:
     capture_fps: float = 30.0
     duration_s: float = 60.0
     seed: int = 0
-    queue_policy: str = LATEST_ONLY
     # Optional per-capture timing noise; None keeps capture ticks exact.
     capture_jitter: Distribution | None = None
 
@@ -118,8 +106,6 @@ class SimConfig:
             raise ValueError(f"capture fps must be positive, got {self.capture_fps}")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if self.queue_policy != LATEST_ONLY:
-            raise ValueError(f"unsupported queue policy {self.queue_policy!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,15 +261,12 @@ def simulate(cfg: SimConfig) -> SimMetrics:
     return replay_metrics(_events(cfg), cfg)
 
 
-def trace(cfg: SimConfig, limit: int) -> list[SimEvent]:
-    """First `limit` events of the run, chronologically ordered."""
-    if limit < 0:
+def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
+    """First `limit` events of the run (all of them by default),
+    chronologically ordered."""
+    if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     return list(islice(_events(cfg), limit))
-
-
-def full_trace(cfg: SimConfig) -> list[SimEvent]:
-    return list(_events(cfg))
 
 
 def trace_csv(events: Iterable[SimEvent]) -> str:

@@ -14,13 +14,19 @@ from scipy.optimize import bisect
 
 from shelfgaze.calibration import TRAINING_SETS, VALIDATION_CELLS, CalibrationSpec, plan
 from shelfgaze.ear import EyeLandmarks, classify, ear
-from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance, bisector_split
-from shelfgaze.grid import GazeRay, GridSpec, PlanePoint, cell_center, point_to_cell, ray_to_cell
+from shelfgaze.geometry import (
+    PersonSample,
+    ShelfConfig,
+    angular_imbalance,
+    bisector_split,
+    eye_to_bottom,
+    eye_to_top,
+)
+from shelfgaze.grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from shelfgaze.pipeline import FixedTime, SimConfig, UniformTime, simulate
 from shelfgaze.placement import PopulationSpec, distance_table, optimize_camera_drop
 
 CFG = ShelfConfig()
-GRID = GridSpec.from_shelf(CFG)
 
 
 def _criterion(capsys, number, name):
@@ -62,7 +68,8 @@ def test_criterion_2_closed_form_matches_root_finder(capsys):
         # bisector. Its drop leaves a visible imbalance for the mean person
         # and lands far from the root-finder answer.
         p = PersonSample.from_eye_height(160.2, 112.5, CFG)
-        swapped = bisector_split(CFG, p, ac_numerator=True).db_cm
+        top, bottom = eye_to_top(CFG, p), eye_to_bottom(CFG, p)
+        swapped = CFG.panel_height_cm * bottom / (top + bottom)
         true_root = bisect(lambda d: angular_imbalance(CFG, p, d), 0.0, 138.0, xtol=1e-12)
         assert abs(swapped - true_root) > 20.0
         assert abs(angular_imbalance(CFG, p, swapped)) > 0.1
@@ -103,12 +110,12 @@ def test_criterion_5_pipeline_rates(capsys):
 def test_criterion_6_grid_partition_and_rays(capsys):
     with _criterion(capsys, 6, "grid: center round-trip, gapless 1 mm tiling, 1000 ray lookups"):
         for index in range(1, 37):
-            assert point_to_cell(GRID, cell_center(GRID, index)) == index
+            assert point_to_cell(CFG, cell_center(CFG, index)) == index
 
         # Ownership factorizes per axis, so exhaustive axis counts on the
         # 1 mm lattice prove the 2D tiling has no gaps or overlaps.
-        cols = [point_to_cell(GRID, PlanePoint(i / 10.0, 0.0)) - 1 for i in range(1021)]
-        rows = [(point_to_cell(GRID, PlanePoint(0.0, j / 10.0)) - 1) // 6 for j in range(1381)]
+        cols = [point_to_cell(CFG, PlanePoint(i / 10.0, 0.0)) - 1 for i in range(1021)]
+        rows = [(point_to_cell(CFG, PlanePoint(0.0, j / 10.0)) - 1) // 6 for j in range(1381)]
         assert [cols.count(c) for c in range(6)] == [170] * 5 + [171]
         assert [rows.count(r) for r in range(6)] == [230] * 5 + [231]
 
@@ -124,8 +131,8 @@ def test_criterion_6_grid_partition_and_rays(capsys):
                 rng.uniform(-50.0, 200.0),
                 rng.uniform(10.0, 300.0),
             )
-            hit, cell = ray_to_cell(GRID, GazeRay.aimed_at(eye, target))
-            assert cell == point_to_cell(GRID, target) == row * 6 + col + 1
+            hit, cell = ray_to_cell(CFG, GazeRay.aimed_at(eye, target))
+            assert cell == point_to_cell(CFG, target) == row * 6 + col + 1
             assert math.isclose(hit.x_cm, target.x_cm, abs_tol=1e-9)
             assert math.isclose(hit.y_cm, target.y_cm, abs_tol=1e-9)
 
@@ -169,12 +176,12 @@ def test_criterion_8_calibration_plans(capsys):
         }
         assert set(TRAINING_SETS) == set(expected)
         for size, cells in expected.items():
-            session = plan(spec, size, GRID)
+            session = plan(spec, size, CFG)
             planned = tuple(e.cell for e in session.entries[:size])
             assert planned == cells
             assert not set(planned) & set(VALIDATION_CELLS)
-            assert plan(spec, size, GRID) == session  # deterministic replan
+            assert plan(spec, size, CFG) == session  # deterministic replan
 
-        xs = sorted(cell_center(GRID, c).x_cm for c in VALIDATION_CELLS)
+        xs = sorted(cell_center(CFG, c).x_cm for c in VALIDATION_CELLS)
         assert xs == sorted(102.0 - x for x in xs)
         assert np.mean(xs) == pytest.approx(51.0)

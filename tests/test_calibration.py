@@ -8,6 +8,7 @@ from shelfgaze.calibration import (
     TRAINING_SETS,
     VALIDATION_CELLS,
     CalibrationSpec,
+    Violation,
     emit_ground_truth,
     ground_truth_jsonl,
     plan,
@@ -15,9 +16,9 @@ from shelfgaze.calibration import (
 )
 from shelfgaze.errors import UnknownSetSizeError
 from shelfgaze.geometry import ShelfConfig
-from shelfgaze.grid import GridSpec, cell_center
+from shelfgaze.grid import cell_center
 
-GRID = GridSpec.from_shelf(ShelfConfig())
+CFG = ShelfConfig()
 
 
 def test_training_sets_frozen():
@@ -38,24 +39,37 @@ def test_spec_constructor_sanity_checks():
     with pytest.raises(ValueError):
         CalibrationSpec(validation_cells=(0, 11, 26, 29))
     with pytest.raises(ValueError):
-        CalibrationSpec(validation_cells=(8, 11, 26, 37))
-    with pytest.raises(ValueError):
         CalibrationSpec(validation_cells=(8, 8, 26, 29))
     with pytest.raises(ValueError):
-        CalibrationSpec(training_sets={2: (6, 40)})
+        CalibrationSpec(training_sets={2: (6, -1)})
     with pytest.raises(ValueError):
         CalibrationSpec(frames_per_point=0)
+    # The upper bound belongs to the layout: validate_spec reports it.
+    spec = CalibrationSpec(validation_cells=(8, 11, 26, 37), training_sets={2: (6, 40)})
+    assert [v for v in validate_spec(spec, CFG) if v.kind == "cell-range"] == [
+        Violation("cell-range", "set 2 cells [40] outside 1..36"),
+        Violation("cell-range", "validation cells [37] outside 1..36"),
+    ]
+
+
+def test_validate_reports_cells_beyond_the_layout():
+    small = ShelfConfig(grid_rows=3, grid_cols=3)
+    violations = validate_spec(CalibrationSpec(), small)
+    assert Violation("cell-range", "validation cells [11, 26, 29] outside 1..9") in violations
+    # Only in-range cells enter the mirror check, and cell 8 (bottom middle)
+    # mirrors itself, so no asymmetric-validation is reported.
+    assert {v.kind for v in violations} == {"cell-range"}
 
 
 def test_default_protocol_is_clean():
-    assert validate_spec(CalibrationSpec(), GRID) == []
+    assert validate_spec(CalibrationSpec(), CFG) == []
 
 
 def test_validate_reports_overlap_and_asymmetry():
     # Swapping validation cell 29 for 30 makes the set collide with the
     # 32-cell training set and breaks the left/right mirror.
     spec = CalibrationSpec(validation_cells=(8, 11, 26, 30))
-    kinds = {v.kind for v in validate_spec(spec, GRID)}
+    kinds = {v.kind for v in validate_spec(spec, CFG)}
     assert "overlap" in kinds
     assert "asymmetric-validation" in kinds
 
@@ -67,13 +81,13 @@ def test_validate_reports_size_mismatch_and_budget():
         val_frames_per_point=1,
         training_sets={2: (6, 31, 33)},
     )
-    kinds = {v.kind for v in validate_spec(spec, GRID)}
+    kinds = {v.kind for v in validate_spec(spec, CFG)}
     assert "size-mismatch" in kinds
     assert "frame-budget" in kinds
 
 
 def test_validation_cells_mirror_about_midline():
-    xs = sorted(cell_center(GRID, c).x_cm for c in VALIDATION_CELLS)
+    xs = sorted(cell_center(CFG, c).x_cm for c in VALIDATION_CELLS)
     assert xs == sorted(102.0 - x for x in xs)
     assert sum(xs) / len(xs) == pytest.approx(51.0)
 
@@ -81,7 +95,7 @@ def test_validation_cells_mirror_about_midline():
 def test_plan_structure_all_sizes():
     spec = CalibrationSpec()
     for size, cells in TRAINING_SETS.items():
-        session = plan(spec, size, GRID)
+        session = plan(spec, size, CFG)
         assert session.set_size == size
         assert tuple(e.cell for e in session.entries) == cells + VALIDATION_CELLS
         for entry in session.entries:
@@ -90,30 +104,30 @@ def test_plan_structure_all_sizes():
             picked = set(entry.train_frames) | set(entry.val_frames)
             assert len(picked) == 4  # no frame reused across splits
             assert picked <= set(range(10))
-            assert entry.target == cell_center(GRID, entry.cell)
+            assert entry.target == cell_center(CFG, entry.cell)
 
 
 def test_plan_deterministic_and_seed_sensitive():
     spec = CalibrationSpec(seed=0)
-    assert plan(spec, 8, GRID) == plan(spec, 8, GRID)
-    other = plan(CalibrationSpec(seed=1), 8, GRID)
-    assert plan(spec, 8, GRID) != other
+    assert plan(spec, 8, CFG) == plan(spec, 8, CFG)
+    other = plan(CalibrationSpec(seed=1), 8, CFG)
+    assert plan(spec, 8, CFG) != other
 
 
 def test_plan_unknown_size():
     with pytest.raises(UnknownSetSizeError):
-        plan(CalibrationSpec(), 3, GRID)
+        plan(CalibrationSpec(), 3, CFG)
 
 
 def test_plan_rejects_overcommitted_budget():
     spec = CalibrationSpec(frames_per_point=3, train_frames_per_point=3, val_frames_per_point=1)
     with pytest.raises(ValueError):
-        plan(spec, 2, GRID)
+        plan(spec, 2, CFG)
 
 
 def test_ground_truth_records():
-    session = plan(CalibrationSpec(), 2, GRID)
-    records = emit_ground_truth(session, GRID)
+    session = plan(CalibrationSpec(), 2, CFG)
+    records = emit_ground_truth(session, CFG)
     assert len(records) == (2 + 4) * 4  # 3 train + 1 val per cell
     # Train frames precede val frames within each cell block.
     for block_start in range(0, len(records), 4):
@@ -126,8 +140,8 @@ def test_ground_truth_records():
 
 
 def test_ground_truth_jsonl_bytes():
-    session = plan(CalibrationSpec(), 2, GRID)
-    out = ground_truth_jsonl(emit_ground_truth(session, GRID))
+    session = plan(CalibrationSpec(), 2, CFG)
+    out = ground_truth_jsonl(emit_ground_truth(session, CFG))
     lines = out.splitlines()
     assert len(lines) == 24
     assert lines[0] == '{"frame":7,"cell":6,"shelf":[93.5,11.5],"camera":[42.5,-44.0],"split":"train"}'

@@ -212,6 +212,24 @@ def test_config_file_errors(capsys, tmp_path):
     assert run(capsys, "cell", "--config", str(tmp_path / "gone.json"), "--index", "1")[0] == 1
 
 
+def test_config_grid_layouts(capsys, tmp_path):
+    # A width that 3 columns do not divide exactly in binary floating point.
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({"panel_width_cm": 50.1, "grid_cols": 3, "camera_x_cm": 25}))
+    code, out, _ = run(capsys, "cell", "--config", str(cfg), "--x", "50.1", "--y", "137")
+    assert code == 0
+    assert json.loads(out)["cell"] == 18
+
+    # The default protocol names cells a 3x3 grid does not have: reported
+    # as violations, not as an error.
+    cfg.write_text(json.dumps({"grid_rows": 3, "grid_cols": 3}))
+    code, out, _ = run(capsys, "validate-calib", "--config", str(cfg))
+    assert code == 2
+    violations = json.loads(out)
+    assert {v["kind"] for v in violations} == {"cell-range"}
+    assert {"kind": "cell-range", "detail": "validation cells [11, 26, 29] outside 1..9"} in violations
+
+
 def test_outputs_reproducible(capsys):
     argv = ["optimize", "--samples", "5000", "--seed", "7"]
     code, first, _ = run(capsys, *argv)

@@ -43,6 +43,12 @@ def test_config_rejects_bad_dimensions():
         ShelfConfig(grid_rows=0)
     with pytest.raises(ValueError):
         ShelfConfig(eye_crown_offset_cm=-0.1)
+    # Non-finite lengths are rejected by name, before any range check.
+    for name in ("shelf_height_cm", "panel_height_cm", "panel_width_cm", "camera_x_cm",
+                 "camera_drop_cm", "eye_crown_offset_cm"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ShelfConfig(**{name: bad})
 
 
 def test_config_scales_uniformly():
@@ -128,12 +134,14 @@ def test_split_alphas_at_configured_camera():
 
 def test_transposed_numerator_variant_is_not_a_bisector():
     p = person(160.2, 112.5)
-    swapped = bisector_split(CFG, p, ac_numerator=True)
-    assert swapped.db_cm == pytest.approx(80.97498613883543, rel=1e-12)
+    # The bisector ratio with the eye-to-bottom distance in the numerator.
+    top, bottom = eye_to_top(CFG, p), eye_to_bottom(CFG, p)
+    swapped = CFG.panel_height_cm * bottom / (top + bottom)
+    assert swapped == pytest.approx(80.97498613883543, rel=1e-12)
     # The two variants mirror each other about the panel midline.
-    assert swapped.db_cm + bisector_split(CFG, p).db_cm == pytest.approx(CFG.panel_height_cm)
+    assert swapped + bisector_split(CFG, p).db_cm == pytest.approx(CFG.panel_height_cm)
     # A camera at the swapped drop visibly fails to split the cone evenly.
-    assert abs(angular_imbalance(CFG, p, swapped.db_cm)) > 0.1
+    assert abs(angular_imbalance(CFG, p, swapped)) > 0.1
 
 
 def test_eye_below_panel_rejected():

@@ -14,7 +14,6 @@ from shelfgaze.pipeline import (
     SimConfig,
     SimEvent,
     UniformTime,
-    full_trace,
     parse_distribution,
     replay_metrics,
     simulate,
@@ -63,8 +62,6 @@ def test_config_validation():
         fixed_cfg(80.0, fps=0.0)
     with pytest.raises(ValueError):
         fixed_cfg(80.0, duration=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(processing_time=FixedTime(80.0), queue_policy="fifo")
 
 
 def test_slow_consumer_frozen_metrics():
@@ -117,7 +114,7 @@ def test_first_events_frozen():
 
 
 def test_events_sorted_and_within_run():
-    events = full_trace(fixed_cfg(83.33))
+    events = trace(fixed_cfg(83.33))
     times = [ev.t_ms for ev in events]
     assert times == sorted(times)
     assert all(t <= 60000.0 for t in times)
@@ -161,14 +158,14 @@ def test_replay_reproduces_metrics():
         SimConfig(processing_time=FixedTime(50.0), capture_jitter=UniformTime(0.5, 3.0), seed=3),
     ]
     for cfg in configs:
-        assert replay_metrics(full_trace(cfg), cfg) == simulate(cfg)
+        assert replay_metrics(trace(cfg), cfg) == simulate(cfg)
 
 
 def test_determinism_and_seed_sensitivity():
     cfg = SimConfig(processing_time=UniformTime(66.7, 100.0), seed=4)
-    assert full_trace(cfg) == full_trace(cfg)
+    assert trace(cfg) == trace(cfg)
     other = SimConfig(processing_time=UniformTime(66.7, 100.0), seed=5)
-    assert full_trace(cfg) != full_trace(other)
+    assert trace(cfg) != trace(other)
 
 
 def test_jitter_keeps_capture_clock_monotone():
@@ -178,7 +175,7 @@ def test_jitter_keeps_capture_clock_monotone():
         duration_s=20.0,
         seed=6,
     )
-    captures = [ev for ev in full_trace(cfg) if ev.kind == CAPTURE]
+    captures = [ev for ev in trace(cfg) if ev.kind == CAPTURE]
     times = [ev.t_ms for ev in captures]
     assert times == sorted(times)
     assert all(t < 20000.0 for t in times)
