@@ -110,7 +110,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = optimize_camera_drop(cfg, pop)
-    print(json.dumps(result.as_dict(), separators=(",", ":")))
+    print(json.dumps(result.as_dict(), separators=(",", ":"), allow_nan=False))
     return 0
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import AllSamplesRejectedError, NoValidDistanceError
 from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
@@ -36,6 +35,10 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("height_mean_cm", "height_std_cm", "distance_min_cm", "distance_max_cm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.height_std_cm <= 0:
             raise ValueError("height std must be positive")
         if not self.distance_min_cm < self.distance_max_cm:
@@ -87,6 +90,9 @@ def sample_population(
     bottom, or beyond the sane height bound, are excluded rather than
     clamped.
     """
+    # Imported here so that `import shelfgaze` does not load scipy.
+    from scipy.special import ndtri
+
     gen = np.random.Generator(np.random.Philox(key=pop.seed))
     stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
     span = pop.distance_max_cm - pop.distance_min_cm
@@ -114,11 +120,46 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
+def _grid_argmin(residual, grid: np.ndarray) -> int:
+    """First index i minimizing mean(residual(grid[i]) ** 2), the index a scan
+    of the whole grid picks, found coarse to fine from far fewer evaluations.
+
+    Each element of residual(x) must rise with x. Between grid points p < q
+    it then stays within its values at p and q, so the mean of its smallest
+    square there bounds the curve from below. The levels scan every 100th,
+    every 10th, then every point, each only inside the spans whose bound can
+    still beat the best point so far. The margin covers rounding in the
+    residuals (about 1e-15) through the square and the mean.
+    """
+    best = (math.inf, 0)  # (mean square, index): ties keep the first index
+    spans = [(0, len(grid) - 1)]
+    for stride in (100, 10, 1):
+        bounded = []
+        for first, last in spans:
+            prev = None
+            for i in [*range(first, last, stride), last]:
+                r = residual(grid[i])
+                best = min(best, (float(np.mean(r * r)), i))
+                if prev is not None and i - prev[0] > 1:
+                    low = np.maximum(prev[1], 0.0)
+                    low += np.minimum(r, 0.0)
+                    low *= low
+                    bounded.append((float(np.mean(low)), prev[0], i))
+                prev = (i, r)
+        spans = [(p, q) for low, p, q in bounded if low <= best[0] * (1.0 + 1e-9) + 1e-18]
+    return best[1]
+
+
 def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResult:
     """Per-sample bisector drops aggregated over the population.
 
-    Also runs the residual estimator: mean squared imbalance evaluated on a
-    0.1 cm drop grid, refined once by golden section to 1e-4 cm.
+    Also runs the residual estimator: the drop minimizing the mean squared
+    imbalance. Its minimum on a 0.1 cm drop grid is found coarse to fine
+    (``_grid_argmin``): about 70 evaluations for typical populations instead
+    of 1,381, and the same grid point as evaluating every drop, even where
+    the curve has several local minima. That point is refined once by golden
+    section to 1e-4 cm between its neighbours, which assumes the curve is
+    unimodal there.
     Deterministic for a fixed seed; samples are aggregated in draw order.
     """
     eye, distance, rejected = sample_population(cfg, pop)
@@ -129,25 +170,28 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
 
     top = cfg.shelf_height_cm
     bottom = cfg.panel_bottom_height_cm
-    ab = np.hypot(distance, top - eye)
-    ac = np.hypot(distance, eye - bottom)
-    db = cfg.panel_height_cm * ab / (ab + ac)
-
     # Residual estimator: the camera ray should bisect theta_top..theta_bottom,
     # so the squared residual is (theta_top + theta_bottom - 2*theta_cam)^2.
     theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
 
+    def residual(drop: float) -> np.ndarray:
+        return theta_sum - 2.0 * np.arctan2(top - drop - eye, distance)
+
     def mean_sq_residual(drop: float) -> float:
-        theta_cam = np.arctan2(top - drop - eye, distance)
-        r = theta_sum - 2.0 * theta_cam
+        r = residual(drop)
         return float(np.mean(r * r))
 
     grid = np.arange(0.0, cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM)
-    values = np.array([mean_sq_residual(drop) for drop in grid])
-    best = int(values.argmin())
+    best = _grid_argmin(residual, grid)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     residual_db = _golden_min(mean_sq_residual, float(lo), float(hi), RESIDUAL_REFINE_TOL_CM)
+
+    # Per-sample drops come after the search, whose two residual vectors
+    # would otherwise raise the peak memory on top of these three arrays.
+    ab = np.hypot(distance, top - eye)
+    ac = np.hypot(distance, eye - bottom)
+    db = cfg.panel_height_cm * ab / (ab + ac)
 
     return PlacementResult(
         mean_db_cm=float(db.mean()),

@@ -241,3 +241,29 @@ def test_outputs_reproducible(capsys):
     a = run(capsys, "calib-plan", "--size", "8", "--seed", "3")
     b = run(capsys, "calib-plan", "--size", "8", "--seed", "3")
     assert a == b
+
+
+def test_optimize_bytes(capsys):
+    # Frozen from the exhaustive 0.1 cm residual scan that preceded the
+    # coarse-to-fine search: the search must reproduce it byte for byte.
+    frozen = {
+        ("2000", "7"): '{"mean_db_cm":56.530400347083265,"median_db_cm":57.18025968904544,'
+        '"std_db_cm":3.515247188725515,"residual_db_cm":55.542160593401114,'
+        '"rejected_samples":0,"sample_count":2000}\n',
+        ("20000", "3"): '{"mean_db_cm":56.50029061474367,"median_db_cm":57.09880853711459,'
+        '"std_db_cm":3.538454729387833,"residual_db_cm":55.50041187910331,'
+        '"rejected_samples":0,"sample_count":20000}\n',
+    }
+    for (samples, seed), expected in frozen.items():
+        assert run(capsys, "optimize", "--samples", samples, "--seed", seed) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "field"),
+    [("--dist-max", "inf", "distance_max_cm"), ("--height-mean", "nan", "height_mean_cm")],
+)
+def test_optimize_non_finite_population_exits_one(capsys, flag, value, field):
+    code, out, err = run(capsys, "optimize", "--samples", "100", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {field} must be finite, got {value}\n"

@@ -1,14 +1,24 @@
 """Population sampling, drop optimization, and the distance table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError
 from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
 from shelfgaze.placement import (
+    RESIDUAL_GRID_STEP_CM,
+    RESIDUAL_REFINE_TOL_CM,
     STATUS_NO_DISTANCE,
     STATUS_OK,
     PopulationSpec,
+    _golden_min,
     distance_table,
     distance_table_csv,
     imbalance_sweep,
@@ -30,6 +40,19 @@ def test_population_spec_validation():
         PopulationSpec(distance_min_cm=0.0)
     with pytest.raises(ValueError):
         PopulationSpec(sample_count=0)
+    for field in ("height_mean_cm", "height_std_cm", "distance_min_cm", "distance_max_cm"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                PopulationSpec(**{field: bad})
+
+
+def test_import_does_not_load_scipy():
+    # scipy is needed only to sample a population; the CLI's other
+    # subcommands should not pay for importing it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import shelfgaze, sys; assert 'scipy.special' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_sampling_reproducible_and_seed_sensitive():
@@ -74,6 +97,55 @@ def test_optimize_frozen_default_seed():
     assert result.residual_db_cm == pytest.approx(55.517678116363, abs=1e-3)
     assert result.rejected_samples == 0
     assert result.sample_count == 100_000
+
+
+def _exhaustive_residual_drop(cfg, pop):
+    """The residual estimator as a scan of every 0.1 cm drop: the reference
+    that the coarse-to-fine search must match exactly."""
+    eye, distance, _ = sample_population(cfg, pop)
+    top, bottom = cfg.shelf_height_cm, cfg.panel_bottom_height_cm
+    theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
+
+    def mean_sq_residual(drop):
+        r = theta_sum - 2.0 * np.arctan2(top - drop - eye, distance)
+        return float(np.mean(r * r))
+
+    grid = np.arange(0.0, cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM)
+    best = int(np.argmin([mean_sq_residual(drop) for drop in grid]))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, len(grid) - 1)]
+    return _golden_min(mean_sq_residual, float(lo), float(hi), RESIDUAL_REFINE_TOL_CM)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shelf=st.floats(min_value=120.0, max_value=260.0),
+    panel=st.floats(min_value=30.0, max_value=200.0),
+    mean=st.floats(min_value=60.0, max_value=260.0),
+    std=st.floats(min_value=0.1, max_value=60.0),
+    dist_a=st.floats(min_value=1.0, max_value=1200.0),
+    dist_b=st.floats(min_value=1.0, max_value=1200.0),
+    samples=st.integers(min_value=1, max_value=500),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# Shoppers 4 cm from the shelf with a 60 cm stature spread: the residual curve
+# has several local minima, and a search that only refines around the
+# coarse best point returns 110.15 cm here instead of 73.40 cm.
+@example(200.12194678244174, 163.48325865314436, 92.14461510456644, 59.97594061747089,
+         3.979919236495098, 4.203434661477764, 66, 3687684159)
+def test_residual_drop_matches_exhaustive_scan(shelf, panel, mean, std, dist_a, dist_b, samples, seed):
+    assume(dist_a != dist_b and panel <= shelf)
+    cfg = ShelfConfig(shelf_height_cm=shelf, panel_height_cm=panel, camera_drop_cm=0.0)
+    pop = PopulationSpec(
+        height_mean_cm=mean,
+        height_std_cm=std,
+        distance_min_cm=min(dist_a, dist_b),
+        distance_max_cm=max(dist_a, dist_b),
+        sample_count=samples,
+        seed=seed,
+    )
+    assume(sample_population(cfg, pop)[0].size > 0)
+    assert optimize_camera_drop(cfg, pop).residual_db_cm == _exhaustive_residual_drop(cfg, pop)
 
 
 def test_optimize_estimators_agree():
