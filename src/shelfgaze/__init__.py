@@ -5,32 +5,13 @@ the camera (geometry, placement), how gaze points map to product cells
 (grid), whether an eye is usably open (ear), what frame rate the capture
 pipeline sustains (pipeline), and which calibration targets to record
 (calibration). Everything is seeded and deterministic.
+
+The package exports what the README examples and the benchmark harness use,
+plus the domain errors; everything else is imported from its submodule.
 """
 
-from .calibration import (
-    TRAINING_SETS,
-    VALIDATION_CELLS,
-    CalibrationPlan,
-    CalibrationSpec,
-    GroundTruthRecord,
-    PlanEntry,
-    Violation,
-    emit_ground_truth,
-    ground_truth_jsonl,
-    plan,
-    validate_spec,
-)
-from .ear import (
-    OPEN_THRESHOLD,
-    BatchStats,
-    EarReading,
-    EyeLandmarks,
-    batch_stats,
-    classify,
-    ear,
-    landmarks_from_csv,
-    landmarks_from_json,
-)
+from .calibration import CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
+from .ear import EyeLandmarks, batch_stats, ear
 from .errors import (
     AllSamplesRejectedError,
     DegenerateEyeError,
@@ -43,51 +24,23 @@ from .errors import (
     ShelfGazeError,
     UnknownSetSizeError,
 )
-from .geometry import (
-    PersonSample,
-    ShelfConfig,
-    SplitResult,
-    angular_imbalance,
-    bisector_split,
-    eye_to_bottom,
-    eye_to_top,
-    validate_person,
-)
-from .grid import (
-    GazeRay,
-    GridSpec,
-    PlanePoint,
-    cell_center,
-    from_camera_coords,
-    point_cell_json,
-    point_to_cell,
-    ray_to_cell,
-    to_camera_coords,
-)
+from .geometry import PersonSample, ShelfConfig, bisector_split
+from .grid import GazeRay, GridSpec, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import (
     FixedTime,
     NormalTime,
     SimConfig,
-    SimEvent,
-    SimMetrics,
     UniformTime,
-    parse_distribution,
     replay_metrics,
     simulate,
     sweep_processing_time,
     trace,
-    trace_csv,
 )
 from .placement import (
-    DistanceRow,
-    PlacementResult,
     PopulationSpec,
     distance_table,
-    distance_table_csv,
     imbalance_sweep,
-    imbalance_sweep_csv,
     optimize_camera_drop,
-    recommended_distance,
     sample_population,
 )
 
@@ -95,72 +48,43 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllSamplesRejectedError",
-    "BatchStats",
-    "CalibrationPlan",
     "CalibrationSpec",
     "DegenerateEyeError",
-    "DistanceRow",
-    "EarReading",
     "EmptyBatchError",
     "EyeBelowPanelBottomError",
     "EyeLandmarks",
     "FixedTime",
     "GazeRay",
     "GridSpec",
-    "GroundTruthRecord",
     "IndexOutOfRangeError",
     "NoIntersectionError",
     "NoValidDistanceError",
     "NormalTime",
-    "OPEN_THRESHOLD",
     "OutOfPanelError",
     "PersonSample",
-    "PlacementResult",
-    "PlanEntry",
     "PlanePoint",
     "PopulationSpec",
     "ShelfConfig",
     "ShelfGazeError",
     "SimConfig",
-    "SimEvent",
-    "SimMetrics",
-    "SplitResult",
-    "TRAINING_SETS",
     "UniformTime",
     "UnknownSetSizeError",
-    "VALIDATION_CELLS",
-    "Violation",
-    "angular_imbalance",
     "batch_stats",
     "bisector_split",
     "cell_center",
-    "classify",
     "distance_table",
-    "distance_table_csv",
     "ear",
     "emit_ground_truth",
-    "eye_to_bottom",
-    "eye_to_top",
-    "from_camera_coords",
     "ground_truth_jsonl",
     "imbalance_sweep",
-    "imbalance_sweep_csv",
-    "landmarks_from_csv",
-    "landmarks_from_json",
     "optimize_camera_drop",
-    "parse_distribution",
     "plan",
-    "point_cell_json",
     "point_to_cell",
     "ray_to_cell",
-    "recommended_distance",
     "replay_metrics",
     "sample_population",
     "simulate",
     "sweep_processing_time",
-    "to_camera_coords",
     "trace",
-    "trace_csv",
-    "validate_person",
     "validate_spec",
 ]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from math import isclose
 
-from .errors import UnknownSetSizeError
+from .errors import UnknownSetSizeError, require_finite
 from .geometry import ShelfConfig
 from .grid import PlanePoint, cell_center, to_camera_coords
 
@@ -36,7 +36,7 @@ def _check_cells(label: str, cells: tuple[int, ...]) -> None:
     """Layout-free checks; the upper bound depends on the grid, so
     validate_spec reports cells beyond it."""
     for cell in cells:
-        if cell < 1:
+        if not cell >= 1:  # NaN included
             raise ValueError(f"{label} cell {cell} is below 1")
     if len(set(cells)) != len(cells):
         raise ValueError(f"{label} cells contain duplicates: {cells}")
@@ -52,16 +52,13 @@ class CalibrationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self, "frames_per_point", "train_frames_per_point", "val_frames_per_point")
         if self.frames_per_point < 1:
             raise ValueError(f"frames_per_point must be >= 1, got {self.frames_per_point}")
         if self.train_frames_per_point < 1:
-            raise ValueError(
-                f"train_frames_per_point must be >= 1, got {self.train_frames_per_point}"
-            )
+            raise ValueError(f"train_frames_per_point must be >= 1, got {self.train_frames_per_point}")
         if self.val_frames_per_point < 0:
-            raise ValueError(
-                f"val_frames_per_point must be >= 0, got {self.val_frames_per_point}"
-            )
+            raise ValueError(f"val_frames_per_point must be >= 0, got {self.val_frames_per_point}")
         _check_cells("validation", self.validation_cells)
         for size, cells in self.training_sets.items():
             _check_cells(f"training[{size}]", cells)

@@ -1,11 +1,13 @@
-"""Command-line frontend. Every subcommand prints machine-readable output
-(JSON or CSV) to stdout and diagnostics to stderr.
+"""Command-line frontend, and the only module that formats output. Every
+subcommand prints JSON lines (compact, never NaN or Infinity) or CSV to
+stdout and diagnostics to stderr.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
 planning cannot produce a result for valid-looking input).
 
 Shelf settings resolve in three layers: built-in defaults, then a JSON
---config file, then explicit flags.
+--config file, then explicit flags. Only subcommands that read the shelf
+accept them.
 """
 
 from __future__ import annotations
@@ -14,32 +16,42 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple
 from dataclasses import fields as dataclass_fields
 
 from .calibration import CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
-from .ear import EarReading, ear, landmarks_from_csv, landmarks_from_json
-from .errors import ShelfGazeError
+from .ear import classify, ear, landmarks_from_csv, landmarks_from_json
+from .errors import ShelfGazeError, require_finite
 from .geometry import PersonSample, ShelfConfig
-from .grid import GazeRay, PlanePoint, cell_center, point_cell_json, point_to_cell, ray_to_cell
-from .pipeline import SimConfig, parse_distribution, simulate, sweep_processing_time, trace, trace_csv
-from .placement import (
-    STATUS_OK,
-    PopulationSpec,
-    distance_table,
-    distance_table_csv,
-    imbalance_sweep,
-    imbalance_sweep_csv,
-    optimize_camera_drop,
-)
+from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
+from .pipeline import SimConfig, parse_distribution, simulate, sweep_processing_time, trace
+from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_sweep, optimize_camera_drop
 
-_SHELF_FLAG_FIELDS = {
-    "shelf_height": "shelf_height_cm",
-    "panel_height": "panel_height_cm",
-    "panel_width": "panel_width_cm",
-    "camera_x": "camera_x_cm",
-    "camera_drop": "camera_drop_cm",
-    "eye_offset": "eye_crown_offset_cm",
-}
+
+def _print_json(value: object) -> None:
+    """One compact JSON line; NaN or infinity raises ValueError (exit 1)."""
+    print(json.dumps(value, separators=(",", ":"), allow_nan=False))
+
+
+def _print_csv(header: str, rows) -> None:
+    """The header line, then each row's values joined by commas."""
+    print("\n".join([header, *(",".join(map(str, row)) for row in rows)]))
+
+
+def _print_point_cell(p: PlanePoint, cell: int) -> None:
+    _print_json({"x_cm": p.x_cm, "y_cm": p.y_cm, "cell": cell})
+
+
+def _read_fields(path: str, cls: type, label: str) -> dict:
+    """The JSON object in the file at ``path``, keyed by fields of ``cls``."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} file must hold a JSON object")
+    unknown = sorted(set(data) - {f.name for f in dataclass_fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {unknown}")
+    return data
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,45 +69,40 @@ def _shelf_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it"
     )
-    group.add_argument("--shelf-height", type=float, metavar="CM", help="shelf top height (default 181)")
-    group.add_argument("--panel-height", type=float, metavar="CM", help="front panel height (default 138)")
-    group.add_argument("--panel-width", type=float, metavar="CM", help="front panel width (default 102)")
-    group.add_argument("--camera-x", type=float, metavar="CM", help="camera horizontal position (default 51)")
-    group.add_argument(
-        "--camera-drop", type=float, metavar="CM", help="camera drop below the shelf top (default 55.5)"
-    )
-    group.add_argument(
-        "--eye-offset", type=float, metavar="CM", help="crown-to-eye vertical offset (default 4.8)"
-    )
+    for flag, field, text in (
+        ("--shelf-height", "shelf_height_cm", "shelf top height (default 181)"),
+        ("--panel-height", "panel_height_cm", "front panel height (default 138)"),
+        ("--panel-width", "panel_width_cm", "front panel width (default 102)"),
+        ("--camera-x", "camera_x_cm", "camera horizontal position (default 51)"),
+        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top (default 55.5)"),
+        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset (default 4.8)"),
+    ):
+        group.add_argument(flag, dest=field, type=float, metavar="CM", help=text)
     return parent
 
 
 def _shelf_from_args(args: argparse.Namespace) -> ShelfConfig:
-    settings: dict = {}
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        known = {f.name for f in dataclass_fields(ShelfConfig)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        settings.update(data)
-    for flag, field_name in _SHELF_FLAG_FIELDS.items():
-        value = getattr(args, flag)
+    settings = {} if args.config is None else _read_fields(args.config, ShelfConfig, "config")
+    for f in dataclass_fields(ShelfConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            settings[field_name] = value
+            settings[f.name] = value
     return ShelfConfig(**settings)
 
 
-def _parse_floats(text: str, count: int, label: str) -> tuple[float, ...]:
+def _parse_floats(text: str, label: str, count: int | None = None) -> tuple[float, ...]:
+    """Finite comma-separated numbers given to the flag ``label``: exactly
+    ``count`` of them, or any number with blank items skipped."""
+    parts = [part for part in text.split(",") if count is not None or part.strip()]
     try:
-        values = tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in parts)
     except ValueError as exc:
-        raise ValueError(f"{label} must be {count} comma-separated numbers, got {text!r}") from exc
-    if len(values) != count:
+        amount = "" if count is None else f"{count} "
+        raise ValueError(f"{label} must be {amount}comma-separated numbers, got {text!r}") from exc
+    if count is not None and len(values) != count:
         raise ValueError(f"{label} must have {count} components, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{label} must be finite, got {text!r}")
     return values
 
 
@@ -109,16 +116,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         sample_count=args.samples,
         seed=args.seed,
     )
-    result = optimize_camera_drop(cfg, pop)
-    print(json.dumps(result.as_dict(), separators=(",", ":"), allow_nan=False))
+    _print_json(optimize_camera_drop(cfg, pop).as_dict())
     return 0
 
 
 def _cmd_distance_table(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    statures = [float(s) for s in args.statures.split(",") if s.strip()]
-    rows = distance_table(cfg, statures)
-    print(distance_table_csv(rows), end="")
+    rows = distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
+    table = []  # in millimeters, the reporting unit of the printed table
+    for row in rows:
+        distance_mm = "" if row.distance_cm is None else f"{row.distance_cm * 10.0:.3f}"
+        table.append((f"{row.stature_cm * 10.0:g}", distance_mm, row.status))
+    _print_csv("stature_mm,distance_mm,status", table)
     if all(row.status != STATUS_OK for row in rows):
         print("error: no stature admits a valid distance", file=sys.stderr)
         return 2
@@ -128,14 +137,15 @@ def _cmd_distance_table(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
     person = PersonSample.from_stature(args.stature, args.distance, cfg)
-    stop = cfg.panel_height_cm if args.stop is None else args.stop
+    args.stop = cfg.panel_height_cm if args.stop is None else args.stop
+    require_finite(args, "start", "stop", "step")
     if args.step <= 0:
         raise ValueError(f"step must be positive, got {args.step}")
-    if stop < args.start:
-        raise ValueError(f"stop {stop} is below start {args.start}")
-    count = int(math.floor((stop - args.start) / args.step + 1e-9)) + 1
+    if args.stop < args.start:
+        raise ValueError(f"stop {args.stop} is below start {args.start}")
+    count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
     drops = [args.start + i * args.step for i in range(count)]
-    print(imbalance_sweep_csv(imbalance_sweep(cfg, person, drops)), end="")
+    _print_csv("drop_cm,residual_rad", imbalance_sweep(cfg, person, drops))
     return 0
 
 
@@ -146,37 +156,35 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     if by_index == by_point:
         raise ValueError("give either --index or both --x and --y")
     if by_index:
-        print(point_cell_json(cell_center(cfg, args.index), args.index))
+        _print_point_cell(cell_center(cfg, args.index), args.index)
         return 0
     if args.x is None or args.y is None:
         raise ValueError("point lookup needs both --x and --y")
+    require_finite(args, "x", "y")
     point = PlanePoint(args.x, args.y)
-    print(point_cell_json(point, point_to_cell(cfg, point)))
+    _print_point_cell(point, point_to_cell(cfg, point))
     return 0
 
 
 def _cmd_gaze(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    eye = _parse_floats(args.eye, 3, "--eye")
+    eye = _parse_floats(args.eye, "--eye", 3)
     if (args.direction is None) == (args.target is None):
         raise ValueError("give exactly one of --direction or --target")
     if args.direction is not None:
-        d = _parse_floats(args.direction, 3, "--direction")
+        d = _parse_floats(args.direction, "--direction", 3)
         norm = math.sqrt(sum(c * c for c in d))
         if norm == 0:
             raise ValueError("--direction must be nonzero")
         ray = GazeRay(eye, (d[0] / norm, d[1] / norm, d[2] / norm))
     else:
-        tx, ty = _parse_floats(args.target, 2, "--target")
+        tx, ty = _parse_floats(args.target, "--target", 2)
         ray = GazeRay.aimed_at(eye, PlanePoint(tx, ty))
-    hit, cell = ray_to_cell(cfg, ray)
-    print(point_cell_json(hit, cell))
+    _print_point_cell(*ray_to_cell(cfg, ray))
     return 0
 
 
 def _cmd_ear(args: argparse.Namespace) -> int:
-    if args.threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {args.threshold}")
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -186,7 +194,8 @@ def _cmd_ear(args: argparse.Namespace) -> int:
     if not eyes:
         raise ValueError("no landmarks in input")
     for eye in eyes:
-        print(EarReading(ear(eye), args.threshold).as_json())
+        value = ear(eye)
+        _print_json({"value": value, "open": classify(value, args.threshold), "threshold": args.threshold})
     return 0
 
 
@@ -199,38 +208,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         capture_jitter=None if args.jitter is None else parse_distribution(args.jitter),
     )
     if args.trace is not None:
-        print(trace_csv(trace(cfg, args.trace)), end="")
+        _print_csv("t_ms,event,frame_id", map(astuple, trace(cfg, args.trace)))
     elif args.sweep is not None:
-        times = [float(t) for t in args.sweep.split(",") if t.strip()]
-        rows = sweep_processing_time(cfg, times)
-        print("time_ms,effective_fps,mean_skips")
-        for row in rows:
-            print(f"{row.time_ms!r},{row.effective_fps!r},{row.mean_skips!r}")
+        rows = sweep_processing_time(cfg, list(_parse_floats(args.sweep, "--sweep")))
+        _print_csv("time_ms,effective_fps,mean_skips", map(astuple, rows))
     else:
-        print(simulate(cfg).as_json())
+        m = simulate(cfg)
+        skips = {str(gap): m.skips_per_processed[gap] for gap in sorted(m.skips_per_processed)}
+        _print_json(
+            {
+                "processed_count": m.processed_count,
+                "captured_count": m.captured_count,
+                "dropped_count": m.dropped_count,
+                "in_flight_count": m.in_flight_count,
+                "effective_fps": m.effective_fps,
+                "mean_skips": m.mean_skips,
+                "skips_per_processed": skips,
+                "latency_mean_ms": m.latency_mean_ms,
+                "latency_p95_ms": m.latency_p95_ms,
+            }
+        )
     return 0
 
 
 def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
-    overrides: dict = {"seed": args.seed}
-    spec_path = getattr(args, "spec", None)
-    if spec_path is not None:
-        with open(spec_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("calibration spec file must hold a JSON object")
-        known = {f.name for f in dataclass_fields(CalibrationSpec)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown calibration spec keys: {unknown}")
-        if "validation_cells" in data:
-            data["validation_cells"] = tuple(data["validation_cells"])
-        if "training_sets" in data:
-            data["training_sets"] = {
-                int(size): tuple(cells) for size, cells in data["training_sets"].items()
-            }
-        overrides.update(data)
-    return CalibrationSpec(**overrides)
+    data = {} if args.spec is None else _read_fields(args.spec, CalibrationSpec, "calibration spec")
+    if "validation_cells" in data:
+        data["validation_cells"] = tuple(data["validation_cells"])
+    if "training_sets" in data:
+        data["training_sets"] = {int(size): tuple(cells) for size, cells in data["training_sets"].items()}
+    return CalibrationSpec(**{"seed": args.seed, **data})
 
 
 def _cmd_calib_plan(args: argparse.Namespace) -> int:
@@ -243,14 +250,8 @@ def _cmd_calib_plan(args: argparse.Namespace) -> int:
 
 def _cmd_validate_calib(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    spec = _calibration_spec_from_args(args)
-    violations = validate_spec(spec, cfg)
-    print(
-        json.dumps(
-            [{"kind": v.kind, "detail": v.detail} for v in violations],
-            separators=(",", ":"),
-        )
-    )
+    violations = validate_spec(_calibration_spec_from_args(args), cfg)
+    _print_json([asdict(v) for v in violations])
     return 0 if not violations else 2
 
 
@@ -332,7 +333,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "ear",
-        parents=[shelf],
         help="eye aspect ratio readings from a landmarks file",
         description="Read six-point eye landmarks and print one JSON reading per eye "
         "with open/closed classification.",
@@ -344,7 +344,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[shelf],
         help="discrete-event run of the capture/processing pipeline",
         description="Single-slot latest-frame queue between a fixed-rate camera and a "
         "consumer with the given processing-time distribution. Prints metrics JSON, "
@@ -405,12 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except ShelfGazeError as exc:
+    except (ShelfGazeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ShelfGazeError) else 1
 
 
 def entry() -> None:

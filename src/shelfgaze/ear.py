@@ -39,22 +39,6 @@ class EyeLandmarks:
         return cls(*points)
 
 
-@dataclass(frozen=True)
-class EarReading:
-    value: float
-    threshold: float = OPEN_THRESHOLD
-
-    @property
-    def open(self) -> bool:
-        return self.value > self.threshold
-
-    def as_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "open": self.open, "threshold": self.threshold},
-            separators=(",", ":"),
-        )
-
-
 def _dist(a: Point2, b: Point2) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -69,8 +53,8 @@ def ear(l: EyeLandmarks) -> float:
 
 def classify(value: float, threshold: float = OPEN_THRESHOLD) -> bool:
     """True when the eye reads as open: value strictly above the threshold."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     return value > threshold
 
 
@@ -88,6 +72,16 @@ def batch_stats(values: Sequence[float], threshold: float = OPEN_THRESHOLD) -> B
     return BatchStats(sum(values) / len(values), min(values), open_count / len(values))
 
 
+def _parsed_eye(values: Sequence) -> EyeLandmarks:
+    """``EyeLandmarks.from_flat`` for numbers read from text, where NaN and
+    infinity are input errors."""
+    coords = [float(v) for v in values]
+    for c in coords:
+        if not math.isfinite(c):
+            raise ValueError(f"coordinates must be finite, got {c}")
+    return EyeLandmarks.from_flat(coords)
+
+
 def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
     """One eye per line: x1,y1,...,x6,y6. Blank lines are skipped."""
     eyes = []
@@ -96,7 +90,7 @@ def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
         if not line:
             continue
         try:
-            eyes.append(EyeLandmarks.from_flat([float(f) for f in line.split(",")]))
+            eyes.append(_parsed_eye(line.split(",")))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return eyes
@@ -113,5 +107,5 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
             flat = [c for p in entry for c in p]
         else:
             flat = list(entry)
-        eyes.append(EyeLandmarks.from_flat(flat))
+        eyes.append(_parsed_eye(flat))
     return eyes

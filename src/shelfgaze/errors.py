@@ -6,6 +6,17 @@ well-formed requests. The CLI maps ShelfGazeError to exit code 2 and
 input errors to exit code 1.
 """
 
+import math
+
+
+def require_finite(obj: object, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s attributes ``names``
+    that is NaN or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
 
 class ShelfGazeError(Exception):
     """Base class for domain errors."""

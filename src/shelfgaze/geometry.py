@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import EyeBelowPanelBottomError
+from .errors import EyeBelowPanelBottomError, require_finite
 
 # Eye heights at or above this are rejected as unit-conversion mistakes
 # (a millimeter stature fed in as centimeters, for instance).
@@ -39,10 +39,7 @@ class ShelfConfig:
     grid_cols: int = 6
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_cm") and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        require_finite(self, *(f.name for f in fields(self)))
         if not 0 < self.panel_height_cm <= self.shelf_height_cm:
             raise ValueError(
                 f"panel height {self.panel_height_cm} must be in (0, shelf height"
@@ -85,6 +82,7 @@ class PersonSample:
     distance_cm: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "stature_cm", "eye_height_cm", "distance_cm")
         if self.distance_cm <= 0:
             raise ValueError(f"standing distance must be positive, got {self.distance_cm}")
 

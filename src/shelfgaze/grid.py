@@ -9,7 +9,6 @@ originate at the camera pinhole.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -112,7 +111,3 @@ def ray_to_cell(cfg: ShelfConfig, ray: GazeRay) -> tuple[PlanePoint, int]:
         ray.eye_point[1] + t * ray.direction[1],
     )
     return hit, point_to_cell(cfg, hit)
-
-
-def point_cell_json(p: PlanePoint, cell: int) -> str:
-    return json.dumps({"x_cm": p.x_cm, "y_cm": p.y_cm, "cell": cell}, separators=(",", ":"))

@@ -11,7 +11,6 @@ possible frame.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -19,6 +18,8 @@ from itertools import islice
 from typing import Iterable, Iterator, Union
 
 import numpy as np
+
+from .errors import require_finite
 
 CAPTURE = "capture"
 DROP = "drop"
@@ -31,6 +32,7 @@ class FixedTime:
     ms: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "ms")
         if self.ms <= 0:
             raise ValueError(f"fixed time must be positive, got {self.ms}")
 
@@ -44,6 +46,7 @@ class UniformTime:
     hi_ms: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "lo_ms", "hi_ms")
         if not 0 < self.lo_ms <= self.hi_ms:
             raise ValueError(f"need 0 < lo <= hi, got [{self.lo_ms}, {self.hi_ms}]")
 
@@ -59,6 +62,7 @@ class NormalTime:
     std_ms: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "mean_ms", "std_ms")
         if self.mean_ms <= 0:
             raise ValueError(f"mean must be positive, got {self.mean_ms}")
         if self.std_ms < 0:
@@ -102,6 +106,7 @@ class SimConfig:
     capture_jitter: Distribution | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self, "capture_fps", "duration_s")
         if self.capture_fps <= 0:
             raise ValueError(f"capture fps must be positive, got {self.capture_fps}")
         if self.duration_s <= 0:
@@ -133,25 +138,6 @@ class SimMetrics:
             return None
         weighted = sum(gap * count for gap, count in self.skips_per_processed.items())
         return weighted / total
-
-    def as_json(self) -> str:
-        return json.dumps(
-            {
-                "processed_count": self.processed_count,
-                "captured_count": self.captured_count,
-                "dropped_count": self.dropped_count,
-                "in_flight_count": self.in_flight_count,
-                "effective_fps": self.effective_fps,
-                "mean_skips": self.mean_skips,
-                "skips_per_processed": {
-                    str(gap): self.skips_per_processed[gap]
-                    for gap in sorted(self.skips_per_processed)
-                },
-                "latency_mean_ms": self.latency_mean_ms,
-                "latency_p95_ms": self.latency_p95_ms,
-            },
-            separators=(",", ":"),
-        )
 
 
 def _events(cfg: SimConfig) -> Iterator[SimEvent]:
@@ -267,12 +253,6 @@ def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     return list(islice(_events(cfg), limit))
-
-
-def trace_csv(events: Iterable[SimEvent]) -> str:
-    lines = ["t_ms,event,frame_id"]
-    lines.extend(f"{ev.t_ms!r},{ev.kind},{ev.frame_id}" for ev in events)
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

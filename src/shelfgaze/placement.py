@@ -10,11 +10,11 @@ seed regardless of platform math-library quirks in rejection samplers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AllSamplesRejectedError, NoValidDistanceError
+from .errors import AllSamplesRejectedError, NoValidDistanceError, require_finite
 from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
 
 RESIDUAL_GRID_STEP_CM = 0.1
@@ -35,10 +35,7 @@ class PopulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("height_mean_cm", "height_std_cm", "distance_min_cm", "distance_max_cm"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "height_mean_cm", "height_std_cm", "distance_min_cm", "distance_max_cm")
         if self.height_std_cm <= 0:
             raise ValueError("height std must be positive")
         if not self.distance_min_cm < self.distance_max_cm:
@@ -47,6 +44,8 @@ class PopulationSpec:
             raise ValueError("distances must be positive")
         if self.sample_count < 1:
             raise ValueError("sample count must be at least 1")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,7 @@ class PlacementResult:
     sample_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "mean_db_cm": self.mean_db_cm,
-            "median_db_cm": self.median_db_cm,
-            "std_db_cm": self.std_db_cm,
-            "residual_db_cm": self.residual_db_cm,
-            "rejected_samples": self.rejected_samples,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
 
 def _uniform01(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -257,23 +249,8 @@ def distance_table(cfg: ShelfConfig, statures_cm: list[float]) -> list[DistanceR
     return rows
 
 
-def distance_table_csv(rows: list[DistanceRow]) -> str:
-    """CSV in millimeters, matching the reporting unit of the printed table."""
-    lines = ["stature_mm,distance_mm,status"]
-    for row in rows:
-        distance_mm = "" if row.distance_cm is None else f"{row.distance_cm * 10.0:.3f}"
-        lines.append(f"{row.stature_cm * 10.0:g},{distance_mm},{row.status}")
-    return "\n".join(lines) + "\n"
-
-
 def imbalance_sweep(
     cfg: ShelfConfig, p: PersonSample, drops: list[float]
 ) -> list[tuple[float, float]]:
     """Signed imbalance at each candidate drop; crosses zero at the bisector."""
     return [(drop, angular_imbalance(cfg, p, drop)) for drop in drops]
-
-
-def imbalance_sweep_csv(rows: list[tuple[float, float]]) -> str:
-    lines = ["drop_cm,residual_rad"]
-    lines.extend(f"{drop!r},{residual!r}" for drop, residual in rows)
-    return "\n".join(lines) + "\n"

@@ -44,6 +44,11 @@ def test_spec_constructor_sanity_checks():
         CalibrationSpec(training_sets={2: (6, -1)})
     with pytest.raises(ValueError):
         CalibrationSpec(frames_per_point=0)
+    # A spec file can hold NaN: it is rejected, not planned around.
+    with pytest.raises(ValueError, match="^frames_per_point must be finite"):
+        CalibrationSpec(frames_per_point=float("nan"))
+    with pytest.raises(ValueError, match="^validation cell nan is below 1"):
+        CalibrationSpec(validation_cells=(8, 11, 26, float("nan")))
     # The upper bound belongs to the layout: validate_spec reports it.
     spec = CalibrationSpec(validation_cells=(8, 11, 26, 37), training_sets={2: (6, 40)})
     assert [v for v in validate_spec(spec, CFG) if v.kind == "cell-range"] == [

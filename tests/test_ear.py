@@ -1,13 +1,14 @@
 """Eye aspect ratio: value, classification, parsing, invariance."""
 
+import io
 import math
 import random
 
 import pytest
 
+from shelfgaze.cli import main
 from shelfgaze.ear import (
     OPEN_THRESHOLD,
-    EarReading,
     EyeLandmarks,
     batch_stats,
     classify,
@@ -55,8 +56,9 @@ def test_squint_misclassified_as_closed():
 def test_threshold_is_strict():
     assert classify(0.2, 0.2) is False
     assert classify(0.2 + 1e-12, 0.2) is True
-    with pytest.raises(ValueError):
-        classify(0.5, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^threshold must be positive and finite"):
+            classify(0.5, bad)
 
 
 def test_degenerate_eye_rejected():
@@ -98,9 +100,13 @@ def test_similarity_invariance():
         assert abs(value - base) / base < 1e-9
 
 
-def test_reading_json_bytes():
-    assert EarReading(0.5).as_json() == '{"value":0.5,"open":true,"threshold":0.2}'
-    assert EarReading(0.1, 0.15).as_json() == '{"value":0.1,"open":false,"threshold":0.15}'
+def test_reading_json_bytes(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0,0,1,1,3,1,4,0,3,-1,1,-1\n"))
+    assert main(["ear", "--input", "-"]) == 0
+    assert capsys.readouterr().out == '{"value":0.5,"open":true,"threshold":0.2}\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO("0,0,1,0.2,3,0.2,4,0,3,-0.2,1,-0.2\n"))
+    assert main(["ear", "--input", "-", "--threshold", "0.15"]) == 0
+    assert capsys.readouterr().out == '{"value":0.1,"open":false,"threshold":0.15}\n'
 
 
 def test_batch_stats():
@@ -120,6 +126,8 @@ def test_csv_parsing():
     assert ear(eyes[0]) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="line 2"):
         landmarks_from_csv("0,0,1,1,3,1,4,0,3,-1,1,-1\n1,2,3\n")
+    with pytest.raises(ValueError, match="^line 1: coordinates must be finite, got inf"):
+        landmarks_from_csv("0,0,1,1,3,1,inf,0,3,-1,1,-1\n")
 
 
 def test_json_parsing_accepts_both_shapes():
@@ -128,3 +136,5 @@ def test_json_parsing_accepts_both_shapes():
     assert landmarks_from_json(flat) == landmarks_from_json(pairs)
     with pytest.raises(ValueError):
         landmarks_from_json('{"not": "a list"}')
+    with pytest.raises(ValueError, match="^coordinates must be finite, got nan"):
+        landmarks_from_json("[[[0,0],[1,1],[3,1],[4,0],[3,-1],[1,NaN]]]")

@@ -43,9 +43,9 @@ def test_config_rejects_bad_dimensions():
         ShelfConfig(grid_rows=0)
     with pytest.raises(ValueError):
         ShelfConfig(eye_crown_offset_cm=-0.1)
-    # Non-finite lengths are rejected by name, before any range check.
+    # Non-finite values are rejected by name, before any range check.
     for name in ("shelf_height_cm", "panel_height_cm", "panel_width_cm", "camera_x_cm",
-                 "camera_drop_cm", "eye_crown_offset_cm"):
+                 "camera_drop_cm", "eye_crown_offset_cm", "grid_rows", "grid_cols"):
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ShelfConfig(**{name: bad})
@@ -76,6 +76,13 @@ def test_person_constructors():
     assert q.stature_cm == pytest.approx(165.0)
     with pytest.raises(ValueError):
         PersonSample(165.0, 160.2, 0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^stature_cm must be finite"):
+            PersonSample(bad, 160.2, 112.5)
+        with pytest.raises(ValueError, match="^eye_height_cm must be finite"):
+            PersonSample(165.0, bad, 112.5)
+        with pytest.raises(ValueError, match="^distance_cm must be finite"):
+            PersonSample.from_stature(165.0, bad, CFG)
 
 
 def test_validate_person_bounds():

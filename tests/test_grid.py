@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shelfgaze.cli import main
 from shelfgaze.errors import IndexOutOfRangeError, NoIntersectionError, OutOfPanelError
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.grid import (
@@ -15,7 +16,6 @@ from shelfgaze.grid import (
     PlanePoint,
     cell_center,
     from_camera_coords,
-    point_cell_json,
     point_to_cell,
     ray_to_cell,
     to_camera_coords,
@@ -176,5 +176,6 @@ def test_aimed_rays_agree_with_point_lookup():
         assert math.isclose(hit.y_cm, target.y_cm, abs_tol=1e-9)
 
 
-def test_point_cell_json_bytes():
-    assert point_cell_json(PlanePoint(8.5, 80.5), 19) == '{"x_cm":8.5,"y_cm":80.5,"cell":19}'
+def test_point_cell_json_bytes(capsys):
+    assert main(["cell", "--index", "19"]) == 0
+    assert capsys.readouterr().out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from shelfgaze.cli import main
 from shelfgaze.pipeline import (
     CAPTURE,
     COMPLETE,
@@ -19,7 +20,6 @@ from shelfgaze.pipeline import (
     simulate,
     sweep_processing_time,
     trace,
-    trace_csv,
 )
 
 
@@ -38,6 +38,15 @@ def test_distribution_validation():
         NormalTime(-1.0, 2.0)
     with pytest.raises(ValueError):
         NormalTime(5.0, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^ms must be finite"):
+            FixedTime(bad)
+        with pytest.raises(ValueError, match="^hi_ms must be finite"):
+            UniformTime(1.0, bad)
+        with pytest.raises(ValueError, match="^mean_ms must be finite"):
+            NormalTime(bad, 1.0)
+        with pytest.raises(ValueError, match="^std_ms must be finite"):
+            NormalTime(5.0, bad)
 
 
 def test_normal_samples_stay_positive():
@@ -62,6 +71,11 @@ def test_config_validation():
         fixed_cfg(80.0, fps=0.0)
     with pytest.raises(ValueError):
         fixed_cfg(80.0, duration=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^capture_fps must be finite"):
+            fixed_cfg(80.0, fps=bad)
+        with pytest.raises(ValueError, match="^duration_s must be finite"):
+            fixed_cfg(80.0, duration=bad)
 
 
 def test_slow_consumer_frozen_metrics():
@@ -183,9 +197,9 @@ def test_jitter_keeps_capture_clock_monotone():
     assert any(not math.isclose(t % (1000.0 / 30.0), 0.0, abs_tol=1e-9) for t in times[1:])
 
 
-def test_trace_csv_format():
-    csv = trace_csv(trace(fixed_cfg(83.33), 2))
-    assert csv.splitlines() == ["t_ms,event,frame_id", "0.0,capture,0", "0.0,take,0"]
+def test_trace_csv_format(capsys):
+    assert main(["simulate", "--proc", "fixed:83.33", "--trace", "2"]) == 0
+    assert capsys.readouterr().out == "t_ms,event,frame_id\n0.0,capture,0\n0.0,take,0\n"
     with pytest.raises(ValueError):
         trace(fixed_cfg(83.33), -1)
 
@@ -211,14 +225,16 @@ def test_sweep_rows():
         sweep_processing_time(fixed_cfg(83.33), [])
 
 
-def test_metrics_json_shape():
+def test_metrics_json_shape(capsys):
     import json
 
-    data = json.loads(simulate(fixed_cfg(83.33)).as_json())
+    assert main(["simulate", "--proc", "fixed:83.33"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["processed_count"] == 720
     assert data["effective_fps"] == 12.0
     assert data["skips_per_processed"] == {"1": 360, "2": 359}
     # Histogram keys are strings because JSON objects cannot key on ints.
-    short = json.loads(simulate(fixed_cfg(50.0, duration=0.01)).as_json())
+    assert main(["simulate", "--proc", "fixed:50", "--duration", "0.01"]) == 0
+    short = json.loads(capsys.readouterr().out)
     assert short["mean_skips"] is None
     assert short["latency_p95_ms"] is None

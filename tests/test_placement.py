@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shelfgaze.cli import main
 from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError
 from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
 from shelfgaze.placement import (
@@ -20,9 +21,7 @@ from shelfgaze.placement import (
     PopulationSpec,
     _golden_min,
     distance_table,
-    distance_table_csv,
     imbalance_sweep,
-    imbalance_sweep_csv,
     optimize_camera_drop,
     recommended_distance,
     sample_population,
@@ -44,6 +43,10 @@ def test_population_spec_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 PopulationSpec(**{field: bad})
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\)"):
+            PopulationSpec(seed=bad)
+    PopulationSpec(seed=2**128 - 1)
 
 
 def test_import_does_not_load_scipy():
@@ -214,8 +217,9 @@ def test_distance_table_marks_unreachable_rows():
         distance_table(CFG, [])
 
 
-def test_distance_table_csv_format():
-    csv = distance_table_csv(distance_table(CFG, [150.0, 48.8]))
+def test_distance_table_csv_format(capsys):
+    assert main(["distance-table", "--statures", "150,48.8"]) == 0
+    csv = capsys.readouterr().out
     lines = csv.splitlines()
     assert lines[0] == "stature_mm,distance_mm,status"
     assert lines[1] == "1500,793.315,ok"
@@ -223,12 +227,13 @@ def test_distance_table_csv_format():
     assert csv.endswith("\n")
 
 
-def test_imbalance_sweep_csv():
+def test_imbalance_sweep_csv(capsys):
     p = PersonSample.from_eye_height(160.2, 112.5, CFG)
     rows = imbalance_sweep(CFG, p, [24.5, 55.5])
     assert rows[0] == (24.5, pytest.approx(-0.5572783737840685))
-    csv = imbalance_sweep_csv(rows)
-    lines = csv.splitlines()
+    argv = ["sweep", "--stature", "165", "--distance", "112.5", "--start", "24.5", "--stop", "55.5", "--step", "31"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "drop_cm,residual_rad"
     assert lines[1].startswith("24.5,-0.557278")
     assert len(lines) == 3
