@@ -1,6 +1,7 @@
-"""Command-line frontend, and the only module that formats output. Every
-subcommand prints JSON lines (compact, never NaN or Infinity) or CSV to
-stdout and diagnostics to stderr.
+"""Command-line frontend, and the only module that parses command-line text
+or formats output. Every subcommand prints JSON lines (compact, never NaN or
+Infinity) or CSV to stdout and diagnostics to stderr. A flag that sets a
+dataclass field is named by it (``dest``) and takes its default from it.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
 planning cannot produce a result for valid-looking input).
@@ -19,12 +20,13 @@ import sys
 from dataclasses import asdict, astuple
 from dataclasses import fields as dataclass_fields
 
-from .calibration import CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
-from .ear import classify, ear, landmarks_from_csv, landmarks_from_json
+from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
+from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
 from .errors import ShelfGazeError, require_finite
 from .geometry import PersonSample, ShelfConfig
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
-from .pipeline import SimConfig, parse_distribution, simulate, sweep_processing_time, trace
+from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
+from .pipeline import simulate, sweep_processing_time, trace
 from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_sweep, optimize_camera_drop
 
 
@@ -39,7 +41,7 @@ def _print_csv(header: str, rows) -> None:
 
 
 def _print_point_cell(p: PlanePoint, cell: int) -> None:
-    _print_json({"x_cm": p.x_cm, "y_cm": p.y_cm, "cell": cell})
+    _print_json({**asdict(p), "cell": cell})
 
 
 def _read_fields(path: str, cls: type, label: str) -> dict:
@@ -70,24 +72,28 @@ def _shelf_parent() -> argparse.ArgumentParser:
         "--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it"
     )
     for flag, field, text in (
-        ("--shelf-height", "shelf_height_cm", "shelf top height (default 181)"),
-        ("--panel-height", "panel_height_cm", "front panel height (default 138)"),
-        ("--panel-width", "panel_width_cm", "front panel width (default 102)"),
-        ("--camera-x", "camera_x_cm", "camera horizontal position (default 51)"),
-        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top (default 55.5)"),
-        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset (default 4.8)"),
+        ("--shelf-height", "shelf_height_cm", "shelf top height"),
+        ("--panel-height", "panel_height_cm", "front panel height"),
+        ("--panel-width", "panel_width_cm", "front panel width"),
+        ("--camera-x", "camera_x_cm", "camera horizontal position"),
+        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
+        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
     ):
-        group.add_argument(flag, dest=field, type=float, metavar="CM", help=text)
+        help_text = f"{text} (default {getattr(ShelfConfig, field):g})"
+        group.add_argument(flag, dest=field, type=float, metavar="CM", help=help_text)
     return parent
 
 
+def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
+    """``cls`` from ``settings``, overridden by every flag whose dest is one
+    of its fields and whose value is not None."""
+    given = {f.name: getattr(args, f.name) for f in dataclass_fields(cls) if getattr(args, f.name, None) is not None}
+    return cls(**{**(settings or {}), **given})
+
+
 def _shelf_from_args(args: argparse.Namespace) -> ShelfConfig:
-    settings = {} if args.config is None else _read_fields(args.config, ShelfConfig, "config")
-    for f in dataclass_fields(ShelfConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            settings[f.name] = value
-    return ShelfConfig(**settings)
+    settings = None if args.config is None else _read_fields(args.config, ShelfConfig, "config")
+    return _from_args(ShelfConfig, args, settings)
 
 
 def _parse_floats(text: str, label: str, count: int | None = None) -> tuple[float, ...]:
@@ -106,23 +112,75 @@ def _parse_floats(text: str, label: str, count: int | None = None) -> tuple[floa
     return values
 
 
+def parse_distribution(text: str) -> Distribution:
+    """Parse CLI notation: fixed:T, uniform:LO,HI, or normal:MEAN,STD."""
+    kind, sep, rest = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected kind:params, got {text!r}")
+    try:
+        params = [float(p) for p in rest.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad distribution parameters in {text!r}") from exc
+    if kind == "fixed" and len(params) == 1:
+        return FixedTime(params[0])
+    if kind == "uniform" and len(params) == 2:
+        return UniformTime(params[0], params[1])
+    if kind == "normal" and len(params) == 2:
+        return NormalTime(params[0], params[1])
+    raise ValueError(f"unknown distribution {text!r}")
+
+
+def _parsed_eye(values: list) -> EyeLandmarks:
+    """``EyeLandmarks.from_flat`` for numbers read from text, where NaN and
+    infinity are input errors."""
+    coords = [float(v) for v in values]
+    for c in coords:
+        if not math.isfinite(c):
+            raise ValueError(f"coordinates must be finite, got {c}")
+    return EyeLandmarks.from_flat(coords)
+
+
+def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
+    """One eye per line: x1,y1,...,x6,y6. Blank lines are skipped."""
+    eyes = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            eyes.append(_parsed_eye(line.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    return eyes
+
+
+def landmarks_from_json(text: str) -> list[EyeLandmarks]:
+    """JSON array of eyes, each either 12 flat numbers or six [x, y] pairs."""
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("expected a JSON array of eyes")
+    eyes = []
+    for entry in data:
+        if len(entry) == 6 and all(isinstance(p, (list, tuple)) for p in entry):
+            flat = [c for p in entry for c in p]
+        else:
+            flat = list(entry)
+        eyes.append(_parsed_eye(flat))
+    return eyes
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    pop = PopulationSpec(
-        height_mean_cm=args.height_mean,
-        height_std_cm=args.height_std,
-        distance_min_cm=args.dist_min,
-        distance_max_cm=args.dist_max,
-        sample_count=args.samples,
-        seed=args.seed,
-    )
-    _print_json(optimize_camera_drop(cfg, pop).as_dict())
+    _print_json(optimize_camera_drop(cfg, _from_args(PopulationSpec, args)).as_dict())
     return 0
 
 
 def _cmd_distance_table(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    rows = distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
+    statures = _parse_floats(args.statures, "--statures")
+    if not all(math.isfinite(stature * 10.0) for stature in statures):
+        raise ValueError(f"--statures overflow in millimeters, got {args.statures!r}")
+    rows = distance_table(cfg, list(statures))
     table = []  # in millimeters, the reporting unit of the printed table
     for row in rows:
         distance_mm = "" if row.distance_cm is None else f"{row.distance_cm * 10.0:.3f}"
@@ -139,6 +197,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     person = PersonSample.from_stature(args.stature, args.distance, cfg)
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
     require_finite(args, "start", "stop", "step")
+    for name in ("start", "stop"):
+        if not 0 <= getattr(args, name) <= cfg.panel_height_cm:
+            raise ValueError(f"{name} {getattr(args, name)} outside [0, {cfg.panel_height_cm}]")
     if args.step <= 0:
         raise ValueError(f"step must be positive, got {args.step}")
     if args.stop < args.start:
@@ -200,34 +261,16 @@ def _cmd_ear(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimConfig(
-        processing_time=parse_distribution(args.proc),
-        capture_fps=args.fps,
-        duration_s=args.duration,
-        seed=args.seed,
-        capture_jitter=None if args.jitter is None else parse_distribution(args.jitter),
-    )
+    proc = parse_distribution(args.proc)
+    jitter = None if args.jitter is None else parse_distribution(args.jitter)
+    cfg = _from_args(SimConfig, args, {"processing_time": proc, "capture_jitter": jitter})
     if args.trace is not None:
         _print_csv("t_ms,event,frame_id", map(astuple, trace(cfg, args.trace)))
     elif args.sweep is not None:
         rows = sweep_processing_time(cfg, list(_parse_floats(args.sweep, "--sweep")))
         _print_csv("time_ms,effective_fps,mean_skips", map(astuple, rows))
     else:
-        m = simulate(cfg)
-        skips = {str(gap): m.skips_per_processed[gap] for gap in sorted(m.skips_per_processed)}
-        _print_json(
-            {
-                "processed_count": m.processed_count,
-                "captured_count": m.captured_count,
-                "dropped_count": m.dropped_count,
-                "in_flight_count": m.in_flight_count,
-                "effective_fps": m.effective_fps,
-                "mean_skips": m.mean_skips,
-                "skips_per_processed": skips,
-                "latency_mean_ms": m.latency_mean_ms,
-                "latency_p95_ms": m.latency_p95_ms,
-            }
-        )
+        _print_json(asdict(simulate(cfg)))
     return 0
 
 
@@ -255,6 +298,12 @@ def _cmd_validate_calib(args: argparse.Namespace) -> int:
     return 0 if not violations else 2
 
 
+def _field_flag(p: argparse.ArgumentParser, cls: type, flag: str, field: str, help_text: str) -> None:
+    """``flag`` sets ``field`` of ``cls``, defaults to its default and keeps argparse's metavar for the flag."""
+    default, metavar = getattr(cls, field), flag[2:].upper().replace("-", "_")
+    p.add_argument(flag, dest=field, type=type(default), default=default, metavar=metavar, help=help_text)
+
+
 def build_parser() -> _Parser:
     shelf = _shelf_parent()
     parser = _Parser(
@@ -271,12 +320,12 @@ def build_parser() -> _Parser:
         "(mean/median/std of the per-person bisector drop, plus the drop minimizing "
         "the mean squared angular imbalance).",
     )
-    p.add_argument("--samples", type=int, default=100_000, help="population size (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
-    p.add_argument("--height-mean", type=float, default=165.0, help="mean stature in cm (default %(default)s)")
-    p.add_argument("--height-std", type=float, default=6.0, help="stature std in cm (default %(default)s)")
-    p.add_argument("--dist-min", type=float, default=75.0, help="min viewing distance in cm (default %(default)s)")
-    p.add_argument("--dist-max", type=float, default=150.0, help="max viewing distance in cm (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--samples", "sample_count", "population size (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default %(default)s)")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser(
@@ -300,7 +349,9 @@ def build_parser() -> _Parser:
         description="Signed angular imbalance (upper minus lower viewing half-angle) "
         "across candidate camera drops; the zero crossing is the bisector drop.",
     )
-    p.add_argument("--stature", type=float, default=165.0, help="stature in cm (default %(default)s)")
+    p.add_argument(
+        "--stature", type=float, default=PopulationSpec.height_mean_cm, help="stature in cm (default %(default)s)"
+    )
     p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
     p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
     p.add_argument("--stop", type=float, default=None, help="last drop in cm (default: panel height)")
@@ -339,7 +390,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--input", required=True, help="landmarks file, or - for stdin")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="input format (default %(default)s)")
-    p.add_argument("--threshold", type=float, default=0.2, help="open/closed threshold (default %(default)s)")
+    p.add_argument(
+        "--threshold", type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)"
+    )
     p.set_defaults(func=_cmd_ear)
 
     p = sub.add_parser(
@@ -355,9 +408,9 @@ def build_parser() -> _Parser:
         help="processing time distribution: fixed:T, uniform:LO,HI, normal:MEAN,STD in ms "
         "(default %(default)s)",
     )
-    p.add_argument("--fps", type=float, default=30.0, help="capture rate (default %(default)s)")
-    p.add_argument("--duration", type=float, default=60.0, help="run length in seconds (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    _field_flag(p, SimConfig, "--fps", "capture_fps", "capture rate (default %(default)s)")
+    _field_flag(p, SimConfig, "--duration", "duration_s", "run length in seconds (default %(default)s)")
+    _field_flag(p, SimConfig, "--seed", "seed", "random seed (default %(default)s)")
     p.add_argument("--jitter", default=None, help="optional capture-time jitter distribution")
     p.add_argument("--trace", type=int, metavar="N", default=None, help="print the first N events as CSV")
     p.add_argument(
@@ -376,8 +429,10 @@ def build_parser() -> _Parser:
         "plus the four validation cells, three training frames and one validation frame "
         "per cell, selected by seeded shuffle.",
     )
-    p.add_argument("--size", type=int, required=True, help="training set size (2, 4, 8, 16, or 32)")
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed (default %(default)s)")
+    *smaller, largest = TRAINING_SETS
+    sizes = f"{', '.join(map(str, smaller))}, or {largest}"
+    p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
+    _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default %(default)s)")
     p.add_argument("--spec", metavar="PATH", default=None, help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_calib_plan)
 
@@ -388,7 +443,9 @@ def build_parser() -> _Parser:
         description="Print a JSON array of violations (empty when the protocol is "
         "consistent). Exits 2 when violations are found.",
     )
-    p.add_argument("--seed", type=int, default=0, help="recorded in the protocol; does not affect checks")
+    p.add_argument(
+        "--seed", type=int, default=CalibrationSpec.seed, help="recorded in the protocol; does not affect checks"
+    )
     p.add_argument("--spec", metavar="PATH", default=None, help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_validate_calib)
 

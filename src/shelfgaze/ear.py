@@ -8,7 +8,6 @@ Any consistent planar unit works; the ratio is unit-free.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -70,42 +69,3 @@ def batch_stats(values: Sequence[float], threshold: float = OPEN_THRESHOLD) -> B
         raise EmptyBatchError("no readings to summarize")
     open_count = sum(1 for v in values if classify(v, threshold))
     return BatchStats(sum(values) / len(values), min(values), open_count / len(values))
-
-
-def _parsed_eye(values: Sequence) -> EyeLandmarks:
-    """``EyeLandmarks.from_flat`` for numbers read from text, where NaN and
-    infinity are input errors."""
-    coords = [float(v) for v in values]
-    for c in coords:
-        if not math.isfinite(c):
-            raise ValueError(f"coordinates must be finite, got {c}")
-    return EyeLandmarks.from_flat(coords)
-
-
-def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
-    """One eye per line: x1,y1,...,x6,y6. Blank lines are skipped."""
-    eyes = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            eyes.append(_parsed_eye(line.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-    return eyes
-
-
-def landmarks_from_json(text: str) -> list[EyeLandmarks]:
-    """JSON array of eyes, each either 12 flat numbers or six [x, y] pairs."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of eyes")
-    eyes = []
-    for entry in data:
-        if len(entry) == 6 and all(isinstance(p, (list, tuple)) for p in entry):
-            flat = [c for p in entry for c in p]
-        else:
-            flat = list(entry)
-        eyes.append(_parsed_eye(flat))
-    return eyes

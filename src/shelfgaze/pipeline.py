@@ -78,24 +78,6 @@ class NormalTime:
 Distribution = Union[FixedTime, UniformTime, NormalTime]
 
 
-def parse_distribution(text: str) -> Distribution:
-    """Parse CLI notation: fixed:T, uniform:LO,HI, or normal:MEAN,STD."""
-    kind, sep, rest = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected kind:params, got {text!r}")
-    try:
-        params = [float(p) for p in rest.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad distribution parameters in {text!r}") from exc
-    if kind == "fixed" and len(params) == 1:
-        return FixedTime(params[0])
-    if kind == "uniform" and len(params) == 2:
-        return UniformTime(params[0], params[1])
-    if kind == "normal" and len(params) == 2:
-        return NormalTime(params[0], params[1])
-    raise ValueError(f"unknown distribution {text!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     processing_time: Distribution
@@ -127,17 +109,10 @@ class SimMetrics:
     dropped_count: int
     in_flight_count: int
     effective_fps: float
+    mean_skips: float | None
     skips_per_processed: dict[int, int] = field(default_factory=dict)
     latency_mean_ms: float | None = None
     latency_p95_ms: float | None = None
-
-    @property
-    def mean_skips(self) -> float | None:
-        total = sum(self.skips_per_processed.values())
-        if total == 0:
-            return None
-        weighted = sum(gap * count for gap, count in self.skips_per_processed.items())
-        return weighted / total
 
 
 def _events(cfg: SimConfig) -> Iterator[SimEvent]:
@@ -231,13 +206,15 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
         else:
             raise ValueError(f"unknown event kind {ev.kind!r}")
 
+    total = sum(skips.values())
     return SimMetrics(
         processed_count=processed,
         captured_count=captured,
         dropped_count=dropped,
         in_flight_count=takes - processed,
         effective_fps=processed / cfg.duration_s,
-        skips_per_processed=skips,
+        mean_skips=sum(gap * count for gap, count in skips.items()) / total if total else None,
+        skips_per_processed=dict(sorted(skips.items())),
         latency_mean_ms=float(np.mean(latencies)) if latencies else None,
         latency_p95_ms=float(np.percentile(latencies, 95)) if latencies else None,
     )

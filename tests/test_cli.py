@@ -7,12 +7,14 @@ import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.cli import main
+from shelfgaze.placement import PopulationSpec
 
 
 def run(capsys, *argv):
@@ -25,6 +27,12 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "optimize" in out and "validate-calib" in out
+
+    code, out, _ = run(capsys, "optimize", "--help")
+    assert code == 0
+    out = " ".join(out.split())  # argparse wraps help to the terminal width
+    for f in fields(PopulationSpec):
+        assert f"(default {f.default})" in out
 
     code, out, _ = run(capsys, "cell", "--help")
     assert code == 0
@@ -392,6 +400,10 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         (["cell", "--x", "nan", "--y", "3"], None, "x must be finite, got nan"),
         (["cell", "--index", "3", "--camera-drop", "inf"], None, "camera_drop_cm must be finite, got inf"),
         (["optimize", "--samples", "10", "--seed", "-1"], None, "seed must be in [0, 2**128), got -1"),
+        (["sweep", "--distance", "100", "--stop", "1e10", "--step", "1e-300"], None,
+         "stop 10000000000.0 outside [0, 138.0]"),
+        (["sweep", "--distance", "100", "--stop", "200"], None, "stop 200.0 outside [0, 138.0]"),
+        (["distance-table", "--statures", "1e308"], None, "--statures overflow in millimeters, got '1e308'"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):

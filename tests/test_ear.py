@@ -2,20 +2,13 @@
 
 import io
 import math
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shelfgaze.cli import main
-from shelfgaze.ear import (
-    OPEN_THRESHOLD,
-    EyeLandmarks,
-    batch_stats,
-    classify,
-    ear,
-    landmarks_from_csv,
-    landmarks_from_json,
-)
+from shelfgaze.cli import landmarks_from_csv, landmarks_from_json, main
+from shelfgaze.ear import OPEN_THRESHOLD, EyeLandmarks, batch_stats, classify, ear
 from shelfgaze.errors import DegenerateEyeError, EmptyBatchError
 
 # Comfortable open eye: width 4, both vertical gaps 2 -> EAR 0.5.
@@ -81,23 +74,22 @@ def test_from_flat_length_check():
     assert e == OPEN_EYE
 
 
-def test_similarity_invariance():
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.0, 2.0 * math.pi),
+    scale=st.floats(0.1, 10.0),
+    tx=st.floats(-100.0, 100.0),
+    ty=st.floats(-100.0, 100.0),
+)
+def test_similarity_invariance(theta, scale, tx, ty):
     # EAR is a ratio of distances, so rotation + uniform scale + translation
     # must not change it.
-    rng = random.Random(7)
     base = ear(OPEN_EYE)
     points = [OPEN_EYE.p1, OPEN_EYE.p2, OPEN_EYE.p3, OPEN_EYE.p4, OPEN_EYE.p5, OPEN_EYE.p6]
-    for _ in range(200):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        scale = rng.uniform(0.1, 10.0)
-        tx, ty = rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        moved = [
-            (scale * (x * cos_t - y * sin_t) + tx, scale * (x * sin_t + y * cos_t) + ty)
-            for x, y in points
-        ]
-        value = ear(EyeLandmarks(*moved))
-        assert abs(value - base) / base < 1e-9
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    moved = [(scale * (x * cos_t - y * sin_t) + tx, scale * (x * sin_t + y * cos_t) + ty) for x, y in points]
+    value = ear(EyeLandmarks(*moved))
+    assert abs(value - base) / base < 1e-9
 
 
 def test_reading_json_bytes(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 """Side-view geometry: ray lengths, bisector split, angular imbalance."""
 
 import math
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelfgaze.errors import EyeBelowPanelBottomError
 from shelfgaze.geometry import (
@@ -185,17 +186,12 @@ def test_imbalance_rejects_drop_outside_panel():
         angular_imbalance(CFG, p, 138.1)
 
 
-def test_closed_form_matches_bisection_root():
+@settings(max_examples=200, deadline=None)
+@given(eye_height_cm=st.floats(44.0, 240.0), distance_cm=st.floats(20.0, 300.0))
+def test_closed_form_matches_bisection_root(eye_height_cm, distance_cm):
     # Independent root finder on the signed imbalance recovers the closed form.
     from scipy.optimize import bisect
 
-    rng = random.Random(20260815)
-    for _ in range(200):
-        p = person(rng.uniform(44.0, 240.0), rng.uniform(20.0, 300.0))
-        root = bisect(
-            lambda drop: angular_imbalance(CFG, p, drop),
-            0.0,
-            CFG.panel_height_cm,
-            xtol=1e-12,
-        )
-        assert abs(root - bisector_split(CFG, p).db_cm) < 1e-9
+    p = person(eye_height_cm, distance_cm)
+    root = bisect(lambda drop: angular_imbalance(CFG, p, drop), 0.0, CFG.panel_height_cm, xtol=1e-12)
+    assert abs(root - bisector_split(CFG, p).db_cm) < 1e-9

@@ -159,21 +159,21 @@ def test_ray_hit_outside_panel():
         ray_to_cell(CFG, GazeRay.aimed_at((51.0, 55.5, 100.0), PlanePoint(-30.0, 69.0)))
 
 
-def test_aimed_rays_agree_with_point_lookup():
+@settings(max_examples=300, deadline=None)
+@given(
+    col=st.integers(0, 5),
+    row=st.integers(0, 5),
+    fx=st.floats(0.05, 0.95),
+    fy=st.floats(0.05, 0.95),
+    eye=st.tuples(st.floats(-50.0, 150.0), st.floats(-50.0, 200.0), st.floats(10.0, 300.0)),
+)
+def test_aimed_rays_agree_with_point_lookup(col, row, fx, fy, eye):
     # Aiming at a known interior point must land in that point's cell.
-    rng = random.Random(4242)
-    for _ in range(300):
-        col = rng.randrange(6)
-        row = rng.randrange(6)
-        target = PlanePoint(
-            (col + rng.uniform(0.05, 0.95)) * 17.0,
-            (row + rng.uniform(0.05, 0.95)) * 23.0,
-        )
-        eye = (rng.uniform(-50.0, 150.0), rng.uniform(-50.0, 200.0), rng.uniform(10.0, 300.0))
-        hit, cell = ray_to_cell(CFG, GazeRay.aimed_at(eye, target))
-        assert cell == row * 6 + col + 1
-        assert math.isclose(hit.x_cm, target.x_cm, abs_tol=1e-9)
-        assert math.isclose(hit.y_cm, target.y_cm, abs_tol=1e-9)
+    target = PlanePoint((col + fx) * 17.0, (row + fy) * 23.0)
+    hit, cell = ray_to_cell(CFG, GazeRay.aimed_at(eye, target))
+    assert cell == row * 6 + col + 1
+    assert math.isclose(hit.x_cm, target.x_cm, abs_tol=1e-9)
+    assert math.isclose(hit.y_cm, target.y_cm, abs_tol=1e-9)
 
 
 def test_point_cell_json_bytes(capsys):

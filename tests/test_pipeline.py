@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from shelfgaze.cli import main
+from shelfgaze.cli import main, parse_distribution
 from shelfgaze.pipeline import (
     CAPTURE,
     COMPLETE,
@@ -15,7 +15,6 @@ from shelfgaze.pipeline import (
     SimConfig,
     SimEvent,
     UniformTime,
-    parse_distribution,
     replay_metrics,
     simulate,
     sweep_processing_time,
