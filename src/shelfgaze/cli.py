@@ -1,14 +1,15 @@
 """Command-line frontend, and the only module that parses command-line text
 or formats output. Every subcommand prints JSON lines (compact, never NaN or
 Infinity) or CSV to stdout and diagnostics to stderr. A flag that sets a
-dataclass field is named by it (``dest``) and takes its default from it.
+dataclass field is named by it (``dest``) and declared by ``_field_flag``.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
 planning cannot produce a result for valid-looking input).
 
-Shelf settings resolve in three layers: built-in defaults, then a JSON
---config file, then explicit flags. Only subcommands that read the shelf
-accept them.
+Dataclass settings resolve in three layers, in ``_from_args``: the dataclass
+default, then a JSON settings file (--config for the shelf, --spec for the
+calibration protocol), then the flags actually given. Only subcommands that
+read the shelf accept the shelf flags.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
 from .pipeline import simulate, sweep_processing_time, trace
 from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_sweep, optimize_camera_drop
+
+MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 
 
 def _print_json(value: object) -> None:
@@ -65,12 +68,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: str | None = None) -> None:
+    """``flag`` sets ``field`` of ``cls``. With no argparse default, a flag left
+    out reads None; the ``{}`` in ``help_text`` shows the dataclass default."""
+    default = getattr(cls, field)
+    metavar = metavar or flag[2:].upper().replace("-", "_")
+    p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
+
+
 def _shelf_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shelf configuration")
-    group.add_argument(
-        "--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it"
-    )
+    group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
     for flag, field, text in (
         ("--shelf-height", "shelf_height_cm", "shelf top height"),
         ("--panel-height", "panel_height_cm", "front panel height"),
@@ -79,14 +88,13 @@ def _shelf_parent() -> argparse.ArgumentParser:
         ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
         ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
     ):
-        help_text = f"{text} (default {getattr(ShelfConfig, field):g})"
-        group.add_argument(flag, dest=field, type=float, metavar="CM", help=help_text)
+        _field_flag(group, ShelfConfig, flag, field, text + " (default {:g})", "CM")
     return parent
 
 
 def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
-    """``cls`` from ``settings``, overridden by every flag whose dest is one
-    of its fields and whose value is not None."""
+    """``cls`` from its defaults, overridden by ``settings``, overridden by
+    every flag whose dest is one of its fields and whose value is not None."""
     given = {f.name: getattr(args, f.name) for f in dataclass_fields(cls) if getattr(args, f.name, None) is not None}
     return cls(**{**(settings or {}), **given})
 
@@ -194,7 +202,8 @@ def _cmd_distance_table(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    person = PersonSample.from_stature(args.stature, args.distance, cfg)
+    stature = PopulationSpec.height_mean_cm if args.stature is None else args.stature
+    person = PersonSample.from_stature(stature, args.distance, cfg)
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
     require_finite(args, "start", "stop", "step")
     for name in ("start", "stop"):
@@ -204,8 +213,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"step must be positive, got {args.step}")
     if args.stop < args.start:
         raise ValueError(f"stop {args.stop} is below start {args.start}")
-    count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
-    drops = [args.start + i * args.step for i in range(count)]
+    # A float, so a subnormal step gives inf here instead of an OverflowError.
+    steps = (args.stop - args.start) / args.step + 1e-9
+    if steps >= MAX_SWEEP_ROWS:
+        raise ValueError(f"--step {args.step} gives more than {MAX_SWEEP_ROWS} rows")
+    drops = [args.start + i * args.step for i in range(int(steps) + 1)]
     _print_csv("drop_cm,residual_rad", imbalance_sweep(cfg, person, drops))
     return 0
 
@@ -280,7 +292,7 @@ def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
         data["validation_cells"] = tuple(data["validation_cells"])
     if "training_sets" in data:
         data["training_sets"] = {int(size): tuple(cells) for size, cells in data["training_sets"].items()}
-    return CalibrationSpec(**{"seed": args.seed, **data})
+    return _from_args(CalibrationSpec, args, data)
 
 
 def _cmd_calib_plan(args: argparse.Namespace) -> int:
@@ -296,12 +308,6 @@ def _cmd_validate_calib(args: argparse.Namespace) -> int:
     violations = validate_spec(_calibration_spec_from_args(args), cfg)
     _print_json([asdict(v) for v in violations])
     return 0 if not violations else 2
-
-
-def _field_flag(p: argparse.ArgumentParser, cls: type, flag: str, field: str, help_text: str) -> None:
-    """``flag`` sets ``field`` of ``cls``, defaults to its default and keeps argparse's metavar for the flag."""
-    default, metavar = getattr(cls, field), flag[2:].upper().replace("-", "_")
-    p.add_argument(flag, dest=field, type=type(default), default=default, metavar=metavar, help=help_text)
 
 
 def build_parser() -> _Parser:
@@ -320,12 +326,12 @@ def build_parser() -> _Parser:
         "(mean/median/std of the per-person bisector drop, plus the drop minimizing "
         "the mean squared angular imbalance).",
     )
-    _field_flag(p, PopulationSpec, "--samples", "sample_count", "population size (default %(default)s)")
-    _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default %(default)s)")
-    _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default %(default)s)")
-    _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default %(default)s)")
-    _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default %(default)s)")
-    _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default %(default)s)")
+    _field_flag(p, PopulationSpec, "--samples", "sample_count", "population size (default {})")
+    _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
+    _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})")
+    _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
+    _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})")
+    _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser(
@@ -349,13 +355,12 @@ def build_parser() -> _Parser:
         description="Signed angular imbalance (upper minus lower viewing half-angle) "
         "across candidate camera drops; the zero crossing is the bisector drop.",
     )
-    p.add_argument(
-        "--stature", type=float, default=PopulationSpec.height_mean_cm, help="stature in cm (default %(default)s)"
-    )
+    p.add_argument("--stature", type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")
     p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
     p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
-    p.add_argument("--stop", type=float, default=None, help="last drop in cm (default: panel height)")
-    p.add_argument("--step", type=float, default=1.0, help="drop increment in cm (default %(default)s)")
+    p.add_argument("--stop", type=float, help="last drop in cm (default: panel height)")
+    step_help = f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows"
+    p.add_argument("--step", type=float, default=1.0, help=step_help)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -408,15 +413,14 @@ def build_parser() -> _Parser:
         help="processing time distribution: fixed:T, uniform:LO,HI, normal:MEAN,STD in ms "
         "(default %(default)s)",
     )
-    _field_flag(p, SimConfig, "--fps", "capture_fps", "capture rate (default %(default)s)")
-    _field_flag(p, SimConfig, "--duration", "duration_s", "run length in seconds (default %(default)s)")
-    _field_flag(p, SimConfig, "--seed", "seed", "random seed (default %(default)s)")
-    p.add_argument("--jitter", default=None, help="optional capture-time jitter distribution")
-    p.add_argument("--trace", type=int, metavar="N", default=None, help="print the first N events as CSV")
+    _field_flag(p, SimConfig, "--fps", "capture_fps", "capture rate (default {})")
+    _field_flag(p, SimConfig, "--duration", "duration_s", "run length in seconds (default {})")
+    _field_flag(p, SimConfig, "--seed", "seed", "random seed (default {})")
+    p.add_argument("--jitter", help="optional capture-time jitter distribution")
+    p.add_argument("--trace", type=int, metavar="N", help="print the first N events as CSV")
     p.add_argument(
         "--sweep",
         metavar="T1,T2,...",
-        default=None,
         help="sweep fixed processing times (ms) and print fps/skips per row",
     )
     p.set_defaults(func=_cmd_simulate)
@@ -432,8 +436,8 @@ def build_parser() -> _Parser:
     *smaller, largest = TRAINING_SETS
     sizes = f"{', '.join(map(str, smaller))}, or {largest}"
     p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
-    _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default %(default)s)")
-    p.add_argument("--spec", metavar="PATH", default=None, help="JSON overrides for the session protocol")
+    _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default {})")
+    p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_calib_plan)
 
     p = sub.add_parser(
@@ -443,10 +447,8 @@ def build_parser() -> _Parser:
         description="Print a JSON array of violations (empty when the protocol is "
         "consistent). Exits 2 when violations are found.",
     )
-    p.add_argument(
-        "--seed", type=int, default=CalibrationSpec.seed, help="recorded in the protocol; does not affect checks"
-    )
-    p.add_argument("--spec", metavar="PATH", default=None, help="JSON overrides for the session protocol")
+    _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
+    p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_validate_calib)
 
     return parser

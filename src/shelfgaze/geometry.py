@@ -26,8 +26,9 @@ class ShelfConfig:
     181 cm shelf with a 102x138 cm panel split into a 6x6 grid of 17x23 cm
     cells, camera centered horizontally and 55.5 cm below the top.
 
-    Construction also sets the derived ``cell_width_cm``, ``cell_height_cm``
-    and ``cell_count``."""
+    Construction also sets the derived ``cell_width_cm``, ``cell_height_cm``,
+    ``cell_count`` and ``panel_bottom_height_cm`` (the height of the panel's
+    bottom edge above the floor, 43 for defaults)."""
 
     shelf_height_cm: float = 181.0
     panel_height_cm: float = 138.0
@@ -59,18 +60,14 @@ class ShelfConfig:
             raise ValueError("eye-to-crown offset must be nonnegative")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid must have at least one row and one column")
-        # Derived grid sizes are plain attributes, not fields, so --config keys
-        # stay the fields and the per-call grid lookup reads them at field
+        # Derived sizes are plain attributes, not fields, so --config keys
+        # stay the fields and per-call lookups read them at field
         # speed: a property recomputes on each read, and cached_property
         # materializes the instance __dict__, which slows every attribute read.
         object.__setattr__(self, "cell_width_cm", self.panel_width_cm / self.grid_cols)
         object.__setattr__(self, "cell_height_cm", self.panel_height_cm / self.grid_rows)
         object.__setattr__(self, "cell_count", self.grid_rows * self.grid_cols)
-
-    @property
-    def panel_bottom_height_cm(self) -> float:
-        """Height of the panel's bottom edge above the floor (43 for defaults)."""
-        return self.shelf_height_cm - self.panel_height_cm
+        object.__setattr__(self, "panel_bottom_height_cm", self.shelf_height_cm - self.panel_height_cm)
 
 
 @dataclass(frozen=True)

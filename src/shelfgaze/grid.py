@@ -90,10 +90,6 @@ def to_camera_coords(cfg: ShelfConfig, p: PlanePoint) -> PlanePoint:
     return PlanePoint(p.x_cm - cfg.camera_x_cm, p.y_cm - cfg.camera_drop_cm)
 
 
-def from_camera_coords(cfg: ShelfConfig, p: PlanePoint) -> PlanePoint:
-    return PlanePoint(p.x_cm + cfg.camera_x_cm, p.y_cm + cfg.camera_drop_cm)
-
-
 def ray_to_cell(cfg: ShelfConfig, ray: GazeRay) -> tuple[PlanePoint, int]:
     """Intersect the gaze ray with the panel plane and resolve the cell.
 

@@ -80,16 +80,21 @@ def sample_population(
 
     Rejection mirrors geometry.validate_person: eyes at or below the panel
     bottom, or beyond the sane height bound, are excluded rather than
-    clamped.
+    clamped. A stature spread that overflows is a ValueError.
     """
     # Imported here so that `import shelfgaze` does not load scipy.
     from scipy.special import ndtri
 
     gen = np.random.Generator(np.random.Philox(key=pop.seed))
-    stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
+    try:
+        with np.errstate(over="raise"):
+            stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
+    except FloatingPointError:
+        raise ValueError(f"height_std_cm overflows the sampled statures, got {pop.height_std_cm}") from None
     span = pop.distance_max_cm - pop.distance_min_cm
     distance = pop.distance_min_cm + span * _uniform01(gen, pop.sample_count)
-    eye = stature - cfg.eye_crown_offset_cm
+    with np.errstate(over="ignore"):  # an eye overflowing to -inf is rejected below
+        eye = stature - cfg.eye_crown_offset_cm
     valid = (eye > cfg.panel_bottom_height_cm) & (eye < MAX_EYE_HEIGHT_CM)
     rejected = int(pop.sample_count - valid.sum())
     return eye[valid], distance[valid], rejected
@@ -181,9 +186,14 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
 
     # Per-sample drops come after the search, whose two residual vectors
     # would otherwise raise the peak memory on top of these three arrays.
-    ab = np.hypot(distance, top - eye)
-    ac = np.hypot(distance, eye - bottom)
-    db = cfg.panel_height_cm * ab / (ab + ac)
+    # Valid eyes lie within the panel's reach, so only a huge distance overflows.
+    try:
+        with np.errstate(over="raise"):
+            ab = np.hypot(distance, top - eye)
+            ac = np.hypot(distance, eye - bottom)
+            db = cfg.panel_height_cm * ab / (ab + ac)
+    except FloatingPointError:
+        raise ValueError(f"distance_max_cm overflows the per-sample drops, got {pop.distance_max_cm}") from None
 
     return PlacementResult(
         mean_db_cm=float(db.mean()),

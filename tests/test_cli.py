@@ -215,6 +215,16 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert code == 0
     assert out.splitlines()[1] == "1500,793.315,ok"
 
+    # The same layers for the calibration protocol: an explicit --seed wins
+    # over the --spec file, which wins over the default.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 5}))
+    plans = {seed: run(capsys, "calib-plan", "--size", "2", "--seed", seed) for seed in ("0", "5", "9")}
+    assert len({out for _, out, _ in plans.values()}) == 3
+    assert run(capsys, "calib-plan", "--size", "2", "--seed", "9", "--spec", str(spec)) == plans["9"]
+    assert run(capsys, "calib-plan", "--size", "2", "--spec", str(spec)) == plans["5"]
+    assert run(capsys, "calib-plan", "--size", "2", "--spec", str(spec), "--seed", "0") == plans["0"]
+
 
 def test_config_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.json"
@@ -404,6 +414,12 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "stop 10000000000.0 outside [0, 138.0]"),
         (["sweep", "--distance", "100", "--stop", "200"], None, "stop 200.0 outside [0, 138.0]"),
         (["distance-table", "--statures", "1e308"], None, "--statures overflow in millimeters, got '1e308'"),
+        (["sweep", "--distance", "100", "--step", "1e-310"], None, "--step 1e-310 gives more than 100000 rows"),
+        (["sweep", "--distance", "100", "--step", "0.001"], None, "--step 0.001 gives more than 100000 rows"),
+        (["optimize", "--samples", "10", "--height-std", "1e308"], None,
+         "height_std_cm overflows the sampled statures, got 1e+308"),
+        (["optimize", "--samples", "10", "--dist-min", "1e307", "--dist-max", "1e308"], None,
+         "distance_max_cm overflows the per-sample drops, got 1e+308"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):
@@ -448,12 +464,14 @@ PROCESSING = st.one_of(
 )
 # Every finite capture rate and run length is valid input, and the work grows
 # with their product, so simulate runs 0.5 s except where those two vary.
+# Sweep rows are capped, so --start, --stop and --step take any float.
 ARGVS = st.one_of(
     flags("--x", "--y").map(lambda f: ["cell", *f]),
     st.tuples(st.sampled_from(SHELF_READERS), st.sampled_from(SHELF_FLAGS).flatmap(flags)).map(lambda v: v[0] + v[1]),
     st.tuples(numbers(3), numbers(2)).map(lambda v: ["gaze", f"--eye={v[0]}", f"--target={v[1]}"]),
     st.tuples(numbers(3), numbers(3)).map(lambda v: ["gaze", f"--eye={v[0]}", f"--direction={v[1]}"]),
     flags("--stature", "--distance").map(lambda f: ["sweep", *f]),
+    flags("--start", "--stop", "--step").map(lambda f: ["sweep", "--distance", "100", *f]),
     numbers(2).map(lambda v: ["distance-table", f"--statures={v}"]),
     flags("--height-mean", "--height-std", "--dist-min", "--dist-max").map(
         lambda f: ["optimize", "--samples", "50", *f]
@@ -471,7 +489,6 @@ INVOCATIONS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on huge populations
 @settings(max_examples=150, deadline=None)
 @given(INVOCATIONS)
 def test_any_float_input_gives_a_valid_exit_and_output(invocation):

@@ -90,6 +90,10 @@ def test_sampling_rejects_degenerate_eyes():
     eye, _, rejected = sample_population(CFG, mixed)
     assert 0 < rejected < 2000
     assert np.all(eye > CFG.panel_bottom_height_cm)
+    # Eyes that overflow to -inf are below the panel too, with no RuntimeWarning.
+    far = PopulationSpec(height_mean_cm=-1e308, sample_count=200)
+    with pytest.raises(AllSamplesRejectedError):
+        optimize_camera_drop(ShelfConfig(eye_crown_offset_cm=1e308), far)
 
 
 def test_optimize_frozen_default_seed():
