@@ -18,8 +18,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, astuple
 from dataclasses import fields as dataclass_fields
+from functools import partial
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
@@ -31,6 +33,8 @@ from .pipeline import simulate, sweep_processing_time, trace
 from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_sweep, optimize_camera_drop
 
 MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
+MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
+MAX_SAMPLES = 1_000_000  # shoppers in one optimize population
 
 
 def _print_json(value: object) -> None:
@@ -76,9 +80,9 @@ def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: st
     p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
 
 
-def _shelf_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("shelf configuration")
+def _shelf_options(p: argparse.ArgumentParser) -> None:
+    """The shelf flags, declared first by every subcommand that reads the shelf."""
+    group = p.add_argument_group("shelf configuration")
     group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
     for flag, field, text in (
         ("--shelf-height", "shelf_height_cm", "shelf top height"),
@@ -89,7 +93,6 @@ def _shelf_parent() -> argparse.ArgumentParser:
         ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
     ):
         _field_flag(group, ShelfConfig, flag, field, text + " (default {:g})", "CM")
-    return parent
 
 
 def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
@@ -179,7 +182,10 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
-    _print_json(optimize_camera_drop(cfg, _from_args(PopulationSpec, args)).as_dict())
+    pop = _from_args(PopulationSpec, args)
+    if pop.sample_count > MAX_SAMPLES:
+        raise ValueError(f"--samples {pop.sample_count} is above the cap of {MAX_SAMPLES}")
+    _print_json(optimize_camera_drop(cfg, pop).as_dict())
     return 0
 
 
@@ -276,10 +282,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     proc = parse_distribution(args.proc)
     jitter = None if args.jitter is None else parse_distribution(args.jitter)
     cfg = _from_args(SimConfig, args, {"processing_time": proc, "capture_jitter": jitter})
+    times = None if args.trace is not None or args.sweep is None else _parse_floats(args.sweep, "--sweep")
+    runs = 1 if times is None else len(times)
+    if cfg.capture_fps * cfg.duration_s * runs > MAX_CAPTURE_EVENTS:
+        sweep = "" if times is None else f" times {runs} --sweep values"
+        raise ValueError(
+            f"--fps {cfg.capture_fps} times --duration {cfg.duration_s}{sweep} "
+            f"gives more than {MAX_CAPTURE_EVENTS} capture events"
+        )
     if args.trace is not None:
         _print_csv("t_ms,event,frame_id", map(astuple, trace(cfg, args.trace)))
-    elif args.sweep is not None:
-        rows = sweep_processing_time(cfg, list(_parse_floats(args.sweep, "--sweep")))
+    elif times is not None:
+        rows = sweep_processing_time(cfg, list(times))
         _print_csv("time_ms,effective_fps,mean_skips", map(astuple, rows))
     else:
         _print_json(asdict(simulate(cfg)))
@@ -310,23 +324,16 @@ def _cmd_validate_calib(args: argparse.Namespace) -> int:
     return 0 if not violations else 2
 
 
-def build_parser() -> _Parser:
-    shelf = _shelf_parent()
-    parser = _Parser(
-        prog="shelfgaze",
-        description="Planning and simulation tools for shelf-mounted gaze capture.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser(
-        "optimize",
-        parents=[shelf],
+def _optimize_parser(add) -> None:
+    p = add(
         help="Monte Carlo camera drop placement over a shopper population",
         description="Sample a shopper population and report camera drop statistics "
         "(mean/median/std of the per-person bisector drop, plus the drop minimizing "
         "the mean squared angular imbalance).",
     )
-    _field_flag(p, PopulationSpec, "--samples", "sample_count", "population size (default {})")
+    _shelf_options(p)
+    samples_help = f"population size (default {{}}); at most {MAX_SAMPLES}"
+    _field_flag(p, PopulationSpec, "--samples", "sample_count", samples_help)
     _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
     _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})")
     _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
@@ -334,13 +341,14 @@ def build_parser() -> _Parser:
     _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser(
-        "distance-table",
-        parents=[shelf],
+
+def _distance_table_parser(add) -> None:
+    p = add(
         help="recommended viewing distance per stature (CSV, millimeters)",
         description="For each stature, the distance at which the configured camera drop "
         "sits exactly on the person's bisector. Rows with no valid distance are marked.",
     )
+    _shelf_options(p)
     p.add_argument(
         "--statures",
         default="150,155,160,165,170,175,180",
@@ -348,13 +356,14 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_distance_table)
 
-    p = sub.add_parser(
-        "sweep",
-        parents=[shelf],
+
+def _sweep_parser(add) -> None:
+    p = add(
         help="angular imbalance vs camera drop for one person (CSV)",
         description="Signed angular imbalance (upper minus lower viewing half-angle) "
         "across candidate camera drops; the zero crossing is the bisector drop.",
     )
+    _shelf_options(p)
     p.add_argument("--stature", type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")
     p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
     p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
@@ -363,32 +372,35 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=1.0, help=step_help)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "cell",
-        parents=[shelf],
+
+def _cell_parser(add) -> None:
+    p = add(
         help="grid cell lookup: center of an index, or cell owning a point",
         description="With --index, print that cell's center. With --x/--y, print the "
         "cell owning the point. Coordinates are panel cm, origin top-left, y down.",
     )
+    _shelf_options(p)
     p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
     p.add_argument("--x", type=float, help="point x in cm")
     p.add_argument("--y", type=float, help="point y in cm")
     p.set_defaults(func=_cmd_cell)
 
-    p = sub.add_parser(
-        "gaze",
-        parents=[shelf],
+
+def _gaze_parser(add) -> None:
+    p = add(
         help="intersect a gaze ray with the panel and report the cell",
         description="Eye position is x,y,z in panel coordinates (z toward the viewer, cm). "
         "Aim with a direction vector (normalized internally) or a target point on the panel.",
     )
+    _shelf_options(p)
     p.add_argument("--eye", required=True, metavar="X,Y,Z", help="eye position in cm")
     p.add_argument("--direction", metavar="DX,DY,DZ", help="gaze direction (any length)")
     p.add_argument("--target", metavar="X,Y", help="panel point to aim at")
     p.set_defaults(func=_cmd_gaze)
 
-    p = sub.add_parser(
-        "ear",
+
+def _ear_parser(add) -> None:
+    p = add(
         help="eye aspect ratio readings from a landmarks file",
         description="Read six-point eye landmarks and print one JSON reading per eye "
         "with open/closed classification.",
@@ -400,8 +412,9 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_ear)
 
-    p = sub.add_parser(
-        "simulate",
+
+def _simulate_parser(add) -> None:
+    p = add(
         help="discrete-event run of the capture/processing pipeline",
         description="Single-slot latest-frame queue between a fixed-rate camera and a "
         "consumer with the given processing-time distribution. Prints metrics JSON, "
@@ -414,7 +427,8 @@ def build_parser() -> _Parser:
         "(default %(default)s)",
     )
     _field_flag(p, SimConfig, "--fps", "capture_fps", "capture rate (default {})")
-    _field_flag(p, SimConfig, "--duration", "duration_s", "run length in seconds (default {})")
+    duration_help = f"run length in seconds (default {{}}); at most {MAX_CAPTURE_EVENTS} capture events, "
+    _field_flag(p, SimConfig, "--duration", "duration_s", duration_help + "fps * duration summed over --sweep runs")
     _field_flag(p, SimConfig, "--seed", "seed", "random seed (default {})")
     p.add_argument("--jitter", help="optional capture-time jitter distribution")
     p.add_argument("--trace", type=int, metavar="N", help="print the first N events as CSV")
@@ -425,14 +439,15 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "calib-plan",
-        parents=[shelf],
+
+def _calib_plan_parser(add) -> None:
+    p = add(
         help="per-frame calibration ground truth for a training set size (JSONL)",
         description="Plan a calibration session: training cells for the chosen set size "
         "plus the four validation cells, three training frames and one validation frame "
         "per cell, selected by seeded shuffle.",
     )
+    _shelf_options(p)
     *smaller, largest = TRAINING_SETS
     sizes = f"{', '.join(map(str, smaller))}, or {largest}"
     p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
@@ -440,22 +455,55 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_calib_plan)
 
-    p = sub.add_parser(
-        "validate-calib",
-        parents=[shelf],
+
+def _validate_calib_parser(add) -> None:
+    p = add(
         help="check a calibration protocol for overlap/symmetry/budget problems",
         description="Print a JSON array of violations (empty when the protocol is "
         "consistent). Exits 2 when violations are found.",
     )
+    _shelf_options(p)
     _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
     p.set_defaults(func=_cmd_validate_calib)
 
+
+# Every subcommand in --help order, and the function that declares its
+# options on the subparser that ``add`` creates from its help and description.
+_SUBCOMMANDS = {
+    "optimize": _optimize_parser,
+    "distance-table": _distance_table_parser,
+    "sweep": _sweep_parser,
+    "cell": _cell_parser,
+    "gaze": _gaze_parser,
+    "ear": _ear_parser,
+    "simulate": _simulate_parser,
+    "calib-plan": _calib_plan_parser,
+    "validate-calib": _validate_calib_parser,
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The top-level parser with only the subcommand ``argv[0]`` names, or
+    with all of them when it names none (help and usage errors list them)."""
+    parser = _Parser(
+        prog="shelfgaze",
+        description="Planning and simulation tools for shelf-mounted gaze capture.",
+    )
+    chosen = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    # A lone subcommand would otherwise be the only name on the usage line.
+    # With all of them built it stays unset: it would rename the argument in
+    # the "invalid choice" and "required" errors.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(chosen) == 1 else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, metavar=metavar)
+    for name in chosen:
+        _SUBCOMMANDS[name](partial(sub.add_parser, name))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -18,6 +18,7 @@ from .errors import AllSamplesRejectedError, NoValidDistanceError, require_finit
 from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
 
 RESIDUAL_GRID_STEP_CM = 0.1
+MAX_RESIDUAL_GRID_POINTS = 10_001  # a 1,000 cm panel; the default 138 cm panel has 1,381
 RESIDUAL_REFINE_TOL_CM = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _U53 = 1 << 53
@@ -69,8 +70,10 @@ class PlacementResult:
 
 
 def _uniform01(gen: np.random.Generator, n: int) -> np.ndarray:
-    # Midpoints of 2^53 buckets: strictly inside (0, 1), safe for ndtri.
-    return (gen.integers(0, _U53, n).astype(np.float64) + 0.5) / _U53
+    # Midpoints of 2^53 buckets, strictly inside (0, 1) as ndtri needs. The
+    # top midpoint rounds to 1.0, so it becomes the largest float below 1.
+    u = (gen.integers(0, _U53, n).astype(np.float64) + 0.5) / _U53
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
 def sample_population(
@@ -158,7 +161,13 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     section to 1e-4 cm between its neighbours, which assumes the curve is
     unimodal there.
     Deterministic for a fixed seed; samples are aggregated in draw order.
+    A panel whose grid exceeds MAX_RESIDUAL_GRID_POINTS is a ValueError.
     """
+    # len(grid) below is ceil(stop / step), so this bounds it without building it.
+    if (cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM > MAX_RESIDUAL_GRID_POINTS:
+        raise ValueError(
+            f"panel_height_cm {cfg.panel_height_cm} gives more than {MAX_RESIDUAL_GRID_POINTS} residual grid points"
+        )
     eye, distance, rejected = sample_population(cfg, pop)
     if eye.size == 0:
         raise AllSamplesRejectedError(

@@ -1,19 +1,23 @@
 """Command-line interface: output bytes, exit codes, config precedence."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shelfgaze.cli import main
+from shelfgaze.cli import build_parser, main
 from shelfgaze.placement import PopulationSpec
 
 
@@ -47,11 +51,96 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     assert "0.2" in out
 
 
-def test_usage_errors_exit_one(capsys):
+# Line count and sha256 of each --help page at 80 columns, the top level
+# first, captured while every call built all nine subparsers. The optimize
+# and simulate pages were captured again when --samples and --duration named
+# their caps in their help lines; no other line of them changed.
+HELP_PAGES = [
+    ([], 26, "c23e578790efc6f53e5baefcb0adafd3949343b7c24351f371132f08068938e2"),
+    (["optimize"], 32, "68795ec6111d4e229a04909f0da3e6a057b9e0ba6016d892abcaacb0304be1fa"),
+    (["distance-table"], 21, "df41fe4871f541ebd8fac815bb0a361a428600a1ab2953faace77feb9af68f27"),
+    (["sweep"], 25, "73429dd2a8ebaef64a0a699c9e1c2c3b6cc6c2181bf589ee9a568b91270929dd"),
+    (["cell"], 22, "2dd5587e6950cfc2d2c42c92e32a3e8016be924ff87dcc24036b8540af183281"),
+    (["gaze"], 23, "5a66bf8751ede8a64c61c3b15268fbe794ca71e054c332ef54fa0cf3b6c6f7af"),
+    (["ear"], 12, "c79940ac251c5275871d2d712d344575febb5f600c966dcb97dd16f74c3706cb"),
+    (["simulate"], 20, "faab93ddee971cbad8c73b50f9602cbb71266c039c107e7a471d79270704cd49"),
+    (["calib-plan"], 24, "eaf939bac7bcaf8e965f1a6724ecc6fd12110a623ececbf897fad980ec1ac502"),
+    (["validate-calib"], 21, "a9b1c77ff3205ae439cb1f32e105cf20147963d3f70143a441efb4abe337490a"),
+]
+
+
+@pytest.mark.parametrize(("argv", "lines", "digest"), HELP_PAGES, ids=[" ".join(p[0]) or "top" for p in HELP_PAGES])
+def test_help_pages_frozen(capsys, monkeypatch, argv, lines, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TOP_USAGE = (
+    "usage: shelfgaze [-h]\n"
+    "                 {optimize,distance-table,sweep,cell,gaze,ear,simulate,calib-plan,validate-calib}\n"
+    "                 ...\n"
+)
+# Exact stderr at 80 columns, captured while every call built all nine
+# subparsers.
+USAGE_ERRORS = [
+    (["no-such-command"], TOP_USAGE + "shelfgaze: error: argument subcommand: invalid choice: 'no-such-command' "
+     "(choose from 'optimize', 'distance-table', 'sweep', 'cell', 'gaze', 'ear', 'simulate', 'calib-plan', "
+     "'validate-calib')\n"),
+    ([], TOP_USAGE + "shelfgaze: error: the following arguments are required: subcommand\n"),
+    (["cell", "--index", "19", "extra"], TOP_USAGE + "shelfgaze: error: unrecognized arguments: extra\n"),
+    (["cell", "--index", "x"],
+     "usage: shelfgaze cell [-h] [--config PATH] [--shelf-height CM]\n"
+     "                      [--panel-height CM] [--panel-width CM] [--camera-x CM]\n"
+     "                      [--camera-drop CM] [--eye-offset CM] [--index INDEX]\n"
+     "                      [--x X] [--y Y]\n"
+     "shelfgaze cell: error: argument --index: invalid int value: 'x'\n"),
+]
+
+
+def test_usage_errors_exit_one(capsys, monkeypatch):
     assert run(capsys, "no-such-command")[0] == 1
     assert run(capsys, "sweep")[0] == 1  # missing --distance
     assert run(capsys, "cell", "--index", "x")[0] == 1
     assert run(capsys)[0] == 1  # no subcommand
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, err in USAGE_ERRORS:
+        assert run(capsys, *argv) == (1, "", err)
+    # An option before the subcommand: the top-level help, which
+    # test_help_pages_frozen pins.
+    assert run(capsys, "-h", "cell") == run(capsys, "--help")
+
+
+def _subcommands(parser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_builds_only_the_named_subcommand():
+    assert _subcommands(build_parser(["cell", "--index", "19"])) == ["cell"]
+    everything = [page[0][0] for page in HELP_PAGES[1:]]
+    for argv in (["--help"], [], ["no-such-command"], ["-h", "cell"]):
+        assert _subcommands(build_parser(argv)) == everything
+
+
+def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("shelfgaze.cli.build_parser", lambda argv: built.append(build_parser(argv)) or built[-1])
+    monkeypatch.setattr("sys.argv", ["shelfgaze", "cell", "--index", "19"])
+    assert main() == 0
+    assert capsys.readouterr().out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
+    assert [_subcommands(parser) for parser in built] == [["cell"]]
+
+
+def test_module_entry_point_reads_sys_argv():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "shelfgaze.cli", "cell", "--index", "19"],
+                          env=env, capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n', "")
 
 
 def test_cell_by_index_bytes(capsys):
@@ -420,6 +509,13 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "height_std_cm overflows the sampled statures, got 1e+308"),
         (["optimize", "--samples", "10", "--dist-min", "1e307", "--dist-max", "1e308"], None,
          "distance_max_cm overflows the per-sample drops, got 1e+308"),
+        (["simulate", "--fps", "1e9", "--duration", "1"], None,
+         "--fps 1000000000.0 times --duration 1.0 gives more than 1000000 capture events"),
+        (["simulate", "--sweep", "20,83.33,200,300", "--duration", "10000"], None,
+         "--fps 30.0 times --duration 10000.0 times 4 --sweep values gives more than 1000000 capture events"),
+        (["optimize", "--samples", "10000000000"], None, "--samples 10000000000 is above the cap of 1000000"),
+        (["optimize", "--samples", "10", "--shelf-height", "1e20", "--panel-height", "1e20"], None,
+         "panel_height_cm 1e+20 gives more than 10001 residual grid points"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):

@@ -1,6 +1,7 @@
 """Population sampling, drop optimization, and the distance table."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,14 @@ from shelfgaze.cli import main
 from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError
 from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
 from shelfgaze.placement import (
+    MAX_RESIDUAL_GRID_POINTS,
     RESIDUAL_GRID_STEP_CM,
     RESIDUAL_REFINE_TOL_CM,
     STATUS_NO_DISTANCE,
     STATUS_OK,
     PopulationSpec,
     _golden_min,
+    _uniform01,
     distance_table,
     imbalance_sweep,
     optimize_camera_drop,
@@ -94,6 +97,31 @@ def test_sampling_rejects_degenerate_eyes():
     far = PopulationSpec(height_mean_cm=-1e308, sample_count=200)
     with pytest.raises(AllSamplesRejectedError):
         optimize_camera_drop(ShelfConfig(eye_crown_offset_cm=1e308), far)
+
+
+def test_uniform01_stays_below_one():
+    from scipy.special import ndtri
+
+    class Draws:
+        def integers(self, low, high, size):
+            return np.array([0, 2**53 - 1], dtype=np.int64)
+
+    u = _uniform01(Draws(), 2)
+    # The top midpoint rounds to 1.0 and is clamped; the bottom one keeps its bits.
+    assert u.tolist() == [0.5 / 2**53, np.nextafter(1.0, 0.0)]
+    assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_residual_grid_is_bounded():
+    # 1,000 cm is the tallest panel whose 0.1 cm grid fits the cap.
+    assert MAX_RESIDUAL_GRID_POINTS == len(np.arange(0.0, 1000.0 + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM))
+    pop = PopulationSpec(sample_count=10)
+    optimize_camera_drop(ShelfConfig(shelf_height_cm=1100.0, panel_height_cm=1000.0), pop)
+    for panel in (1000.1, 1e20, 1e308):
+        cfg = ShelfConfig(shelf_height_cm=panel + 100.0, panel_height_cm=panel)
+        reason = f"panel_height_cm {panel} gives more than 10001 residual grid points"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            optimize_camera_drop(cfg, pop)
 
 
 def test_optimize_frozen_default_seed():
