@@ -252,7 +252,7 @@ def _cmd_gaze(args: argparse.Namespace) -> int:
         raise ValueError("give exactly one of --direction or --target")
     if args.direction is not None:
         d = _parse_floats(args.direction, "--direction", 3)
-        norm = math.sqrt(sum(c * c for c in d))
+        norm = math.hypot(*d)
         if norm == 0:
             raise ValueError("--direction must be nonzero")
         ray = GazeRay(eye, (d[0] / norm, d[1] / norm, d[2] / norm))

@@ -44,7 +44,7 @@ class GazeRay:
     direction: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(sum(c * c for c in self.direction))
+        norm = math.hypot(*self.direction)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction must be a unit vector, |v| = {norm}")
         if self.eye_point[2] <= 0:
@@ -56,7 +56,7 @@ class GazeRay:
         dx = target.x_cm - eye_point[0]
         dy = target.y_cm - eye_point[1]
         dz = -eye_point[2]
-        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+        norm = math.hypot(dx, dy, dz)
         if norm == 0:
             raise ValueError("eye and target coincide")
         return cls(eye_point, (dx / norm, dy / norm, dz / norm))

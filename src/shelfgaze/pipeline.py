@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import islice, starmap
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -115,8 +116,9 @@ class SimMetrics:
     latency_p95_ms: float | None = None
 
 
-def _events(cfg: SimConfig) -> Iterator[SimEvent]:
-    """Chronological event stream of one run.
+def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
+    """Chronological event stream of one run, as plain `(t_ms, kind,
+    frame_id)` tuples; `trace` builds the `SimEvent`s.
 
     Event order at equal timestamps is capture, drop (of the overwritten
     slot frame), complete, take. A drop is emitted the moment a newer
@@ -148,37 +150,38 @@ def _events(cfg: SimConfig) -> Iterator[SimEvent]:
         done_pending = current is not None and done_t <= duration_ms
         if cap_pending and (not done_pending or next_cap <= done_t):
             t = next_cap
-            yield SimEvent(t, CAPTURE, next_id)
+            yield t, CAPTURE, next_id
             if slot is not None:
-                yield SimEvent(t, DROP, slot)
+                yield t, DROP, slot
             slot = next_id
             next_id += 1
             next_cap = capture_time(next_id, t)
             if current is None:
                 current = slot
                 slot = None
-                yield SimEvent(t, TAKE, current)
+                yield t, TAKE, current
                 done_t = t + cfg.processing_time.sample(proc_rng)
         elif done_pending:
             t = done_t
-            yield SimEvent(t, COMPLETE, current)
+            yield t, COMPLETE, current
             current = None
             done_t = math.inf
             if slot is not None and t < duration_ms:
                 current = slot
                 slot = None
-                yield SimEvent(t, TAKE, current)
+                yield t, TAKE, current
                 done_t = t + cfg.processing_time.sample(proc_rng)
         else:
             break
 
     if slot is not None:
-        yield SimEvent(duration_ms, DROP, slot)
+        yield duration_ms, DROP, slot
 
 
-def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
-    """Fold an event stream into metrics. Uses nothing but the events, so a
-    recorded trace reproduces the metrics of the run that emitted it."""
+def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
+    """Fold `(t_ms, kind, frame_id)` rows into metrics. Uses nothing but the
+    rows, so a recorded trace reproduces the metrics of the run that emitted
+    it."""
     captured = dropped = processed = takes = 0
     capture_t: dict[int, float] = {}
     taken_t: dict[int, float] = {}
@@ -186,25 +189,27 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
     skips: dict[int, int] = {}
     last_done: int | None = None
 
-    for ev in events:
-        if ev.kind == CAPTURE:
+    for t_ms, kind, frame_id in rows:
+        if kind == CAPTURE:
             captured += 1
-            capture_t[ev.frame_id] = ev.t_ms
-        elif ev.kind == DROP:
+            capture_t[frame_id] = t_ms
+        elif kind == DROP:
             dropped += 1
-            capture_t.pop(ev.frame_id, None)
-        elif ev.kind == TAKE:
+            capture_t.pop(frame_id, None)
+        elif kind == TAKE:
             takes += 1
-            taken_t[ev.frame_id] = capture_t.pop(ev.frame_id)
-        elif ev.kind == COMPLETE:
+            taken_t[frame_id] = capture_t.pop(frame_id)
+        elif kind == COMPLETE:
             processed += 1
-            latencies.append(ev.t_ms - taken_t.pop(ev.frame_id))
+            latencies.append(t_ms - taken_t.pop(frame_id))
             if last_done is not None:
-                gap = ev.frame_id - last_done - 1
+                gap = frame_id - last_done - 1
                 skips[gap] = skips.get(gap, 0) + 1
-            last_done = ev.frame_id
+            last_done = frame_id
         else:
-            raise ValueError(f"unknown event kind {ev.kind!r}")
+            raise ValueError(f"unknown event kind {kind!r}")
+
+    lat = np.array(latencies)
 
     total = sum(skips.values())
     return SimMetrics(
@@ -215,13 +220,19 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
         effective_fps=processed / cfg.duration_s,
         mean_skips=sum(gap * count for gap, count in skips.items()) / total if total else None,
         skips_per_processed=dict(sorted(skips.items())),
-        latency_mean_ms=float(np.mean(latencies)) if latencies else None,
-        latency_p95_ms=float(np.percentile(latencies, 95)) if latencies else None,
+        latency_mean_ms=float(lat.mean()) if latencies else None,
+        latency_p95_ms=float(np.percentile(lat, 95)) if latencies else None,
     )
 
 
+def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
+    """Fold a recorded event stream into the metrics of the run that
+    emitted it."""
+    return _fold(map(attrgetter("t_ms", "kind", "frame_id"), events), cfg)
+
+
 def simulate(cfg: SimConfig) -> SimMetrics:
-    return replay_metrics(_events(cfg), cfg)
+    return _fold(_events(cfg), cfg)
 
 
 def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
@@ -229,7 +240,7 @@ def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
     chronologically ordered."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    return list(islice(_events(cfg), limit))
+    return list(starmap(SimEvent, islice(_events(cfg), limit)))
 
 
 @dataclass(frozen=True)

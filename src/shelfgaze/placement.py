@@ -161,7 +161,8 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     section to 1e-4 cm between its neighbours, which assumes the curve is
     unimodal there.
     Deterministic for a fixed seed; samples are aggregated in draw order.
-    A panel whose grid exceeds MAX_RESIDUAL_GRID_POINTS is a ValueError.
+    A panel whose grid exceeds MAX_RESIDUAL_GRID_POINTS is a ValueError, and
+    so are distances so large that every squared residual underflows.
     """
     # len(grid) below is ceil(stop / step), so this bounds it without building it.
     if (cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM > MAX_RESIDUAL_GRID_POINTS:
@@ -203,6 +204,10 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
             db = cfg.panel_height_cm * ab / (ab + ac)
     except FloatingPointError:
         raise ValueError(f"distance_max_cm overflows the per-sample drops, got {pop.distance_max_cm}") from None
+    # Each residual rises with the drop, so zero mean squares at both grid ends
+    # mean every squared residual on the grid underflowed: the curve is flat.
+    if best == 0 and mean_sq_residual(grid[0]) == 0.0 == mean_sq_residual(grid[-1]):
+        raise ValueError(f"distance_max_cm underflows every squared residual, got {pop.distance_max_cm}")
 
     return PlacementResult(
         mean_db_cm=float(db.mean()),

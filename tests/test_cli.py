@@ -186,6 +186,22 @@ def test_gaze_errors(capsys):
     assert run(capsys, "gaze", "--eye", "51,55.5,100", "--direction", "0,0,1")[0] == 2  # away
 
 
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        # Components whose squares overflow, or underflow to zero, still give
+        # a finite nonzero norm.
+        (["--eye", "51,55.5,100", "--direction=1e200,0,-1e200"],
+         (2, "", "error: point (151.0, 55.5) outside panel [0, 102.0] x [0, 138.0]\n")),
+        (["--eye", "51,55.5,1e200", "--target", "1,1"], (0, '{"x_cm":1.0,"y_cm":1.0,"cell":1}\n', "")),
+        (["--eye", "51,55.5,100", "--direction=-1e-200,0,-1e-200"],
+         (2, "", "error: point (-48.999999999999986, 55.5) outside panel [0, 102.0] x [0, 138.0]\n")),
+    ],
+)
+def test_gaze_norm_of_extreme_components(capsys, argv, expected):
+    assert run(capsys, "gaze", *argv) == expected
+
+
 def test_distance_table_default(capsys):
     code, out, _ = run(capsys, "distance-table")
     assert code == 0
@@ -516,6 +532,8 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         (["optimize", "--samples", "10000000000"], None, "--samples 10000000000 is above the cap of 1000000"),
         (["optimize", "--samples", "10", "--shelf-height", "1e20", "--panel-height", "1e20"], None,
          "panel_height_cm 1e+20 gives more than 10001 residual grid points"),
+        (["optimize", "--samples", "10", "--dist-max", "1e306"], None,
+         "distance_max_cm underflows every squared residual, got 1e+306"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):

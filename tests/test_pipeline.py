@@ -1,8 +1,11 @@
 """Capture/processing pipeline simulation with a latest-frame queue."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelfgaze.cli import main, parse_distribution
 from shelfgaze.pipeline import (
@@ -237,3 +240,46 @@ def test_metrics_json_shape(capsys):
     short = json.loads(capsys.readouterr().out)
     assert short["mean_skips"] is None
     assert short["latency_p95_ms"] is None
+
+
+MS = st.floats(1.0, 300.0)
+DISTRIBUTIONS = st.one_of(
+    MS.map(FixedTime),
+    st.tuples(MS, MS).map(lambda v: UniformTime(min(v), max(v))),
+    st.tuples(MS, st.floats(0.0, 100.0)).map(lambda v: NormalTime(*v)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        SimConfig,
+        processing_time=DISTRIBUTIONS,
+        capture_fps=st.floats(5.0, 120.0),
+        duration_s=st.floats(0.01, 5.0),
+        seed=st.integers(0, 2**32),
+        capture_jitter=st.none() | DISTRIBUTIONS,
+    ),
+    st.integers(0, 700),
+)
+def test_trace_and_simulate_fold_alike(cfg, k):
+    events = trace(cfg)
+    assert all(type(ev) is SimEvent for ev in events)
+    assert replay_metrics(events, cfg) == simulate(cfg)
+    assert replay_metrics(iter(events), cfg) == simulate(cfg)
+    assert trace(cfg, k) == events[:k]
+
+
+def test_trace_memory_per_event():
+    # A frozen slotted SimEvent keeps the trace near 91 B per event; a
+    # NamedTuple event reads about 107 B.
+    cfg = SimConfig(UniformTime(66.7, 100.0), seed=3)
+    trace(cfg)
+    tracemalloc.start()
+    try:
+        events = trace(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 4321
+    assert peak <= 96 * len(events)
