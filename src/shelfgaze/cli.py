@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import asdict, astuple
 from dataclasses import fields as dataclass_fields
 from functools import partial
+from operator import attrgetter
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
@@ -279,10 +280,14 @@ def _cmd_ear(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trace is not None and args.sweep is not None:
+        raise ValueError("--trace and --sweep cannot be given together")
+    if args.trace is not None and args.trace < 0:
+        raise ValueError(f"--trace must be nonnegative, got {args.trace}")
     proc = parse_distribution(args.proc)
     jitter = None if args.jitter is None else parse_distribution(args.jitter)
     cfg = _from_args(SimConfig, args, {"processing_time": proc, "capture_jitter": jitter})
-    times = None if args.trace is not None or args.sweep is None else _parse_floats(args.sweep, "--sweep")
+    times = None if args.sweep is None else _parse_floats(args.sweep, "--sweep")
     runs = 1 if times is None else len(times)
     if cfg.capture_fps * cfg.duration_s * runs > MAX_CAPTURE_EVENTS:
         sweep = "" if times is None else f" times {runs} --sweep values"
@@ -291,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"gives more than {MAX_CAPTURE_EVENTS} capture events"
         )
     if args.trace is not None:
-        _print_csv("t_ms,event,frame_id", map(astuple, trace(cfg, args.trace)))
+        _print_csv("t_ms,event,frame_id", map(attrgetter("t_ms", "kind", "frame_id"), trace(cfg, args.trace)))
     elif times is not None:
         rows = sweep_processing_time(cfg, list(times))
         _print_csv("time_ms,effective_fps,mean_skips", map(astuple, rows))

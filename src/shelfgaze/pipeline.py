@@ -11,7 +11,6 @@ possible frame.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
@@ -142,13 +141,11 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
     next_id = 0
     next_cap = capture_time(0, None)
     slot: int | None = None
-    current: int | None = None
-    done_t = math.inf
+    current = 0
+    done_t: float | None = None  # finish time of the frame in flight; None while idle
 
-    while True:
-        cap_pending = next_cap < duration_ms
-        done_pending = current is not None and done_t <= duration_ms
-        if cap_pending and (not done_pending or next_cap <= done_t):
+    while next_cap < duration_ms or (done_t is not None and done_t <= duration_ms):
+        if next_cap < duration_ms and (done_t is None or next_cap <= done_t):
             t = next_cap
             yield t, CAPTURE, next_id
             if slot is not None:
@@ -156,23 +153,14 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
             slot = next_id
             next_id += 1
             next_cap = capture_time(next_id, t)
-            if current is None:
-                current = slot
-                slot = None
-                yield t, TAKE, current
-                done_t = t + cfg.processing_time.sample(proc_rng)
-        elif done_pending:
+        else:
             t = done_t
             yield t, COMPLETE, current
-            current = None
-            done_t = math.inf
-            if slot is not None and t < duration_ms:
-                current = slot
-                slot = None
-                yield t, TAKE, current
-                done_t = t + cfg.processing_time.sample(proc_rng)
-        else:
-            break
+            done_t = None
+        if done_t is None and slot is not None and t < duration_ms:
+            current, slot = slot, None
+            yield t, TAKE, current
+            done_t = t + cfg.processing_time.sample(proc_rng)
 
     if slot is not None:
         yield duration_ms, DROP, slot
@@ -183,8 +171,7 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
     rows, so a recorded trace reproduces the metrics of the run that emitted
     it."""
     captured = dropped = processed = takes = 0
-    capture_t: dict[int, float] = {}
-    taken_t: dict[int, float] = {}
+    capture_t: dict[int, float] = {}  # frames captured, not yet dropped or done
     latencies: list[float] = []
     skips: dict[int, int] = {}
     last_done: int | None = None
@@ -198,10 +185,9 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
             capture_t.pop(frame_id, None)
         elif kind == TAKE:
             takes += 1
-            taken_t[frame_id] = capture_t.pop(frame_id)
         elif kind == COMPLETE:
             processed += 1
-            latencies.append(t_ms - taken_t.pop(frame_id))
+            latencies.append(t_ms - capture_t.pop(frame_id))
             if last_done is not None:
                 gap = frame_id - last_done - 1
                 skips[gap] = skips.get(gap, 0) + 1

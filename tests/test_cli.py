@@ -534,6 +534,8 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "panel_height_cm 1e+20 gives more than 10001 residual grid points"),
         (["optimize", "--samples", "10", "--dist-max", "1e306"], None,
          "distance_max_cm underflows every squared residual, got 1e+306"),
+        (["simulate", "--trace", "3", "--sweep", "garbage"], None, "--trace and --sweep cannot be given together"),
+        (["simulate", "--trace", "-1"], None, "--trace must be nonnegative, got -1"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.cli import main, parse_distribution
@@ -250,24 +250,73 @@ DISTRIBUTIONS = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.builds(
-        SimConfig,
-        processing_time=DISTRIBUTIONS,
-        capture_fps=st.floats(5.0, 120.0),
-        duration_s=st.floats(0.01, 5.0),
-        seed=st.integers(0, 2**32),
-        capture_jitter=st.none() | DISTRIBUTIONS,
-    ),
-    st.integers(0, 700),
+CONFIGS = st.builds(
+    SimConfig,
+    processing_time=DISTRIBUTIONS,
+    capture_fps=st.floats(5.0, 120.0),
+    duration_s=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32),
+    capture_jitter=st.none() | DISTRIBUTIONS,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS, st.integers(0, 700))
 def test_trace_and_simulate_fold_alike(cfg, k):
     events = trace(cfg)
     assert all(type(ev) is SimEvent for ev in events)
     assert replay_metrics(events, cfg) == simulate(cfg)
     assert replay_metrics(iter(events), cfg) == simulate(cfg)
     assert trace(cfg, k) == events[:k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS)
+# Frame 10 is taken at 1e308 ms and its finish time overflows the float
+# range: the consumer must stay busy, so frames 11-14 are dropped.
+@example(SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1.5e305))
+def test_trace_follows_the_latest_frame_policy(cfg):
+    events = trace(cfg)
+    slot = in_flight = overwritten = None
+    newest = -1
+    taken, dropped = set(), set()
+    for i, ev in enumerate(events):
+        prev = events[i - 1] if i else None
+        if overwritten is not None:
+            # The capture that overwrote the slot is directly followed by its drop.
+            assert (ev.t_ms, ev.kind, ev.frame_id) == (prev.t_ms, DROP, overwritten)
+            overwritten = None
+            dropped.add(ev.frame_id)
+        elif ev.kind == CAPTURE:
+            assert ev.frame_id == newest + 1
+            overwritten = slot
+            newest = slot = ev.frame_id
+        elif ev.kind == DROP:
+            # Not at a capture time: the one frame left in the slot at the end.
+            assert i == len(events) - 1
+            assert (ev.t_ms, ev.frame_id) == (cfg.duration_s * 1000.0, slot)
+            slot = None
+            dropped.add(ev.frame_id)
+        elif ev.kind == TAKE:
+            assert prev.kind in (CAPTURE, COMPLETE) and prev.t_ms == ev.t_ms
+            assert in_flight is None
+            assert ev.frame_id == slot == newest and ev.frame_id not in dropped
+            assert ev.frame_id not in taken
+            taken.add(ev.frame_id)
+            in_flight, slot = ev.frame_id, None
+        else:
+            assert ev.kind == COMPLETE and ev.frame_id == in_flight
+            in_flight = None
+    assert overwritten is None and slot is None
+
+
+def test_run_past_the_float_range_ends():
+    # 1e306 s is an infinite number of milliseconds. The run still ends once
+    # the capture clock overflows, and frame 10, whose finish time overflows,
+    # completes at the infinite end time. A limit keeps a regression from hanging.
+    events = trace(SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1e306), 100)
+    assert len(events) == 38
+    assert [(ev.t_ms, ev.kind, ev.frame_id) for ev in events[-2:]] == [(math.inf, COMPLETE, 10), (math.inf, DROP, 17)]
 
 
 def test_trace_memory_per_event():
