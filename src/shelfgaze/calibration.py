@@ -14,11 +14,12 @@ import random
 from dataclasses import dataclass, field
 from math import isclose
 
-from .errors import UnknownSetSizeError, require_finite
+from .errors import UnknownSetSizeError, require_finite, require_int
 from .geometry import ShelfConfig
 from .grid import PlanePoint, cell_center, to_camera_coords
 
 VALIDATION_CELLS: tuple[int, ...] = (8, 11, 26, 29)
+MAX_FRAMES_PER_POINT = 100_000  # a plan shuffles a list of this many frame indices per cell
 
 TRAINING_SETS: dict[int, tuple[int, ...]] = {
     2: (6, 31),
@@ -36,8 +37,10 @@ def _check_cells(label: str, cells: tuple[int, ...]) -> None:
     """Layout-free checks; the upper bound depends on the grid, so
     validate_spec reports cells beyond it."""
     for cell in cells:
-        if not cell >= 1:  # NaN included
+        if type(cell) in (int, float) and not cell >= 1:  # NaN included
             raise ValueError(f"{label} cell {cell} is below 1")
+        if type(cell) is not int:
+            raise ValueError(f"{label} cell {cell!r} is not an integer")
     if len(set(cells)) != len(cells):
         raise ValueError(f"{label} cells contain duplicates: {cells}")
 
@@ -52,9 +55,13 @@ class CalibrationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(self, "frames_per_point", "train_frames_per_point", "val_frames_per_point")
+        counts = ("frames_per_point", "train_frames_per_point", "val_frames_per_point")
+        require_finite(self, *counts)
+        require_int(self, *counts, "seed")
         if self.frames_per_point < 1:
             raise ValueError(f"frames_per_point must be >= 1, got {self.frames_per_point}")
+        if self.frames_per_point > MAX_FRAMES_PER_POINT:
+            raise ValueError(f"frames_per_point {self.frames_per_point} is above the cap of {MAX_FRAMES_PER_POINT}")
         if self.train_frames_per_point < 1:
             raise ValueError(f"train_frames_per_point must be >= 1, got {self.train_frames_per_point}")
         if self.val_frames_per_point < 0:

@@ -27,7 +27,7 @@ from operator import attrgetter
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
 from .errors import ShelfGazeError, require_finite
-from .geometry import PersonSample, ShelfConfig
+from .geometry import PersonSample, ShelfConfig, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
 from .pipeline import simulate, sweep_processing_time, trace
@@ -172,12 +172,15 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     if not isinstance(data, list):
         raise ValueError("expected a JSON array of eyes")
     eyes = []
-    for entry in data:
-        if len(entry) == 6 and all(isinstance(p, (list, tuple)) for p in entry):
-            flat = [c for p in entry for c in p]
-        else:
-            flat = list(entry)
-        eyes.append(_parsed_eye(flat))
+    for index, entry in enumerate(data, start=1):
+        if not isinstance(entry, list):
+            raise ValueError(f"eye {index} must be a JSON array, got {entry!r}")
+        if len(entry) == 6 and all(isinstance(p, list) for p in entry):
+            entry = [c for p in entry for c in p]
+        try:
+            eyes.append(_parsed_eye(entry))
+        except (TypeError, OverflowError):  # null, an array, or an int past the float range
+            raise ValueError(f"eye {index} coordinates must be numbers, got {entry}") from None
     return eyes
 
 
@@ -214,8 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
     require_finite(args, "start", "stop", "step")
     for name in ("start", "stop"):
-        if not 0 <= getattr(args, name) <= cfg.panel_height_cm:
-            raise ValueError(f"{name} {getattr(args, name)} outside [0, {cfg.panel_height_cm}]")
+        require_on_panel(name, getattr(args, name), cfg.panel_height_cm)
     if args.step <= 0:
         raise ValueError(f"step must be positive, got {args.step}")
     if args.stop < args.start:
@@ -224,7 +226,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     steps = (args.stop - args.start) / args.step + 1e-9
     if steps >= MAX_SWEEP_ROWS:
         raise ValueError(f"--step {args.step} gives more than {MAX_SWEEP_ROWS} rows")
-    drops = [args.start + i * args.step for i in range(int(steps) + 1)]
+    # Rounding can carry the last drop past --stop (0.3 + 1377 * 0.1 > 138).
+    drops = [min(args.start + i * args.step, args.stop) for i in range(int(steps) + 1)]
     _print_csv("drop_cm,residual_rad", imbalance_sweep(cfg, person, drops))
     return 0
 
@@ -305,12 +308,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_cells(value: object, label: str) -> tuple:
+    """The JSON array of cells ``value`` as a tuple; another shape is a ValueError naming ``label``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{label} must be a JSON array of cells, got {value!r}")
+    return tuple(value)
+
+
+def _json_set_size(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"training_sets key {key!r} is not a set size") from None
+
+
 def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
     data = {} if args.spec is None else _read_fields(args.spec, CalibrationSpec, "calibration spec")
     if "validation_cells" in data:
-        data["validation_cells"] = tuple(data["validation_cells"])
+        data["validation_cells"] = _json_cells(data["validation_cells"], "validation_cells")
     if "training_sets" in data:
-        data["training_sets"] = {int(size): tuple(cells) for size, cells in data["training_sets"].items()}
+        sets = data["training_sets"]
+        if not isinstance(sets, dict):
+            raise ValueError(f"training_sets must be a JSON object of set sizes, got {sets!r}")
+        data["training_sets"] = {_json_set_size(k): _json_cells(v, f"training_sets[{k!r}]") for k, v in sets.items()}
     return _from_args(CalibrationSpec, args, data)
 
 

@@ -11,11 +11,28 @@ import math
 
 def require_finite(obj: object, *names: str) -> None:
     """Raise ValueError naming the first of ``obj``'s attributes ``names``
-    that is NaN or infinite."""
+    that is not a number (a bool is not one), or is NaN or infinite."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = None
+        except OverflowError:  # an int past the float range
+            finite = False
+        if finite is None or value is True or value is False:
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_int(obj: object, *names: str) -> None:
+    """Raise ValueError naming the first of ``obj``'s attributes ``names``
+    that is not an int (a bool is not one)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class ShelfGazeError(Exception):

@@ -13,11 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import EyeBelowPanelBottomError, require_finite
+from .errors import EyeBelowPanelBottomError, require_finite, require_int
 
 # Eye heights at or above this are rejected as unit-conversion mistakes
 # (a millimeter stature fed in as centimeters, for instance).
 MAX_EYE_HEIGHT_CM = 250.0
+
+
+def require_on_panel(label: str, drop_cm: float, panel_height_cm: float) -> None:
+    """Raise ValueError, naming ``label``, unless the drop below the shelf top
+    lies on a panel of that height: in [0, panel_height_cm]."""
+    if not 0 <= drop_cm <= panel_height_cm:
+        raise ValueError(f"{label} {drop_cm} outside [0, {panel_height_cm}]")
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,7 @@ class ShelfConfig:
 
     def __post_init__(self) -> None:
         require_finite(self, *(f.name for f in fields(self)))
+        require_int(self, "grid_rows", "grid_cols")
         if not 0 < self.panel_height_cm <= self.shelf_height_cm:
             raise ValueError(
                 f"panel height {self.panel_height_cm} must be in (0, shelf height"
@@ -48,10 +56,7 @@ class ShelfConfig:
             )
         if self.panel_width_cm <= 0:
             raise ValueError(f"panel width must be positive, got {self.panel_width_cm}")
-        if not 0 <= self.camera_drop_cm <= self.panel_height_cm:
-            raise ValueError(
-                f"camera drop {self.camera_drop_cm} outside [0, {self.panel_height_cm}]"
-            )
+        require_on_panel("camera drop", self.camera_drop_cm, self.panel_height_cm)
         if not 0 <= self.camera_x_cm <= self.panel_width_cm:
             raise ValueError(
                 f"camera x {self.camera_x_cm} outside [0, {self.panel_width_cm}]"
@@ -130,18 +135,6 @@ def validate_person(cfg: ShelfConfig, p: PersonSample) -> None:
         )
 
 
-def eye_to_top(cfg: ShelfConfig, p: PersonSample) -> float:
-    """Distance from the eye to the shelf's top edge (hypotenuse over d)."""
-    validate_person(cfg, p)
-    return math.hypot(p.distance_cm, cfg.shelf_height_cm - p.eye_height_cm)
-
-
-def eye_to_bottom(cfg: ShelfConfig, p: PersonSample) -> float:
-    """Distance from the eye to the panel's bottom edge."""
-    validate_person(cfg, p)
-    return math.hypot(p.distance_cm, p.eye_height_cm - cfg.panel_bottom_height_cm)
-
-
 def _split_angles(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) -> tuple[float, float]:
     """Angles (top ray to camera ray, camera ray to bottom ray) at the eye.
 
@@ -163,10 +156,12 @@ def bisector_split(cfg: ShelfConfig, p: PersonSample) -> SplitResult:
 
     The bisector of angle A in a triangle divides the opposite side in the
     ratio of the adjacent sides, so the split point measured from the shelf
-    top is ``panel_height * AB / (AB + AC)``.
+    top is ``panel_height * AB / (AB + AC)``, where AB and AC run from the
+    eye to the shelf top and to the panel bottom.
     """
-    ab = eye_to_top(cfg, p)
-    ac = eye_to_bottom(cfg, p)
+    validate_person(cfg, p)
+    ab = math.hypot(p.distance_cm, cfg.shelf_height_cm - p.eye_height_cm)
+    ac = math.hypot(p.distance_cm, p.eye_height_cm - cfg.panel_bottom_height_cm)
     db = cfg.panel_height_cm * ab / (ab + ac)
     alpha1, alpha2 = _split_angles(cfg, p, cfg.camera_drop_cm)
     return SplitResult(ab_cm=ab, ac_cm=ac, db_cm=db, alpha1_rad=alpha1, alpha2_rad=alpha2)
@@ -180,10 +175,7 @@ def angular_imbalance(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) 
     point (drop too small) leaves alpha1 < alpha2 and the residual
     negative; below it, positive.
     """
-    if not 0 <= camera_drop_cm <= cfg.panel_height_cm:
-        raise ValueError(
-            f"camera drop {camera_drop_cm} outside [0, {cfg.panel_height_cm}]"
-        )
+    require_on_panel("camera drop", camera_drop_cm, cfg.panel_height_cm)
     validate_person(cfg, p)
     alpha1, alpha2 = _split_angles(cfg, p, camera_drop_cm)
     return alpha1 - alpha2

@@ -11,6 +11,7 @@ possible frame.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
@@ -93,6 +94,8 @@ class SimConfig:
             raise ValueError(f"capture fps must be positive, got {self.capture_fps}")
         if self.duration_s <= 0:
             raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if not math.isfinite(self.duration_s * 1000.0):
+            raise ValueError(f"duration_s overflows in milliseconds, got {self.duration_s}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -120,9 +120,9 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _grid_argmin(residual, grid: np.ndarray) -> int:
-    """First index i minimizing mean(residual(grid[i]) ** 2), the index a scan
-    of the whole grid picks, found coarse to fine from far fewer evaluations.
+def _grid_argmin(residual, last: int) -> int:
+    """First i in 0..last minimizing mean(residual(i * RESIDUAL_GRID_STEP_CM) ** 2),
+    the index a scan of the whole grid picks, found coarse to fine from far fewer evaluations.
 
     Each element of residual(x) must rise with x. Between grid points p < q
     it then stays within its values at p and q, so the mean of its smallest
@@ -132,13 +132,13 @@ def _grid_argmin(residual, grid: np.ndarray) -> int:
     residuals (about 1e-15) through the square and the mean.
     """
     best = (math.inf, 0)  # (mean square, index): ties keep the first index
-    spans = [(0, len(grid) - 1)]
+    spans = [(0, last)]
     for stride in (100, 10, 1):
         bounded = []
-        for first, last in spans:
+        for first, end in spans:
             prev = None
-            for i in [*range(first, last, stride), last]:
-                r = residual(grid[i])
+            for i in [*range(first, end, stride), end]:
+                r = residual(i * RESIDUAL_GRID_STEP_CM)
                 best = min(best, (float(np.mean(r * r)), i))
                 if prev is not None and i - prev[0] > 1:
                     low = np.maximum(prev[1], 0.0)
@@ -164,8 +164,8 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     A panel whose grid exceeds MAX_RESIDUAL_GRID_POINTS is a ValueError, and
     so are distances so large that every squared residual underflows.
     """
-    # len(grid) below is ceil(stop / step), so this bounds it without building it.
-    if (cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM > MAX_RESIDUAL_GRID_POINTS:
+    n = (cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM
+    if n > MAX_RESIDUAL_GRID_POINTS:
         raise ValueError(
             f"panel_height_cm {cfg.panel_height_cm} gives more than {MAX_RESIDUAL_GRID_POINTS} residual grid points"
         )
@@ -188,11 +188,11 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
         r = residual(drop)
         return float(np.mean(r * r))
 
-    grid = np.arange(0.0, cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM)
-    best = _grid_argmin(residual, grid)
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    residual_db = _golden_min(mean_sq_residual, float(lo), float(hi), RESIDUAL_REFINE_TOL_CM)
+    last = math.ceil(n) - 1
+    best = _grid_argmin(residual, last)
+    lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
+    hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
+    residual_db = _golden_min(mean_sq_residual, lo, hi, RESIDUAL_REFINE_TOL_CM)
 
     # Per-sample drops come after the search, whose two residual vectors
     # would otherwise raise the peak memory on top of these three arrays.
@@ -206,7 +206,7 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
         raise ValueError(f"distance_max_cm overflows the per-sample drops, got {pop.distance_max_cm}") from None
     # Each residual rises with the drop, so zero mean squares at both grid ends
     # mean every squared residual on the grid underflowed: the curve is flat.
-    if best == 0 and mean_sq_residual(grid[0]) == 0.0 == mean_sq_residual(grid[-1]):
+    if best == 0 and mean_sq_residual(0.0) == 0.0 == mean_sq_residual(last * RESIDUAL_GRID_STEP_CM):
         raise ValueError(f"distance_max_cm underflows every squared residual, got {pop.distance_max_cm}")
 
     return PlacementResult(

@@ -19,8 +19,6 @@ from shelfgaze.geometry import (
     ShelfConfig,
     angular_imbalance,
     bisector_split,
-    eye_to_bottom,
-    eye_to_top,
 )
 from shelfgaze.grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from shelfgaze.pipeline import FixedTime, SimConfig, UniformTime, simulate
@@ -68,7 +66,8 @@ def test_criterion_2_closed_form_matches_root_finder(capsys):
         # bisector. Its drop leaves a visible imbalance for the mean person
         # and lands far from the root-finder answer.
         p = PersonSample.from_eye_height(160.2, 112.5, CFG)
-        top, bottom = eye_to_top(CFG, p), eye_to_bottom(CFG, p)
+        split = bisector_split(CFG, p)
+        top, bottom = split.ab_cm, split.ac_cm
         swapped = CFG.panel_height_cm * bottom / (top + bottom)
         true_root = bisect(lambda d: angular_imbalance(CFG, p, d), 0.0, 138.0, xtol=1e-12)
         assert abs(swapped - true_root) > 20.0

@@ -9,15 +9,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shelfgaze.calibration import CalibrationSpec
 from shelfgaze.cli import build_parser, main
+from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
 
 
@@ -230,6 +233,28 @@ def test_sweep_output(capsys):
     assert run(capsys, "sweep", "--distance", "112.5", "--step", "0")[0] == 1
 
 
+def test_sweep_last_drop_is_the_stop(capsys):
+    # 0.3 + 1377 * 0.1 rounds to 138.00000000000003, past the 138 cm panel.
+    code, out, _ = run(capsys, "sweep", "--distance", "100", "--start", "0.3", "--step", "0.1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("138.0,")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 1380), st.none() | st.integers(0, 1380), st.integers(1, 25))
+def test_sweep_drops_stay_within_start_and_stop(start_mm, stop_mm, step_mm):
+    # One-decimal centimeters, as typed on the command line.
+    start, stop = start_mm / 10, 138.0 if stop_mm is None else stop_mm / 10
+    assume(start <= stop)
+    argv = ["sweep", "--distance", "100", f"--start={start}", f"--step={step_mm / 10}"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv if stop_mm is None else [*argv, f"--stop={stop}"])
+    drops = [float(row.split(",")[0]) for row in out.getvalue().splitlines()[1:]]
+    assert code == 0
+    assert drops[0] == start and all(start <= drop <= stop for drop in drops)
+
+
 def test_ear_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     path = tmp_path / "eyes.csv"
     path.write_text("0,0,1,1,3,1,4,0,3,-1,1,-1\n0,0,1,0.1,2,0.1,3,0,2,-0.1,1,-0.1\n")
@@ -340,6 +365,35 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("{nope")
     assert run(capsys, "cell", "--config", str(bad), "--index", "1")[0] == 1
     assert run(capsys, "cell", "--config", str(tmp_path / "gone.json"), "--index", "1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    ("argv", "settings", "reason"),
+    [
+        (["cell", "--index", "1", "--config"], {"panel_height_cm": "100"}, "panel_height_cm must be a number, got '100'"),
+        (["validate-calib", "--config"], {"grid_rows": 2.5}, "grid_rows must be an integer, got 2.5"),
+        (["validate-calib", "--config"], {"grid_rows": True}, "grid_rows must be a number, got True"),
+        (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": None}, "frames_per_point must be a number, got None"),
+        (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": 10.0},
+         "frames_per_point must be an integer, got 10.0"),
+        (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": 10**6},
+         "frames_per_point 1000000 is above the cap of 100000"),
+        (["calib-plan", "--size", "2", "--spec"], {"seed": None}, "seed must be an integer, got None"),
+        (["calib-plan", "--size", "2", "--spec"], {"validation_cells": 5},
+         "validation_cells must be a JSON array of cells, got 5"),
+        (["calib-plan", "--size", "2", "--spec"], {"validation_cells": [8, 11, 26, 29.5]},
+         "validation cell 29.5 is not an integer"),
+        (["calib-plan", "--size", "2", "--spec"], {"training_sets": [1]},
+         "training_sets must be a JSON object of set sizes, got [1]"),
+        (["calib-plan", "--size", "2", "--spec"], {"training_sets": {"two": [6, 31]}},
+         "training_sets key 'two' is not a set size"),
+        (["calib-plan", "--size", "2", "--spec"], {"training_sets": {"2": 6}}, "training_sets['2'] must be a JSON array of cells, got 6"),
+    ],
+)
+def test_settings_of_the_wrong_type_exit_one_naming_the_field(capsys, tmp_path, argv, settings, reason):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(settings))
+    assert run(capsys, *argv, str(path)) == (1, "", f"error: {reason}\n")
 
 
 def test_config_grid_layouts(capsys, tmp_path):
@@ -536,6 +590,11 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "distance_max_cm underflows every squared residual, got 1e+306"),
         (["simulate", "--trace", "3", "--sweep", "garbage"], None, "--trace and --sweep cannot be given together"),
         (["simulate", "--trace", "-1"], None, "--trace must be nonnegative, got -1"),
+        (["simulate", "--proc", "fixed:1e308", "--fps", "1e-304", "--duration", "1e306"], None,
+         "duration_s overflows in milliseconds, got 1e+306"),
+        (["ear", "--input", "-", "--format", "json"], "[5]", "eye 1 must be a JSON array, got 5"),
+        (["ear", "--input", "-", "--format", "json"], "[[0,0,1,1,3,1,4,0,3,-1,1,null]]",
+         "eye 1 coordinates must be numbers, got [0, 0, 1, 1, 3, 1, 4, 0, 3, -1, 1, None]"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):
@@ -605,10 +664,8 @@ INVOCATIONS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(INVOCATIONS)
-def test_any_float_input_gives_a_valid_exit_and_output(invocation):
-    argv, stdin = invocation
+def _main_output(argv: list, stdin: str = "") -> tuple:
+    """Exit code and stdout of ``main(argv)`` with ``stdin`` as its input."""
     out, saved = io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
@@ -616,9 +673,61 @@ def test_any_float_input_gives_a_valid_exit_and_output(invocation):
             code = main(argv)
     finally:
         sys.stdin = saved
-    out = out.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(INVOCATIONS)
+def test_any_float_input_gives_a_valid_exit_and_output(invocation):
+    code, out = _main_output(*invocation)
     assert code in (0, 1, 2)
     assert "NaN" not in out and "Infinity" not in out
     # An error may follow some output (distance-table with no valid row, a
     # later eye that fails); what was printed stays well formed.
+    assert _json_lines_or_csv(out)
+
+
+
+# Any JSON value, integers past the float range included.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]), st.floats(), st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(max_size=3), values, max_size=3),
+    max_leaves=8,
+)
+# Arrays of eyes: any JSON, twelve values, or six pairs of values.
+EYES = st.lists(
+    st.one_of(
+        JSON_VALUES,
+        st.lists(JSON_SCALARS, min_size=12, max_size=12),
+        st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2), min_size=6, max_size=6),
+    ),
+    max_size=3,
+)
+# (argv, settings flag, field, value): a settings file that sets one field to
+# any JSON value, read by a subcommand that takes the flag, or any JSON array
+# of eyes on the stdin of ear.
+JSON_INPUTS = st.one_of(
+    st.tuples(st.sampled_from(SHELF_READERS), st.just("--config"), st.sampled_from(fields(ShelfConfig)), JSON_VALUES),
+    st.tuples(
+        st.sampled_from(SHELF_READERS[1:]), st.just("--spec"), st.sampled_from(fields(CalibrationSpec)), JSON_VALUES
+    ),
+    st.tuples(st.just(["ear", "--input", "-", "--format", "json"]), st.none(), st.none(), EYES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_INPUTS)
+def test_any_json_setting_or_landmarks_give_a_valid_exit_and_output(case):
+    argv, flag, field, value = case
+    if flag is None:
+        code, out = _main_output(argv, json.dumps(value))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "settings.json"
+            path.write_text(json.dumps({field.name: value}))
+            code, out = _main_output([*argv, flag, str(path)])
+    assert code in (0, 1, 2)
     assert _json_lines_or_csv(out)

@@ -13,8 +13,6 @@ from shelfgaze.geometry import (
     ShelfConfig,
     angular_imbalance,
     bisector_split,
-    eye_to_bottom,
-    eye_to_top,
     validate_person,
 )
 
@@ -97,11 +95,12 @@ def test_validate_person_bounds():
 
 def test_ray_lengths_frozen():
     p = person(170.0, 111.4)
-    assert eye_to_top(CFG, p) == pytest.approx(111.94177057738545, rel=1e-12)
-    assert eye_to_bottom(CFG, p) == pytest.approx(168.9347803147712, rel=1e-12)
+    r = bisector_split(CFG, p)
+    assert r.ab_cm == pytest.approx(111.94177057738545, rel=1e-12)
+    assert r.ac_cm == pytest.approx(168.9347803147712, rel=1e-12)
     # Pythagorean sanity: never shorter than the horizontal distance.
-    assert eye_to_top(CFG, p) >= p.distance_cm
-    assert eye_to_bottom(CFG, p) >= p.distance_cm
+    assert r.ab_cm >= p.distance_cm
+    assert r.ac_cm >= p.distance_cm
 
 
 def test_bisector_split_frozen_values():
@@ -143,11 +142,12 @@ def test_split_alphas_at_configured_camera():
 def test_transposed_numerator_variant_is_not_a_bisector():
     p = person(160.2, 112.5)
     # The bisector ratio with the eye-to-bottom distance in the numerator.
-    top, bottom = eye_to_top(CFG, p), eye_to_bottom(CFG, p)
+    r = bisector_split(CFG, p)
+    top, bottom = r.ab_cm, r.ac_cm
     swapped = CFG.panel_height_cm * bottom / (top + bottom)
     assert swapped == pytest.approx(80.97498613883543, rel=1e-12)
     # The two variants mirror each other about the panel midline.
-    assert swapped + bisector_split(CFG, p).db_cm == pytest.approx(CFG.panel_height_cm)
+    assert swapped + r.db_cm == pytest.approx(CFG.panel_height_cm)
     # A camera at the swapped drop visibly fails to split the cone evenly.
     assert abs(angular_imbalance(CFG, p, swapped)) > 0.1
 

@@ -1,6 +1,7 @@
 """Capture/processing pipeline simulation with a latest-frame queue."""
 
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -311,12 +312,19 @@ def test_trace_follows_the_latest_frame_policy(cfg):
 
 
 def test_run_past_the_float_range_ends():
-    # 1e306 s is an infinite number of milliseconds. The run still ends once
-    # the capture clock overflows, and frame 10, whose finish time overflows,
-    # completes at the infinite end time. A limit keeps a regression from hanging.
-    events = trace(SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1e306), 100)
-    assert len(events) == 38
-    assert [(ev.t_ms, ev.kind, ev.frame_id) for ev in events[-2:]] == [(math.inf, COMPLETE, 10), (math.inf, DROP, 17)]
+    # 1e306 s is an infinite number of milliseconds: rejected by name. The
+    # longest run left still ends once the capture clock overflows, and frame
+    # 10, whose finish time overflows, stays in flight. A limit keeps a
+    # regression from hanging.
+    with pytest.raises(ValueError, match=r"^duration_s overflows in milliseconds, got 1e\+306$"):
+        SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1e306)
+    longest = SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=sys.float_info.max / 1000.0)
+    end_ms = longest.duration_s * 1000.0
+    events = trace(longest, 100)
+    assert len(events) == 37
+    assert [(ev.t_ms, ev.kind, ev.frame_id) for ev in events[-2:]] == [(1.7e308, DROP, 16), (end_ms, DROP, 17)]
+    assert [ev.t_ms for ev in events if ev.frame_id == 10] == [1e308, 1e308]  # captured and taken
+    assert simulate(longest).in_flight_count == 1
 
 
 def test_trace_memory_per_event():
