@@ -178,8 +178,10 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
         if len(entry) == 6 and all(isinstance(p, list) for p in entry):
             entry = [c for p in entry for c in p]
         try:
+            if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in entry):
+                raise TypeError("a coordinate is not a number")
             eyes.append(_parsed_eye(entry))
-        except (TypeError, OverflowError):  # null, an array, or an int past the float range
+        except (TypeError, OverflowError):  # not an int or float, or an int past the float range
             raise ValueError(f"eye {index} coordinates must be numbers, got {entry}") from None
     return eyes
 
@@ -317,9 +319,11 @@ def _json_cells(value: object, label: str) -> tuple:
 
 def _json_set_size(key: str) -> int:
     try:
-        return int(key)
-    except ValueError:
-        raise ValueError(f"training_sets key {key!r} is not a set size") from None
+        if key.isascii() and key.isdigit():  # int() alone also reads "1_0", " 2" and "+2"
+            return int(key)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"training_sets key {key!r} is not a set size")
 
 
 def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:

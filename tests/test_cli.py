@@ -595,9 +595,24 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         (["ear", "--input", "-", "--format", "json"], "[5]", "eye 1 must be a JSON array, got 5"),
         (["ear", "--input", "-", "--format", "json"], "[[0,0,1,1,3,1,4,0,3,-1,1,null]]",
          "eye 1 coordinates must be numbers, got [0, 0, 1, 1, 3, 1, 4, 0, 3, -1, 1, None]"),
+        (["ear", "--input", "-", "--format", "json"], '[["0","0","1","1","3","1","4","0","3","-1","1",true]]',
+         "eye 1 coordinates must be numbers, got ['0', '0', '1', '1', '3', '1', '4', '0', '3', '-1', '1', True]"),
+        (["ear", "--input", "-", "--format", "json"], "[[0,0,1,1,3,1,4,0,3,-1,1,true]]",
+         "eye 1 coordinates must be numbers, got [0, 0, 1, 1, 3, 1, 4, 0, 3, -1, 1, True]"),
+        (["calib-plan", "--size", "10", "--spec", "stdin.json"], '{"training_sets": {"1_0": [1,2,3,4,5,6,7,9,10,12]}}',
+         "training_sets key '1_0' is not a set size"),
+        (["calib-plan", "--size", "2", "--spec", "stdin.json"], '{"training_sets": {" 2": [6, 31]}}',
+         "training_sets key ' 2' is not a set size"),
+        (["calib-plan", "--size", "2", "--spec", "stdin.json"], '{"training_sets": {"+2": [6, 31]}}',
+         "training_sets key '+2' is not a set size"),
+        (["calib-plan", "--size", "2", "--spec", "stdin.json"], '{"training_sets": {"\\u0662": [6, 31]}}',
+         "training_sets key '\u0662' is not a set size"),
     ],
 )
-def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, argv, stdin, reason):
+def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):
+    # The stdin text is also the file stdin.json, for the probes that read a settings file.
+    (tmp_path / "stdin.json").write_text(stdin or "", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     assert run(capsys, *argv) == (1, "", f"error: {reason}\n")
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shelfgaze import placement
 from shelfgaze.cli import main
 from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError
 from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
@@ -22,6 +24,7 @@ from shelfgaze.placement import (
     STATUS_OK,
     PopulationSpec,
     _golden_min,
+    _grid_argmin,
     _uniform01,
     distance_table,
     imbalance_sweep,
@@ -136,7 +139,7 @@ def test_optimize_frozen_default_seed():
 
 def _exhaustive_residual_drop(cfg, pop):
     """The residual estimator as a scan of every 0.1 cm drop: the reference
-    that the coarse-to-fine search must match exactly."""
+    that the branch-and-bound search must match exactly."""
     eye, distance, _ = sample_population(cfg, pop)
     top, bottom = cfg.shelf_height_cm, cfg.panel_bottom_height_cm
     theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
@@ -181,6 +184,74 @@ def test_residual_drop_matches_exhaustive_scan(shelf, panel, mean, std, dist_a, 
     )
     assume(sample_population(cfg, pop)[0].size > 0)
     assert optimize_camera_drop(cfg, pop).residual_db_cm == _exhaustive_residual_drop(cfg, pop)
+
+
+def _counted(residual, drops):
+    def wrapped(drop):
+        drops.append(drop)
+        return residual(drop)
+
+    return wrapped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    last=st.integers(min_value=0, max_value=600),
+    elements=st.lists(
+        st.tuples(
+            st.sampled_from(["line", "tanh", "step"]),
+            st.floats(min_value=-10.0, max_value=70.0),  # where the element crosses zero, in cm
+            st.floats(min_value=1e-3, max_value=50.0),  # steepness per cm
+            st.floats(min_value=1e-3, max_value=10.0),  # weight
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# Two saturating elements far apart: local minima near 10 cm and 50 cm, the
+# later one lower.
+@example(600, [("tanh", 10.0, 5.0, 0.9), ("tanh", 50.0, 5.0, 1.0)])
+# Step elements only: the curve is flat between steps, so grid points tie
+# exactly and the first of them must win.
+@example(600, [("step", 20.0, 0.1, 1.0), ("step", 40.0, 0.1, 1.0)])
+# Without the margin's relative part, rounding in P + N prunes the span that
+# holds the minimum; without its absolute part, so do subnormal squares.
+@example(191, [("tanh", 0.0, 1.0, 1.0), ("tanh", 0.0, 1.0, 3.0), ("step", 29.0, 1.0, 1.0)])
+@example(246, [("line", 0.0, 0.001, 1e-160), ("line", 18.0, 1.0, 2e-162), ("tanh", 0.0, 1.0, 2e-162)])
+@example(1, [("line", 0.05, 1.0, 1.0)])
+@example(0, [("line", 0.0, 1.0, 1.0)])
+def test_grid_argmin_matches_full_scan(last, elements):
+    kinds = np.array([kind for kind, *_ in elements])
+    center, slope, weight = (np.array(column) for column in list(zip(*elements))[1:])
+
+    def residual(drop):
+        z = slope * (drop - center)
+        return weight * np.where(kinds == "line", z, np.where(kinds == "tanh", np.tanh(z), np.floor(z)))
+
+    full = [float(np.mean(r * r)) for r in (residual(i * RESIDUAL_GRID_STEP_CM) for i in range(last + 1))]
+    drops = []
+    assert _grid_argmin(_counted(residual, drops), last) == (int(np.argmin(full)), full[0], full[-1])
+    assert len(drops) == len(set(drops))
+
+
+def test_residual_search_evaluations_and_memory(monkeypatch):
+    # 100k shoppers, seed 7: the search evaluates 30 grid points, each once
+    # (the stride scan it replaced took 70 evaluations of 60 points).
+    drops = []
+    search = placement._grid_argmin
+    monkeypatch.setattr(placement, "_grid_argmin", lambda residual, last: search(_counted(residual, drops), last))
+    pop = PopulationSpec(sample_count=100_000, seed=7)
+    optimize_camera_drop(CFG, pop)
+    assert len(drops) == len(set(drops)) <= 40
+    # No residual vector outlives its evaluation: the peak stays at the
+    # stride scan's 5.60 MB (keeping every evaluated vector would add ~24 MB).
+    tracemalloc.start()
+    try:
+        optimize_camera_drop(CFG, pop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.60e6 * 1.02
 
 
 def test_optimize_estimators_agree():
