@@ -14,12 +14,11 @@ import random
 from dataclasses import dataclass, field
 from math import isclose
 
-from .errors import UnknownSetSizeError, require_finite, require_int
+from .errors import UnknownSetSizeError, check_ranges, in_range
 from .geometry import ShelfConfig
 from .grid import PlanePoint, cell_center, to_camera_coords
 
 VALIDATION_CELLS: tuple[int, ...] = (8, 11, 26, 29)
-MAX_FRAMES_PER_POINT = 100_000  # a plan shuffles a list of this many frame indices per cell
 
 TRAINING_SETS: dict[int, tuple[int, ...]] = {
     2: (6, 31),
@@ -47,25 +46,16 @@ def _check_cells(label: str, cells: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    frames_per_point: int = 10
-    train_frames_per_point: int = 3
-    val_frames_per_point: int = 1
+    # A plan shuffles a list of frames_per_point frame indices per cell.
+    frames_per_point: int = in_range(1, 100_000, default=10)
+    train_frames_per_point: int = in_range(1, 100_000, default=3)
+    val_frames_per_point: int = in_range(0, 100_000, default=1)
     validation_cells: tuple[int, ...] = VALIDATION_CELLS
     training_sets: dict[int, tuple[int, ...]] = field(default_factory=TRAINING_SETS.copy)
-    seed: int = 0
+    seed: int = in_range(0, 2**128 - 1, default=0)
 
     def __post_init__(self) -> None:
-        counts = ("frames_per_point", "train_frames_per_point", "val_frames_per_point")
-        require_finite(self, *counts)
-        require_int(self, *counts, "seed")
-        if self.frames_per_point < 1:
-            raise ValueError(f"frames_per_point must be >= 1, got {self.frames_per_point}")
-        if self.frames_per_point > MAX_FRAMES_PER_POINT:
-            raise ValueError(f"frames_per_point {self.frames_per_point} is above the cap of {MAX_FRAMES_PER_POINT}")
-        if self.train_frames_per_point < 1:
-            raise ValueError(f"train_frames_per_point must be >= 1, got {self.train_frames_per_point}")
-        if self.val_frames_per_point < 0:
-            raise ValueError(f"val_frames_per_point must be >= 0, got {self.val_frames_per_point}")
+        check_ranges(self)
         _check_cells("validation", self.validation_cells)
         for size, cells in self.training_sets.items():
             _check_cells(f"training[{size}]", cells)

@@ -26,7 +26,7 @@ from operator import attrgetter
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
-from .errors import ShelfGazeError, require_finite
+from .errors import ShelfGazeError, check_value, field_range, require_finite
 from .geometry import PersonSample, ShelfConfig, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
@@ -35,7 +35,6 @@ from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_swee
 
 MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
-MAX_SAMPLES = 1_000_000  # shoppers in one optimize population
 
 
 def _print_json(value: object) -> None:
@@ -189,8 +188,6 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
     pop = _from_args(PopulationSpec, args)
-    if pop.sample_count > MAX_SAMPLES:
-        raise ValueError(f"--samples {pop.sample_count} is above the cap of {MAX_SAMPLES}")
     _print_json(optimize_camera_drop(cfg, pop).as_dict())
     return 0
 
@@ -198,8 +195,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_distance_table(args: argparse.Namespace) -> int:
     cfg = _shelf_from_args(args)
     statures = _parse_floats(args.statures, "--statures")
-    if not all(math.isfinite(stature * 10.0) for stature in statures):
-        raise ValueError(f"--statures overflow in millimeters, got {args.statures!r}")
+    for stature in statures:
+        check_value("stature_cm", stature, *field_range(PersonSample, "stature_cm"))
     rows = distance_table(cfg, list(statures))
     table = []  # in millimeters, the reporting unit of the printed table
     for row in rows:
@@ -361,7 +358,7 @@ def _optimize_parser(add) -> None:
         "the mean squared angular imbalance).",
     )
     _shelf_options(p)
-    samples_help = f"population size (default {{}}); at most {MAX_SAMPLES}"
+    samples_help = f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"
     _field_flag(p, PopulationSpec, "--samples", "sample_count", samples_help)
     _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
     _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})")

@@ -1,4 +1,12 @@
-"""Domain exceptions shared across the toolkit.
+"""Domain exceptions shared across the toolkit, and the one check on numeric
+settings.
+
+Each numeric field of a settings dataclass declares one closed physical
+range with ``in_range``, and its ``__post_init__`` calls ``check_ranges``.
+The ranges keep every formula downstream finite: no sampled stature,
+per-sample drop, squared residual, millimeter value or run end in
+milliseconds overflows or underflows for values inside them. A rule that
+compares two fields stays in the ``__post_init__`` that needs it.
 
 Construction-time invariant violations (bad config values, malformed input)
 raise plain ValueError; these classes cover failures of otherwise
@@ -7,32 +15,51 @@ input errors to exit code 1.
 """
 
 import math
+from dataclasses import MISSING, field, fields
+
+
+def in_range(lo: float, hi: float, default: object = MISSING):
+    """A dataclass field holding a number in [lo, hi], an integer when ``lo``
+    is an int, with an optional ``default``."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+def field_range(cls: type, name: str) -> tuple:
+    """The (lo, hi) that field ``name`` of dataclass ``cls`` declares."""
+    return cls.__dataclass_fields__[name].metadata["range"]
+
+
+def check_value(name: str, value: object, lo: float, hi: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a number (a bool
+    is not one), finite, an int when ``lo`` is one, and in [lo, hi]."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = None
+    except OverflowError:  # an int past the float range: the range rejects it
+        finite = True
+    if finite is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if isinstance(lo, int) and not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
+def check_ranges(obj: object) -> None:
+    """``check_value`` on each field of the dataclass ``obj`` that declares a
+    range, in field order."""
+    for f in fields(obj):
+        if "range" in f.metadata:
+            check_value(f.name, getattr(obj, f.name), *f.metadata["range"])
 
 
 def require_finite(obj: object, *names: str) -> None:
-    """Raise ValueError naming the first of ``obj``'s attributes ``names``
-    that is not a number (a bool is not one), or is NaN or infinite."""
+    """``check_value`` with no bounds on each of ``obj``'s attributes ``names``."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            finite = None
-        except OverflowError:  # an int past the float range
-            finite = False
-        if finite is None or value is True or value is False:
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def require_int(obj: object, *names: str) -> None:
-    """Raise ValueError naming the first of ``obj``'s attributes ``names``
-    that is not an int (a bool is not one)."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_value(name, getattr(obj, name), -math.inf, math.inf)
 
 
 class ShelfGazeError(Exception):

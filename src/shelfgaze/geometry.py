@@ -11,9 +11,9 @@ shelf plane. The panel hangs with its top edge flush with the shelf top
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import EyeBelowPanelBottomError, require_finite, require_int
+from .errors import EyeBelowPanelBottomError, check_ranges, in_range
 
 # Eye heights at or above this are rejected as unit-conversion mistakes
 # (a millimeter stature fed in as centimeters, for instance).
@@ -37,34 +37,24 @@ class ShelfConfig:
     ``cell_count`` and ``panel_bottom_height_cm`` (the height of the panel's
     bottom edge above the floor, 43 for defaults)."""
 
-    shelf_height_cm: float = 181.0
-    panel_height_cm: float = 138.0
-    panel_width_cm: float = 102.0
-    camera_x_cm: float = 51.0
-    camera_drop_cm: float = 55.5
-    eye_crown_offset_cm: float = 4.8
-    grid_rows: int = 6
-    grid_cols: int = 6
+    shelf_height_cm: float = in_range(1.0, 10_000.0, default=181.0)
+    panel_height_cm: float = in_range(1.0, 1_000.0, default=138.0)
+    panel_width_cm: float = in_range(1.0, 1_000.0, default=102.0)
+    camera_x_cm: float = in_range(0.0, 1_000.0, default=51.0)
+    camera_drop_cm: float = in_range(0.0, 1_000.0, default=55.5)
+    eye_crown_offset_cm: float = in_range(0.0, 100.0, default=4.8)
+    grid_rows: int = in_range(1, 1_000, default=6)
+    grid_cols: int = in_range(1, 1_000, default=6)
 
     def __post_init__(self) -> None:
-        require_finite(self, *(f.name for f in fields(self)))
-        require_int(self, "grid_rows", "grid_cols")
-        if not 0 < self.panel_height_cm <= self.shelf_height_cm:
-            raise ValueError(
-                f"panel height {self.panel_height_cm} must be in (0, shelf height"
-                f" {self.shelf_height_cm}]"
-            )
-        if self.panel_width_cm <= 0:
-            raise ValueError(f"panel width must be positive, got {self.panel_width_cm}")
+        check_ranges(self)
+        if self.panel_height_cm > self.shelf_height_cm:
+            raise ValueError(f"panel height {self.panel_height_cm} is above shelf height {self.shelf_height_cm}")
         require_on_panel("camera drop", self.camera_drop_cm, self.panel_height_cm)
-        if not 0 <= self.camera_x_cm <= self.panel_width_cm:
+        if self.camera_x_cm > self.panel_width_cm:
             raise ValueError(
                 f"camera x {self.camera_x_cm} outside [0, {self.panel_width_cm}]"
             )
-        if self.eye_crown_offset_cm < 0:
-            raise ValueError("eye-to-crown offset must be nonnegative")
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid must have at least one row and one column")
         # Derived sizes are plain attributes, not fields, so --config keys
         # stay the fields and per-call lookups read them at field
         # speed: a property recomputes on each read, and cached_property
@@ -79,14 +69,12 @@ class ShelfConfig:
 class PersonSample:
     """One sampled person standing in front of the shelf."""
 
-    stature_cm: float
-    eye_height_cm: float
-    distance_cm: float
+    stature_cm: float = in_range(0.0, 1_000.0)
+    eye_height_cm: float = in_range(-100.0, 1_000.0)  # a stature less the largest eye offset
+    distance_cm: float = in_range(1e-3, 10_000.0)
 
     def __post_init__(self) -> None:
-        require_finite(self, "stature_cm", "eye_height_cm", "distance_cm")
-        if self.distance_cm <= 0:
-            raise ValueError(f"standing distance must be positive, got {self.distance_cm}")
+        check_ranges(self)
 
     @classmethod
     def from_stature(cls, stature_cm: float, distance_cm: float, cfg: ShelfConfig) -> PersonSample:

@@ -11,7 +11,6 @@ possible frame.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import check_ranges, field_range, in_range
 
 CAPTURE = "capture"
 DROP = "drop"
@@ -30,12 +29,10 @@ COMPLETE = "complete"
 
 @dataclass(frozen=True)
 class FixedTime:
-    ms: float
+    ms: float = in_range(1e-3, 1e6)
 
     def __post_init__(self) -> None:
-        require_finite(self, "ms")
-        if self.ms <= 0:
-            raise ValueError(f"fixed time must be positive, got {self.ms}")
+        check_ranges(self)
 
     def sample(self, rng: random.Random) -> float:
         return self.ms
@@ -43,13 +40,13 @@ class FixedTime:
 
 @dataclass(frozen=True)
 class UniformTime:
-    lo_ms: float
-    hi_ms: float
+    lo_ms: float = in_range(1e-3, 1e6)
+    hi_ms: float = in_range(1e-3, 1e6)
 
     def __post_init__(self) -> None:
-        require_finite(self, "lo_ms", "hi_ms")
-        if not 0 < self.lo_ms <= self.hi_ms:
-            raise ValueError(f"need 0 < lo <= hi, got [{self.lo_ms}, {self.hi_ms}]")
+        check_ranges(self)
+        if not self.lo_ms <= self.hi_ms:
+            raise ValueError(f"need lo <= hi, got [{self.lo_ms}, {self.hi_ms}]")
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.lo_ms, self.hi_ms)
@@ -59,15 +56,11 @@ class UniformTime:
 class NormalTime:
     """Gaussian duration truncated to positive values by resampling."""
 
-    mean_ms: float
-    std_ms: float
+    mean_ms: float = in_range(1e-3, 1e6)
+    std_ms: float = in_range(0.0, 1e6)
 
     def __post_init__(self) -> None:
-        require_finite(self, "mean_ms", "std_ms")
-        if self.mean_ms <= 0:
-            raise ValueError(f"mean must be positive, got {self.mean_ms}")
-        if self.std_ms < 0:
-            raise ValueError(f"std must be nonnegative, got {self.std_ms}")
+        check_ranges(self)
 
     def sample(self, rng: random.Random) -> float:
         while True:
@@ -82,20 +75,14 @@ Distribution = Union[FixedTime, UniformTime, NormalTime]
 @dataclass(frozen=True)
 class SimConfig:
     processing_time: Distribution
-    capture_fps: float = 30.0
-    duration_s: float = 60.0
-    seed: int = 0
+    capture_fps: float = in_range(1e-3, 1e9, default=30.0)
+    duration_s: float = in_range(1e-3, 1e6, default=60.0)
+    seed: int = in_range(0, 2**128 - 1, default=0)
     # Optional per-capture timing noise; None keeps capture ticks exact.
     capture_jitter: Distribution | None = None
 
     def __post_init__(self) -> None:
-        require_finite(self, "capture_fps", "duration_s")
-        if self.capture_fps <= 0:
-            raise ValueError(f"capture fps must be positive, got {self.capture_fps}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if not math.isfinite(self.duration_s * 1000.0):
-            raise ValueError(f"duration_s overflows in milliseconds, got {self.duration_s}")
+        check_ranges(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,11 +227,13 @@ class SweepRow:
 
 
 def sweep_processing_time(cfg: SimConfig, times_ms: list[float]) -> list[SweepRow]:
-    """One fixed-time simulation per entry; row i runs with seed cfg.seed + i."""
+    """One fixed-time simulation per entry; row i runs with seed cfg.seed + i,
+    which wraps to 0 past the top of the seed range."""
     if not times_ms:
         raise ValueError("times list must be non-empty")
+    seeds = field_range(SimConfig, "seed")[1] + 1
     rows = []
     for i, time_ms in enumerate(times_ms):
-        metrics = simulate(replace(cfg, processing_time=FixedTime(time_ms), seed=cfg.seed + i))
+        metrics = simulate(replace(cfg, processing_time=FixedTime(time_ms), seed=(cfg.seed + i) % seeds))
         rows.append(SweepRow(time_ms, metrics.effective_fps, metrics.mean_skips or 0.0))
     return rows

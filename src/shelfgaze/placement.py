@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AllSamplesRejectedError, NoValidDistanceError, require_finite
+from .errors import AllSamplesRejectedError, NoValidDistanceError, check_ranges, in_range
 from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
 
 RESIDUAL_GRID_STEP_CM = 0.1
-MAX_RESIDUAL_GRID_POINTS = 10_001  # a 1,000 cm panel; the default 138 cm panel has 1,381
 RESIDUAL_REFINE_TOL_CM = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _U53 = 1 << 53
@@ -29,25 +28,17 @@ _U53 = 1 << 53
 class PopulationSpec:
     """Stature is Gaussian, standing distance uniform; both in centimeters."""
 
-    height_mean_cm: float = 165.0
-    height_std_cm: float = 6.0
-    distance_min_cm: float = 75.0
-    distance_max_cm: float = 150.0
-    sample_count: int = 100_000
-    seed: int = 0
+    height_mean_cm: float = in_range(0.0, 1_000.0, default=165.0)
+    height_std_cm: float = in_range(1e-3, 100.0, default=6.0)
+    distance_min_cm: float = in_range(1e-3, 10_000.0, default=75.0)
+    distance_max_cm: float = in_range(1e-3, 10_000.0, default=150.0)
+    sample_count: int = in_range(1, 1_000_000, default=100_000)
+    seed: int = in_range(0, 2**128 - 1, default=0)  # a Philox key
 
     def __post_init__(self) -> None:
-        require_finite(self, "height_mean_cm", "height_std_cm", "distance_min_cm", "distance_max_cm")
-        if self.height_std_cm <= 0:
-            raise ValueError("height std must be positive")
+        check_ranges(self)
         if not self.distance_min_cm < self.distance_max_cm:
             raise ValueError("distance range must satisfy min < max")
-        if self.distance_min_cm <= 0:
-            raise ValueError("distances must be positive")
-        if self.sample_count < 1:
-            raise ValueError("sample count must be at least 1")
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,21 +75,16 @@ def sample_population(
 
     Rejection mirrors geometry.validate_person: eyes at or below the panel
     bottom, or beyond the sane height bound, are excluded rather than
-    clamped. A stature spread that overflows is a ValueError.
+    clamped.
     """
     # Imported here so that `import shelfgaze` does not load scipy.
     from scipy.special import ndtri
 
     gen = np.random.Generator(np.random.Philox(key=pop.seed))
-    try:
-        with np.errstate(over="raise"):
-            stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
-    except FloatingPointError:
-        raise ValueError(f"height_std_cm overflows the sampled statures, got {pop.height_std_cm}") from None
+    stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
     span = pop.distance_max_cm - pop.distance_min_cm
     distance = pop.distance_min_cm + span * _uniform01(gen, pop.sample_count)
-    with np.errstate(over="ignore"):  # an eye overflowing to -inf is rejected below
-        eye = stature - cfg.eye_crown_offset_cm
+    eye = stature - cfg.eye_crown_offset_cm
     valid = (eye > cfg.panel_bottom_height_cm) & (eye < MAX_EYE_HEIGHT_CM)
     rejected = int(pop.sample_count - valid.sum())
     return eye[valid], distance[valid], rejected
@@ -121,9 +107,9 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _grid_argmin(residual, last: int) -> tuple[int, float, float]:
+def _grid_argmin(residual, last: int) -> int:
     """First i in 0..last minimizing M(i) = mean(residual(i * RESIDUAL_GRID_STEP_CM) ** 2),
-    the index a scan of the whole grid picks, with M(0) and M(last).
+    the index a scan of the whole grid picks.
 
     Each element of residual(x) must rise with x. Between grid points p < q
     it then stays within its values at p and q, so M inside the span is at
@@ -152,7 +138,7 @@ def _grid_argmin(residual, last: int) -> tuple[int, float, float]:
         for a, b in ((p, mid), (mid, q)):
             if b - a > 1:
                 heapq.heappush(spans, (seen[a][1] + seen[b][2], a, b))
-    return best[1], seen[0][0], seen[last][0]
+    return best[1]
 
 
 def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResult:
@@ -166,14 +152,9 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     That point is refined once by golden section to 1e-4 cm between its
     neighbours, which assumes the curve is unimodal there.
     Deterministic for a fixed seed; samples are aggregated in draw order.
-    A panel whose grid exceeds MAX_RESIDUAL_GRID_POINTS is a ValueError, and
-    so are distances so large that every squared residual underflows.
+    The declared ranges of the settings bound the grid to 10,001 points and
+    keep every drop and squared residual finite and, at drop 0, nonzero.
     """
-    n = (cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM
-    if n > MAX_RESIDUAL_GRID_POINTS:
-        raise ValueError(
-            f"panel_height_cm {cfg.panel_height_cm} gives more than {MAX_RESIDUAL_GRID_POINTS} residual grid points"
-        )
     eye, distance, rejected = sample_population(cfg, pop)
     if eye.size == 0:
         raise AllSamplesRejectedError(
@@ -193,26 +174,17 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
         r = residual(drop)
         return float(np.mean(r * r))
 
-    last = math.ceil(n) - 1
-    best, first_sq, last_sq = _grid_argmin(residual, last)
+    last = math.ceil((cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM) - 1
+    best = _grid_argmin(residual, last)
     lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
     hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
     residual_db = _golden_min(mean_sq_residual, lo, hi, RESIDUAL_REFINE_TOL_CM)
 
     # Per-sample drops come after the search, whose two residual vectors
     # would otherwise raise the peak memory on top of these three arrays.
-    # Valid eyes lie within the panel's reach, so only a huge distance overflows.
-    try:
-        with np.errstate(over="raise"):
-            ab = np.hypot(distance, top - eye)
-            ac = np.hypot(distance, eye - bottom)
-            db = cfg.panel_height_cm * ab / (ab + ac)
-    except FloatingPointError:
-        raise ValueError(f"distance_max_cm overflows the per-sample drops, got {pop.distance_max_cm}") from None
-    # Each residual rises with the drop, so zero mean squares at both grid ends
-    # mean every squared residual on the grid underflowed: the curve is flat.
-    if best == 0 and first_sq == 0.0 == last_sq:
-        raise ValueError(f"distance_max_cm underflows every squared residual, got {pop.distance_max_cm}")
+    ab = np.hypot(distance, top - eye)
+    ac = np.hypot(distance, eye - bottom)
+    db = cfg.panel_height_cm * ab / (ab + ac)
 
     return PlacementResult(
         mean_db_cm=float(db.mean()),

@@ -376,9 +376,12 @@ def test_config_file_errors(capsys, tmp_path):
         (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": None}, "frames_per_point must be a number, got None"),
         (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": 10.0},
          "frames_per_point must be an integer, got 10.0"),
-        (["calib-plan", "--size", "2", "--spec"], {"frames_per_point": 10**6},
-         "frames_per_point 1000000 is above the cap of 100000"),
-        (["calib-plan", "--size", "2", "--spec"], {"seed": None}, "seed must be an integer, got None"),
+        # The two below keep, as ids, the messages they got before the ranges.
+        pytest.param(["calib-plan", "--size", "2", "--spec"], {"frames_per_point": 10**6},
+                     "frames_per_point must be in [1, 100000], got 1000000",
+                     id="argv5-settings5-frames_per_point 1000000 is above the cap of 100000"),
+        pytest.param(["calib-plan", "--size", "2", "--spec"], {"seed": None}, "seed must be a number, got None",
+                     id="argv6-settings6-seed must be an integer, got None"),
         (["calib-plan", "--size", "2", "--spec"], {"validation_cells": 5},
          "validation_cells must be a JSON array of cells, got 5"),
         (["calib-plan", "--size", "2", "--spec"], {"validation_cells": [8, 11, 26, 29.5]},
@@ -429,7 +432,7 @@ def test_outputs_reproducible(capsys):
 
 def test_optimize_bytes(capsys):
     # Frozen from the exhaustive 0.1 cm residual scan that preceded the
-    # coarse-to-fine search: the search must reproduce it byte for byte.
+    # branch-and-bound search: the search must reproduce it byte for byte.
     frozen = {
         ("2000", "7"): '{"mean_db_cm":56.530400347083265,"median_db_cm":57.18025968904544,'
         '"std_db_cm":3.515247188725515,"residual_db_cm":55.542160593401114,'
@@ -568,30 +571,41 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         (["gaze", "--eye", "51,55.5,nan", "--target", "8.5,80.5"], None, "--eye must be finite, got '51,55.5,nan'"),
         (["cell", "--x", "nan", "--y", "3"], None, "x must be finite, got nan"),
         (["cell", "--index", "3", "--camera-drop", "inf"], None, "camera_drop_cm must be finite, got inf"),
-        (["optimize", "--samples", "10", "--seed", "-1"], None, "seed must be in [0, 2**128), got -1"),
+        # A probe that a declared range rejects keeps, as its id, the message
+        # it got before the ranges, which says what is wrong with its input.
+        pytest.param(["optimize", "--samples", "10", "--seed", "-1"], None,
+                     "seed must be in [0, 340282366920938463463374607431768211455], got -1",
+                     id="argv14-None-seed must be in [0, 2**128), got -1"),
         (["sweep", "--distance", "100", "--stop", "1e10", "--step", "1e-300"], None,
          "stop 10000000000.0 outside [0, 138.0]"),
         (["sweep", "--distance", "100", "--stop", "200"], None, "stop 200.0 outside [0, 138.0]"),
-        (["distance-table", "--statures", "1e308"], None, "--statures overflow in millimeters, got '1e308'"),
+        pytest.param(["distance-table", "--statures", "1e308"], None, "stature_cm must be in [0.0, 1000.0], got 1e+308",
+                     id="argv17-None---statures overflow in millimeters, got '1e308'"),
         (["sweep", "--distance", "100", "--step", "1e-310"], None, "--step 1e-310 gives more than 100000 rows"),
         (["sweep", "--distance", "100", "--step", "0.001"], None, "--step 0.001 gives more than 100000 rows"),
-        (["optimize", "--samples", "10", "--height-std", "1e308"], None,
-         "height_std_cm overflows the sampled statures, got 1e+308"),
-        (["optimize", "--samples", "10", "--dist-min", "1e307", "--dist-max", "1e308"], None,
-         "distance_max_cm overflows the per-sample drops, got 1e+308"),
+        pytest.param(["optimize", "--samples", "10", "--height-std", "1e308"], None,
+                     "height_std_cm must be in [0.001, 100.0], got 1e+308",
+                     id="argv20-None-height_std_cm overflows the sampled statures, got 1e+308"),
+        pytest.param(["optimize", "--samples", "10", "--dist-min", "1e307", "--dist-max", "1e308"], None,
+                     "distance_min_cm must be in [0.001, 10000.0], got 1e+307",
+                     id="argv21-None-distance_max_cm overflows the per-sample drops, got 1e+308"),
         (["simulate", "--fps", "1e9", "--duration", "1"], None,
          "--fps 1000000000.0 times --duration 1.0 gives more than 1000000 capture events"),
         (["simulate", "--sweep", "20,83.33,200,300", "--duration", "10000"], None,
          "--fps 30.0 times --duration 10000.0 times 4 --sweep values gives more than 1000000 capture events"),
-        (["optimize", "--samples", "10000000000"], None, "--samples 10000000000 is above the cap of 1000000"),
-        (["optimize", "--samples", "10", "--shelf-height", "1e20", "--panel-height", "1e20"], None,
-         "panel_height_cm 1e+20 gives more than 10001 residual grid points"),
-        (["optimize", "--samples", "10", "--dist-max", "1e306"], None,
-         "distance_max_cm underflows every squared residual, got 1e+306"),
+        pytest.param(["optimize", "--samples", "10000000000"], None, "sample_count must be in [1, 1000000], got 10000000000",
+                     id="argv24-None---samples 10000000000 is above the cap of 1000000"),
+        pytest.param(["optimize", "--samples", "10", "--shelf-height", "1e20", "--panel-height", "1e20"], None,
+                     "shelf_height_cm must be in [1.0, 10000.0], got 1e+20",
+                     id="argv25-None-panel_height_cm 1e+20 gives more than 10001 residual grid points"),
+        pytest.param(["optimize", "--samples", "10", "--dist-max", "1e306"], None,
+                     "distance_max_cm must be in [0.001, 10000.0], got 1e+306",
+                     id="argv26-None-distance_max_cm underflows every squared residual, got 1e+306"),
         (["simulate", "--trace", "3", "--sweep", "garbage"], None, "--trace and --sweep cannot be given together"),
         (["simulate", "--trace", "-1"], None, "--trace must be nonnegative, got -1"),
-        (["simulate", "--proc", "fixed:1e308", "--fps", "1e-304", "--duration", "1e306"], None,
-         "duration_s overflows in milliseconds, got 1e+306"),
+        pytest.param(["simulate", "--proc", "fixed:1e308", "--fps", "1e-304", "--duration", "1e306"], None,
+                     "ms must be in [0.001, 1000000.0], got 1e+308",
+                     id="argv29-None-duration_s overflows in milliseconds, got 1e+306"),
         (["ear", "--input", "-", "--format", "json"], "[5]", "eye 1 must be a JSON array, got 5"),
         (["ear", "--input", "-", "--format", "json"], "[[0,0,1,1,3,1,4,0,3,-1,1,null]]",
          "eye 1 coordinates must be numbers, got [0, 0, 1, 1, 3, 1, 4, 0, 3, -1, 1, None]"),
@@ -652,8 +666,9 @@ SHELF_READERS = [["cell", "--index", "7"], ["calib-plan", "--size", "2"], ["vali
 PROCESSING = st.one_of(
     numbers(1).map("fixed:{}".format), numbers(2).map("uniform:{}".format), numbers(2).map("normal:{}".format)
 )
-# Every finite capture rate and run length is valid input, and the work grows
-# with their product, so simulate runs 0.5 s except where those two vary.
+# The work of a run grows with capture rate times run length, and only their
+# product is capped: a run near the cap takes about 2 s. So simulate runs
+# 0.5 s except where those two vary, over a fixed set of values.
 # Sweep rows are capped, so --start, --stop and --step take any float.
 ARGVS = st.one_of(
     flags("--x", "--y").map(lambda f: ["cell", *f]),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shelfgaze import pipeline
 from shelfgaze.cli import main, parse_distribution
 from shelfgaze.pipeline import (
     CAPTURE,
@@ -228,6 +229,14 @@ def test_sweep_rows():
         sweep_processing_time(fixed_cfg(83.33), [])
 
 
+def test_sweep_seeds_wrap_past_the_top_of_the_range(monkeypatch):
+    seeds = []
+    run = pipeline.simulate
+    monkeypatch.setattr(pipeline, "simulate", lambda cfg: seeds.append(cfg.seed) or run(cfg))
+    sweep_processing_time(fixed_cfg(83.33, seed=2**128 - 2), [20.0, 20.0, 20.0])
+    assert seeds == [2**128 - 2, 2**128 - 1, 0]
+
+
 def test_metrics_json_shape(capsys):
     import json
 
@@ -273,9 +282,9 @@ def test_trace_and_simulate_fold_alike(cfg, k):
 
 @settings(max_examples=100, deadline=None)
 @given(CONFIGS)
-# Frame 10 is taken at 1e308 ms and its finish time overflows the float
-# range: the consumer must stay busy, so frames 11-14 are dropped.
-@example(SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1.5e305))
+# The slowest capture, longest run and longest processing time in range: each
+# completion falls on the next capture, which the consumer takes at once.
+@example(SimConfig(FixedTime(1e6), capture_fps=1e-3, duration_s=1e6))
 def test_trace_follows_the_latest_frame_policy(cfg):
     events = trace(cfg)
     slot = in_flight = overwritten = None
@@ -312,19 +321,20 @@ def test_trace_follows_the_latest_frame_policy(cfg):
 
 
 def test_run_past_the_float_range_ends():
-    # 1e306 s is an infinite number of milliseconds: rejected by name. The
-    # longest run left still ends once the capture clock overflows, and frame
-    # 10, whose finish time overflows, stays in flight. A limit keeps a
-    # regression from hanging.
-    with pytest.raises(ValueError, match=r"^duration_s overflows in milliseconds, got 1e\+306$"):
-        SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=1e306)
-    longest = SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=sys.float_info.max / 1000.0)
-    end_ms = longest.duration_s * 1000.0
-    events = trace(longest, 100)
-    assert len(events) == 37
-    assert [(ev.t_ms, ev.kind, ev.frame_id) for ev in events[-2:]] == [(1.7e308, DROP, 16), (end_ms, DROP, 17)]
-    assert [ev.t_ms for ev in events if ev.frame_id == 10] == [1e308, 1e308]  # captured and taken
-    assert simulate(longest).in_flight_count == 1
+    # Runs whose clock ran past the float range (1e306 s is an infinite
+    # number of milliseconds; frame 10 of the others finished past it) are
+    # rejected by name: the processing time first, then rate and length.
+    for duration_s in (1e306, sys.float_info.max / 1000.0, 1.5e305):
+        with pytest.raises(ValueError, match=r"^ms must be in \[0.001, 1000000.0\], got 1e\+308$"):
+            SimConfig(FixedTime(1e308), capture_fps=1e-304, duration_s=duration_s)
+    with pytest.raises(ValueError, match=r"^capture_fps must be in \[0.001, 1000000000.0\], got 1e-304$"):
+        SimConfig(FixedTime(1e6), capture_fps=1e-304, duration_s=1.5e305)
+    with pytest.raises(ValueError, match=r"^duration_s must be in \[0.001, 1000000.0\], got 1e\+306$"):
+        SimConfig(FixedTime(1e6), capture_fps=1e-3, duration_s=1e306)
+    # The longest run in range ends at 1e9 ms, its last frame done on time.
+    m = simulate(SimConfig(FixedTime(1e6), capture_fps=1e-3, duration_s=1e6))
+    assert (m.captured_count, m.processed_count, m.dropped_count, m.in_flight_count) == (1000, 1000, 0, 0)
+    assert m.latency_mean_ms == m.latency_p95_ms == 1e6
 
 
 def test_trace_memory_per_event():

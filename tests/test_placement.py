@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from shelfgaze import placement
 from shelfgaze.cli import main
-from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError
+from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError, field_range
 from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
 from shelfgaze.placement import (
-    MAX_RESIDUAL_GRID_POINTS,
     RESIDUAL_GRID_STEP_CM,
     RESIDUAL_REFINE_TOL_CM,
     STATUS_NO_DISTANCE,
@@ -50,7 +49,7 @@ def test_population_spec_validation():
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 PopulationSpec(**{field: bad})
     for bad in (-1, 2**128):
-        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\)"):
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, {2**128 - 1}\], got {bad}$"):
             PopulationSpec(seed=bad)
     PopulationSpec(seed=2**128 - 1)
 
@@ -96,10 +95,11 @@ def test_sampling_rejects_degenerate_eyes():
     eye, _, rejected = sample_population(CFG, mixed)
     assert 0 < rejected < 2000
     assert np.all(eye > CFG.panel_bottom_height_cm)
-    # Eyes that overflow to -inf are below the panel too, with no RuntimeWarning.
-    far = PopulationSpec(height_mean_cm=-1e308, sample_count=200)
-    with pytest.raises(AllSamplesRejectedError):
-        optimize_camera_drop(ShelfConfig(eye_crown_offset_cm=1e308), far)
+    # Eyes that would overflow to -inf lie outside the declared ranges.
+    with pytest.raises(ValueError, match=r"^height_mean_cm must be in \[0.0, 1000.0\], got -1e\+308$"):
+        PopulationSpec(height_mean_cm=-1e308, sample_count=200)
+    with pytest.raises(ValueError, match=r"^eye_crown_offset_cm must be in \[0.0, 100.0\], got 1e\+308$"):
+        ShelfConfig(eye_crown_offset_cm=1e308)
 
 
 def test_uniform01_stays_below_one():
@@ -116,15 +116,18 @@ def test_uniform01_stays_below_one():
 
 
 def test_residual_grid_is_bounded():
-    # 1,000 cm is the tallest panel whose 0.1 cm grid fits the cap.
-    assert MAX_RESIDUAL_GRID_POINTS == len(np.arange(0.0, 1000.0 + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM))
+    # The tallest panel in range, 1,000 cm, has a 10,001-point 0.1 cm grid.
+    assert field_range(ShelfConfig, "panel_height_cm")[1] == 1000.0
+    assert len(np.arange(0.0, 1000.0 + RESIDUAL_GRID_STEP_CM / 2, RESIDUAL_GRID_STEP_CM)) == 10_001
     pop = PopulationSpec(sample_count=10)
     optimize_camera_drop(ShelfConfig(shelf_height_cm=1100.0, panel_height_cm=1000.0), pop)
-    for panel in (1000.1, 1e20, 1e308):
-        cfg = ShelfConfig(shelf_height_cm=panel + 100.0, panel_height_cm=panel)
-        reason = f"panel_height_cm {panel} gives more than 10001 residual grid points"
+    for panel, reason in (
+        (1000.1, "panel_height_cm must be in [1.0, 1000.0], got 1000.1"),
+        (1e20, "shelf_height_cm must be in [1.0, 10000.0], got 1e+20"),
+        (1e308, "shelf_height_cm must be in [1.0, 10000.0], got 1e+308"),
+    ):
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-            optimize_camera_drop(cfg, pop)
+            ShelfConfig(shelf_height_cm=panel + 100.0, panel_height_cm=panel)
 
 
 def test_optimize_frozen_default_seed():
@@ -230,7 +233,7 @@ def test_grid_argmin_matches_full_scan(last, elements):
 
     full = [float(np.mean(r * r)) for r in (residual(i * RESIDUAL_GRID_STEP_CM) for i in range(last + 1))]
     drops = []
-    assert _grid_argmin(_counted(residual, drops), last) == (int(np.argmin(full)), full[0], full[-1])
+    assert _grid_argmin(_counted(residual, drops), last) == int(np.argmin(full))
     assert len(drops) == len(set(drops))
 
 
