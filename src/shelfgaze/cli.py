@@ -54,7 +54,10 @@ def _print_point_cell(p: PlanePoint, cell: int) -> None:
 def _read_fields(path: str, cls: type, label: str) -> dict:
     """The JSON object in the file at ``path``, keyed by fields of ``cls``."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{label} file nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{label} file must hold a JSON object")
     unknown = sorted(set(data) - {f.name for f in dataclass_fields(cls)})
@@ -167,7 +170,10 @@ def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
 
 def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     """JSON array of eyes, each either 12 flat numbers or six [x, y] pairs."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("eye landmark JSON nests too deeply") from None
     if not isinstance(data, list):
         raise ValueError("expected a JSON array of eyes")
     eyes = []

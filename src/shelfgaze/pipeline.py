@@ -7,17 +7,20 @@ keeps the consumer working on fresh imagery when it cannot keep up.
 Times are milliseconds. When a capture tick coincides with a completion,
 the capture is applied first, so the consumer always picks up the newest
 possible frame.
+
+Standard library only: the latency mean and 95th percentile are computed the
+way numpy computes ``np.mean`` and ``np.percentile``, bit for bit, so the
+module does not load numpy.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
 from operator import attrgetter
 from typing import Iterable, Iterator, Union
-
-import numpy as np
 
 from .errors import check_ranges, field_range, in_range
 
@@ -156,6 +159,56 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
         yield duration_ms, DROP, slot
 
 
+def _pairwise_sum(xs: list[float], lo: int, n: int) -> float:
+    """Sum of ``xs[lo:lo + n]`` in numpy's pairwise order: a span longer than
+    128 values is split at half its length rounded down to a multiple of 8;
+    a shorter one is summed in 8 interleaved lanes, then the lanes pairwise,
+    then the tail past the last multiple of 8 one by one."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+    res, end = 0.0, lo  # fewer than 8 values: one plain loop
+    if n >= 8:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            x0, x1, x2, x3, x4, x5, x6, x7 = xs[i:i + 8]
+            r0 += x0
+            r1 += x1
+            r2 += x2
+            r3 += x3
+            r4 += x4
+            r5 += x5
+            r6 += x6
+            r7 += x7
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in xs[end:lo + n]:
+        res += x
+    return res
+
+
+def _mean_p95(xs: list[float]) -> tuple[float, float]:
+    """``np.mean(xs)`` and ``np.percentile(xs, 95)`` of a non-empty list, bit
+    for bit. numpy adds the pairwise sum to a +0.0 start and divides by n. Its
+    linear percentile takes the sorted neighbours a, b of the virtual index
+    (n - 1) * 0.95 and lerps from whichever end is nearer. Any NaN makes the
+    percentile NaN."""
+    n = len(xs)
+    mean = (0.0 + _pairwise_sum(xs, 0, n)) / n
+    if mean != mean and any(x != x for x in xs):
+        return mean, math.nan
+    s = sorted(xs)
+    v = (n - 1) * 0.95
+    # numpy moves an index at the last position to -1, so a lone value is
+    # both neighbours, at weight 1.
+    k = int(v) if n > 1 else -1
+    a, b = s[k], s[k + 1]
+    g = v - k
+    d = b - a
+    return mean, (b - d * (1 - g) if g >= 0.5 else a + d * g)
+
+
 def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
     """Fold `(t_ms, kind, frame_id)` rows into metrics. Uses nothing but the
     rows, so a recorded trace reproduces the metrics of the run that emitted
@@ -185,8 +238,7 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
-    lat = np.array(latencies)
-
+    latency_mean, latency_p95 = _mean_p95(latencies) if latencies else (None, None)
     total = sum(skips.values())
     return SimMetrics(
         processed_count=processed,
@@ -196,8 +248,8 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         effective_fps=processed / cfg.duration_s,
         mean_skips=sum(gap * count for gap, count in skips.items()) / total if total else None,
         skips_per_processed=dict(sorted(skips.items())),
-        latency_mean_ms=float(lat.mean()) if latencies else None,
-        latency_p95_ms=float(np.percentile(lat, 95)) if latencies else None,
+        latency_mean_ms=latency_mean,
+        latency_p95_ms=latency_p95,
     )
 
 

@@ -5,6 +5,9 @@ the configured camera lands on their bisector.
 Sampling uses a counter-based uniform stream (Philox) pushed through the
 inverse normal CDF, so results are reproducible bit-for-bit for a given
 seed regardless of platform math-library quirks in rejection samplers.
+
+numpy is imported inside the functions that sample or search a population,
+so that importing the module, and the scalar solves, do not load it.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AllSamplesRejectedError, NoValidDistanceError, check_ranges, in_range
 from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESIDUAL_GRID_STEP_CM = 0.1
 RESIDUAL_REFINE_TOL_CM = 1e-4
@@ -62,6 +67,8 @@ class PlacementResult:
 
 
 def _uniform01(gen: np.random.Generator, n: int) -> np.ndarray:
+    import numpy as np
+
     # Midpoints of 2^53 buckets, strictly inside (0, 1) as ndtri needs. The
     # top midpoint rounds to 1.0, so it becomes the largest float below 1.
     u = (gen.integers(0, _U53, n).astype(np.float64) + 0.5) / _U53
@@ -77,7 +84,9 @@ def sample_population(
     bottom, or beyond the sane height bound, are excluded rather than
     clamped.
     """
-    # Imported here so that `import shelfgaze` does not load scipy.
+    # Imported here, with numpy, so that `import shelfgaze` and every
+    # subcommand but `optimize` load neither.
+    import numpy as np
     from scipy.special import ndtri
 
     gen = np.random.Generator(np.random.Philox(key=pop.seed))
@@ -119,13 +128,24 @@ def _grid_argmin(residual, last: int) -> int:
     bound can beat the best point: about 30 evaluations, none repeated. P
     and N sum nonnegative squares, so their relative error is at most n*eps,
     1.1e-10 at a million shoppers: the margin covers it and residual rounding.
+    residual may return the same vector each call: an evaluation is done
+    with it before the next call.
     """
+    import numpy as np
+
+    part = None  # one work vector for the parts and the squares
+
     def evaluate(i: int) -> tuple[float, float, float]:
+        nonlocal part
         r = residual(i * RESIDUAL_GRID_STEP_CM)
-        part = np.maximum(r, 0.0)
+        if part is None:
+            part = np.empty_like(r)
+        np.maximum(r, 0.0, out=part)
         pos = float(part @ part)
         np.minimum(r, 0.0, out=part)
-        return float(np.mean(r * r)), pos / r.size, float(part @ part) / r.size
+        neg = float(part @ part)
+        np.multiply(r, r, out=part)
+        return float(np.mean(part)), pos / r.size, neg / r.size
 
     seen = {i: evaluate(i) for i in {0, last}}
     best = min((m, i) for i, (m, _, _) in seen.items())  # ties keep the first index
@@ -139,6 +159,34 @@ def _grid_argmin(residual, last: int) -> int:
             if b - a > 1:
                 heapq.heappush(spans, (seen[a][1] + seen[b][2], a, b))
     return best[1]
+
+
+def _residual_minimum(eye: np.ndarray, distance: np.ndarray, top: float, bottom: float, last: int) -> float:
+    """Drop minimizing the mean of the squared residual theta_top +
+    theta_bottom - 2 * theta_cam, which is 0 where the camera ray bisects a
+    shopper's view of the panel: the grid argmin over 0..last, refined by
+    golden section. Every evaluation writes one preallocated residual vector,
+    with at most one work vector next to it; both are freed on return."""
+    import numpy as np
+
+    theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
+    r = np.empty_like(theta_sum)
+
+    def residual(drop: float) -> np.ndarray:
+        # theta_sum - 2.0 * arctan2(top - drop - eye, distance), in place.
+        np.subtract(top - drop, eye, out=r)
+        np.arctan2(r, distance, out=r)
+        np.multiply(2.0, r, out=r)
+        return np.subtract(theta_sum, r, out=r)
+
+    def mean_sq_residual(drop: float) -> float:
+        res = residual(drop)
+        return float(np.mean(np.multiply(res, res, out=res)))
+
+    best = _grid_argmin(residual, last)
+    lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
+    hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
+    return _golden_min(mean_sq_residual, lo, hi, RESIDUAL_REFINE_TOL_CM)
 
 
 def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResult:
@@ -155,6 +203,8 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     The declared ranges of the settings bound the grid to 10,001 points and
     keep every drop and squared residual finite and, at drop 0, nonzero.
     """
+    import numpy as np
+
     eye, distance, rejected = sample_population(cfg, pop)
     if eye.size == 0:
         raise AllSamplesRejectedError(
@@ -163,25 +213,11 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
 
     top = cfg.shelf_height_cm
     bottom = cfg.panel_bottom_height_cm
-    # Residual estimator: the camera ray should bisect theta_top..theta_bottom,
-    # so the squared residual is (theta_top + theta_bottom - 2*theta_cam)^2.
-    theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
-
-    def residual(drop: float) -> np.ndarray:
-        return theta_sum - 2.0 * np.arctan2(top - drop - eye, distance)
-
-    def mean_sq_residual(drop: float) -> float:
-        r = residual(drop)
-        return float(np.mean(r * r))
-
     last = math.ceil((cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM) - 1
-    best = _grid_argmin(residual, last)
-    lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
-    hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
-    residual_db = _golden_min(mean_sq_residual, lo, hi, RESIDUAL_REFINE_TOL_CM)
+    residual_db = _residual_minimum(eye, distance, top, bottom, last)
 
-    # Per-sample drops come after the search, whose two residual vectors
-    # would otherwise raise the peak memory on top of these three arrays.
+    # Per-sample drops come after the search, whose vectors are freed by
+    # then and so do not raise the peak memory on top of these arrays.
     ab = np.hypot(distance, top - eye)
     ac = np.hypot(distance, eye - bottom)
     db = cfg.panel_height_cm * ab / (ab + ac)

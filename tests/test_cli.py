@@ -621,6 +621,14 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "training_sets key '+2' is not a set size"),
         (["calib-plan", "--size", "2", "--spec", "stdin.json"], '{"training_sets": {"\\u0662": [6, 31]}}',
          "training_sets key '\u0662' is not a set size"),
+        # JSON nested past the parser's recursion limit; the ids spell the input.
+        pytest.param(["ear", "--input", "-", "--format", "json"], "[" * 100_000, "eye landmark JSON nests too deeply",
+                     id="argv38-'[' * 100000-eye landmark JSON nests too deeply"),
+        pytest.param(["cell", "--index", "1", "--config", "stdin.json"], "[" * 100_000, "config file nests JSON too deeply",
+                     id="argv39-'[' * 100000-config file nests JSON too deeply"),
+        pytest.param(["calib-plan", "--size", "2", "--spec", "stdin.json"], "[" * 100_000,
+                     "calibration spec file nests JSON too deeply",
+                     id="argv40-'[' * 100000-calibration spec file nests JSON too deeply"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):

@@ -1,9 +1,12 @@
 """Capture/processing pipeline simulation with a latest-frame queue."""
 
 import math
+import random
+import struct
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -335,6 +338,57 @@ def test_run_past_the_float_range_ends():
     m = simulate(SimConfig(FixedTime(1e6), capture_fps=1e-3, duration_s=1e6))
     assert (m.captured_count, m.processed_count, m.dropped_count, m.in_flight_count) == (1000, 1000, 0, 0)
     assert m.latency_mean_ms == m.latency_p95_ms == 1e6
+
+
+# Sizes at the edges of numpy's pairwise sum: the 8 lanes, the 128-value
+# block, and 8192, which a buffered reduction would cut at.
+BLOCK_EDGES = (1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 20_011)
+
+
+@st.composite
+def latency_lists(draw):
+    """Any floats, NaN, infinities and signed zeros included: a drawn list,
+    or a list of a block-edge size filled from a drawn pool by a seeded
+    stream, some values scaled so that the order of the additions shows."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(), min_size=1, max_size=300))
+    pool = draw(st.lists(st.floats(), min_size=1, max_size=16))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    scaled = draw(st.floats(0.0, 1.0))
+    values = [rng.choice(pool) for _ in range(draw(st.sampled_from(BLOCK_EDGES)))]
+    return [x * rng.uniform(-1.0, 1.0) if rng.random() < scaled else x for x in values]
+
+
+def _bits(x):
+    return struct.pack("<d", math.nan if math.isnan(x) else x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(latency_lists())
+# numpy's reduction starts from +0.0, so a sum of -0.0s is +0.0.
+@example([-0.0])
+@example([-0.0] * 9)
+@example([-0.0] * 129)
+# A NaN sum with no NaN in the list: the percentile still interpolates.
+@example([math.inf] + [1.0] * 40 + [-math.inf])
+@example([math.inf])
+@example([2.0, math.nan, 1.0])
+def test_fold_latency_statistics_match_numpy_bit_for_bit(latencies):
+    # Frame i is captured at 0 and completes at latencies[i], so its
+    # latency is latencies[i] exactly.
+    rows = []
+    for i, latency in enumerate(latencies):
+        rows += [(0.0, CAPTURE, i), (latency, COMPLETE, i)]
+    metrics = pipeline._fold(rows, fixed_cfg(50.0))
+    with np.errstate(all="ignore"):
+        mean = float(np.array(latencies).mean())
+        p95 = float(np.percentile(latencies, 95))
+    assert _bits(metrics.latency_mean_ms) == _bits(mean)
+    if metrics.latency_p95_ms == p95 == 0.0 and {_bits(x) for x in latencies} >= {_bits(0.0), _bits(-0.0)}:
+        # numpy's partition leaves equal values in no set order, so with
+        # both zeros in the list the sign of a zero percentile is unset.
+        return
+    assert _bits(metrics.latency_p95_ms) == _bits(p95)
 
 
 def test_trace_memory_per_event():

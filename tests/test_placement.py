@@ -54,13 +54,44 @@ def test_population_spec_validation():
     PopulationSpec(seed=2**128 - 1)
 
 
-def test_import_does_not_load_scipy():
-    # scipy is needed only to sample a population; the CLI's other
-    # subcommands should not pay for importing it.
+NUMPY_FREE_CALLS = (
+    "cell --index 19",
+    "gaze --eye 51,55.5,100 --target 8.5,80.5",
+    "ear --input -",
+    "distance-table",
+    "sweep --distance 100",
+    "simulate --duration 1",
+    "calib-plan --size 2",
+    "validate-calib",
+)
+
+IMPORT_PROBE = """
+import io, sys
+import shelfgaze
+import shelfgaze.cli as cli
+
+def loaded():
+    return {"numpy", "scipy"} & set(sys.modules)
+
+assert not loaded(), loaded()
+for call in sys.argv[1:]:
+    sys.stdin = io.StringIO("0,0,1,1,3,1,4,0,3,-1,1,-1\\n")
+    assert cli.main(call.split()) == 0, call
+    assert not loaded(), (call, loaded())
+assert cli.main(["optimize", "--samples", "10"]) == 0
+assert loaded() == {"numpy", "scipy"}, loaded()
+"""
+
+
+def test_import_does_not_load_numpy():
+    # numpy and scipy are needed only to sample a population: the package,
+    # the CLI and every subcommand but `optimize` run without loading them.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import shelfgaze, sys; assert 'scipy.special' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *NUMPY_FREE_CALLS], env=env, capture_output=True, text=True
+    )
+    assert probe.returncode == 0, probe.stderr
 
 
 def test_sampling_reproducible_and_seed_sensitive():
