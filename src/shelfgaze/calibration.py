@@ -55,6 +55,9 @@ class CalibrationSpec:
     seed: int = in_range(0, 2**128 - 1, default=0)
 
     def __post_init__(self) -> None:
+        # Any iterables of cells are stored as tuples, so that plan can chain them.
+        object.__setattr__(self, "validation_cells", tuple(self.validation_cells))
+        object.__setattr__(self, "training_sets", {k: tuple(v) for k, v in self.training_sets.items()})
         check_ranges(self)
         _check_cells("validation", self.validation_cells)
         for size, cells in self.training_sets.items():
@@ -181,18 +184,5 @@ def emit_ground_truth(cal_plan: CalibrationPlan, cfg: ShelfConfig) -> list[Groun
 
 
 def ground_truth_jsonl(records: list[GroundTruthRecord]) -> str:
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "frame": rec.frame,
-                    "cell": rec.cell,
-                    "shelf": [rec.shelf[0], rec.shelf[1]],
-                    "camera": [rec.camera[0], rec.camera[1]],
-                    "split": rec.split,
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One compact JSON object per record, its fields in order, each line ended."""
+    return "".join(json.dumps(vars(rec), separators=(",", ":")) + "\n" for rec in records)

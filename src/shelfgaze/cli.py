@@ -1,7 +1,8 @@
 """Command-line frontend, and the only module that parses command-line text
-or formats output. Every subcommand prints JSON lines (compact, never NaN or
-Infinity) or CSV to stdout and diagnostics to stderr. A flag that sets a
-dataclass field is named by it (``dest``) and declared by ``_field_flag``.
+or prints. Every subcommand prints JSON lines (compact, never NaN or Infinity;
+calib-plan's from ``ground_truth_jsonl``) or CSV to stdout and diagnostics to
+stderr. A flag that sets a dataclass field is named by it (``dest``) and
+declared by ``_field_flag``.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
 planning cannot produce a result for valid-looking input).
@@ -9,7 +10,7 @@ planning cannot produce a result for valid-looking input).
 Dataclass settings resolve in three layers, in ``_from_args``: the dataclass
 default, then a JSON settings file (--config for the shelf, --spec for the
 calibration protocol), then the flags actually given. Only subcommands that
-read the shelf accept the shelf flags.
+read the shelf, as ``_SUBCOMMANDS`` marks them, accept the shelf flags.
 """
 
 from __future__ import annotations
@@ -83,19 +84,22 @@ def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: st
     p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
 
 
-def _shelf_options(p: argparse.ArgumentParser) -> None:
-    """The shelf flags, declared first by every subcommand that reads the shelf."""
-    group = p.add_argument_group("shelf configuration")
-    group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
-    for flag, field, text in (
-        ("--shelf-height", "shelf_height_cm", "shelf top height"),
-        ("--panel-height", "panel_height_cm", "front panel height"),
-        ("--panel-width", "panel_width_cm", "front panel width"),
-        ("--camera-x", "camera_x_cm", "camera horizontal position"),
-        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
-        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
-    ):
-        _field_flag(group, ShelfConfig, flag, field, text + " (default {:g})", "CM")
+def _subparser(sub, name: str, **text) -> _Parser:
+    """The subparser ``name``, with the shelf flags declared first when its command reads the shelf."""
+    p = sub.add_parser(name, **text)
+    if _SUBCOMMANDS[name][2]:
+        group = p.add_argument_group("shelf configuration")
+        group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
+        for flag, field, label in (
+            ("--shelf-height", "shelf_height_cm", "shelf top height"),
+            ("--panel-height", "panel_height_cm", "front panel height"),
+            ("--panel-width", "panel_width_cm", "front panel width"),
+            ("--camera-x", "camera_x_cm", "camera horizontal position"),
+            ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
+            ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
+        ):
+            _field_flag(group, ShelfConfig, flag, field, label + " (default {:g})", "CM")
+    return p
 
 
 def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
@@ -135,13 +139,10 @@ def parse_distribution(text: str) -> Distribution:
         params = [float(p) for p in rest.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad distribution parameters in {text!r}") from exc
-    if kind == "fixed" and len(params) == 1:
-        return FixedTime(params[0])
-    if kind == "uniform" and len(params) == 2:
-        return UniformTime(params[0], params[1])
-    if kind == "normal" and len(params) == 2:
-        return NormalTime(params[0], params[1])
-    raise ValueError(f"unknown distribution {text!r}")
+    cls = {"fixed": FixedTime, "uniform": UniformTime, "normal": NormalTime}.get(kind)
+    if cls is None or len(params) != len(dataclass_fields(cls)):
+        raise ValueError(f"unknown distribution {text!r}")
+    return cls(*params)
 
 
 def _parsed_eye(values: list) -> EyeLandmarks:
@@ -191,15 +192,13 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     return eyes
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_optimize(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     pop = _from_args(PopulationSpec, args)
     _print_json(optimize_camera_drop(cfg, pop).as_dict())
     return 0
 
 
-def _cmd_distance_table(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_distance_table(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     statures = _parse_floats(args.statures, "--statures")
     for stature in statures:
         check_value("stature_cm", stature, *field_range(PersonSample, "stature_cm"))
@@ -215,8 +214,7 @@ def _cmd_distance_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_sweep(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     stature = PopulationSpec.height_mean_cm if args.stature is None else args.stature
     person = PersonSample.from_stature(stature, args.distance, cfg)
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
@@ -237,8 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cell(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_cell(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     by_index = args.index is not None
     by_point = args.x is not None or args.y is not None
     if by_index == by_point:
@@ -254,8 +251,7 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gaze(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_gaze(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     eye = _parse_floats(args.eye, "--eye", 3)
     if (args.direction is None) == (args.target is None):
         raise ValueError("give exactly one of --direction or --target")
@@ -313,11 +309,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_cells(value: object, label: str) -> tuple:
-    """The JSON array of cells ``value`` as a tuple; another shape is a ValueError naming ``label``."""
+def _json_cells(value: object, label: str) -> list:
+    """The JSON array of cells ``value``; another shape is a ValueError naming ``label``."""
     if not isinstance(value, list):
         raise ValueError(f"{label} must be a JSON array of cells, got {value!r}")
-    return tuple(value)
+    return value
 
 
 def _json_set_size(key: str) -> int:
@@ -341,16 +337,14 @@ def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
     return _from_args(CalibrationSpec, args, data)
 
 
-def _cmd_calib_plan(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_calib_plan(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     spec = _calibration_spec_from_args(args)
     session = plan(spec, args.size, cfg)
     print(ground_truth_jsonl(emit_ground_truth(session, cfg)), end="")
     return 0
 
 
-def _cmd_validate_calib(args: argparse.Namespace) -> int:
-    cfg = _shelf_from_args(args)
+def _cmd_validate_calib(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     violations = validate_spec(_calibration_spec_from_args(args), cfg)
     _print_json([asdict(v) for v in violations])
     return 0 if not violations else 2
@@ -363,7 +357,6 @@ def _optimize_parser(add) -> None:
         "(mean/median/std of the per-person bisector drop, plus the drop minimizing "
         "the mean squared angular imbalance).",
     )
-    _shelf_options(p)
     samples_help = f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"
     _field_flag(p, PopulationSpec, "--samples", "sample_count", samples_help)
     _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
@@ -371,7 +364,6 @@ def _optimize_parser(add) -> None:
     _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
-    p.set_defaults(func=_cmd_optimize)
 
 
 def _distance_table_parser(add) -> None:
@@ -380,13 +372,11 @@ def _distance_table_parser(add) -> None:
         description="For each stature, the distance at which the configured camera drop "
         "sits exactly on the person's bisector. Rows with no valid distance are marked.",
     )
-    _shelf_options(p)
     p.add_argument(
         "--statures",
         default="150,155,160,165,170,175,180",
         help="comma-separated statures in cm (default %(default)s)",
     )
-    p.set_defaults(func=_cmd_distance_table)
 
 
 def _sweep_parser(add) -> None:
@@ -395,14 +385,12 @@ def _sweep_parser(add) -> None:
         description="Signed angular imbalance (upper minus lower viewing half-angle) "
         "across candidate camera drops; the zero crossing is the bisector drop.",
     )
-    _shelf_options(p)
     p.add_argument("--stature", type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")
     p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
     p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
     p.add_argument("--stop", type=float, help="last drop in cm (default: panel height)")
     step_help = f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows"
     p.add_argument("--step", type=float, default=1.0, help=step_help)
-    p.set_defaults(func=_cmd_sweep)
 
 
 def _cell_parser(add) -> None:
@@ -411,11 +399,9 @@ def _cell_parser(add) -> None:
         description="With --index, print that cell's center. With --x/--y, print the "
         "cell owning the point. Coordinates are panel cm, origin top-left, y down.",
     )
-    _shelf_options(p)
     p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
     p.add_argument("--x", type=float, help="point x in cm")
     p.add_argument("--y", type=float, help="point y in cm")
-    p.set_defaults(func=_cmd_cell)
 
 
 def _gaze_parser(add) -> None:
@@ -424,11 +410,9 @@ def _gaze_parser(add) -> None:
         description="Eye position is x,y,z in panel coordinates (z toward the viewer, cm). "
         "Aim with a direction vector (normalized internally) or a target point on the panel.",
     )
-    _shelf_options(p)
     p.add_argument("--eye", required=True, metavar="X,Y,Z", help="eye position in cm")
     p.add_argument("--direction", metavar="DX,DY,DZ", help="gaze direction (any length)")
     p.add_argument("--target", metavar="X,Y", help="panel point to aim at")
-    p.set_defaults(func=_cmd_gaze)
 
 
 def _ear_parser(add) -> None:
@@ -442,7 +426,6 @@ def _ear_parser(add) -> None:
     p.add_argument(
         "--threshold", type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)"
     )
-    p.set_defaults(func=_cmd_ear)
 
 
 def _simulate_parser(add) -> None:
@@ -469,7 +452,6 @@ def _simulate_parser(add) -> None:
         metavar="T1,T2,...",
         help="sweep fixed processing times (ms) and print fps/skips per row",
     )
-    p.set_defaults(func=_cmd_simulate)
 
 
 def _calib_plan_parser(add) -> None:
@@ -479,13 +461,11 @@ def _calib_plan_parser(add) -> None:
         "plus the four validation cells, three training frames and one validation frame "
         "per cell, selected by seeded shuffle.",
     )
-    _shelf_options(p)
     *smaller, largest = TRAINING_SETS
     sizes = f"{', '.join(map(str, smaller))}, or {largest}"
     p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
     _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default {})")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
-    p.set_defaults(func=_cmd_calib_plan)
 
 
 def _validate_calib_parser(add) -> None:
@@ -494,24 +474,23 @@ def _validate_calib_parser(add) -> None:
         description="Print a JSON array of violations (empty when the protocol is "
         "consistent). Exits 2 when violations are found.",
     )
-    _shelf_options(p)
     _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
-    p.set_defaults(func=_cmd_validate_calib)
 
 
-# Every subcommand in --help order, and the function that declares its
-# options on the subparser that ``add`` creates from its help and description.
+# Every subcommand in --help order: the function that declares its options on
+# the subparser ``add`` creates from its help and description, the command,
+# and whether it reads the shelf (then it takes the flags and ``cfg``).
 _SUBCOMMANDS = {
-    "optimize": _optimize_parser,
-    "distance-table": _distance_table_parser,
-    "sweep": _sweep_parser,
-    "cell": _cell_parser,
-    "gaze": _gaze_parser,
-    "ear": _ear_parser,
-    "simulate": _simulate_parser,
-    "calib-plan": _calib_plan_parser,
-    "validate-calib": _validate_calib_parser,
+    "optimize": (_optimize_parser, _cmd_optimize, True),
+    "distance-table": (_distance_table_parser, _cmd_distance_table, True),
+    "sweep": (_sweep_parser, _cmd_sweep, True),
+    "cell": (_cell_parser, _cmd_cell, True),
+    "gaze": (_gaze_parser, _cmd_gaze, True),
+    "ear": (_ear_parser, _cmd_ear, False),
+    "simulate": (_simulate_parser, _cmd_simulate, False),
+    "calib-plan": (_calib_plan_parser, _cmd_calib_plan, True),
+    "validate-calib": (_validate_calib_parser, _cmd_validate_calib, True),
 }
 
 
@@ -529,7 +508,7 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(chosen) == 1 else None
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, metavar=metavar)
     for name in chosen:
-        _SUBCOMMANDS[name](partial(sub.add_parser, name))
+        _SUBCOMMANDS[name][0](partial(_subparser, sub, name))
     return parser
 
 
@@ -541,8 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
+    _, command, reads_shelf = _SUBCOMMANDS[args.subcommand]
     try:
-        return args.func(args)
+        return command(args, _shelf_from_args(args)) if reads_shelf else command(args)
     except (ShelfGazeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ShelfGazeError) else 1

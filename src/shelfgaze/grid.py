@@ -12,10 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRangeError, NoIntersectionError, OutOfPanelError
-from .geometry import ShelfConfig
+from .errors import IndexOutOfRangeError, NoIntersectionError, OutOfPanelError, field_range
+from .geometry import PersonSample, ShelfConfig
 
 _UNIT_TOL = 1e-9
+# An eye is no nearer the panel plane, and no farther from its origin along
+# x or y, than a person's distance may be; past these a hit point underflows
+# or cancels. Far in z stays valid: the ray still meets the plane.
+_EYE_MIN_Z_CM, _EYE_REACH_CM = field_range(PersonSample, "distance_cm")
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,9 +40,9 @@ class GridSpec:
         return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazeRay:
-    """Eye position (z > 0 in front of the shelf plane) and a unit direction."""
+    """Eye position in front of the shelf plane and a unit direction."""
 
     eye_point: tuple[float, float, float]
     direction: tuple[float, float, float]
@@ -47,8 +51,9 @@ class GazeRay:
         norm = math.hypot(*self.direction)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction must be a unit vector, |v| = {norm}")
-        if self.eye_point[2] <= 0:
-            raise ValueError(f"eye must be in front of the shelf plane, z = {self.eye_point[2]}")
+        x, y, z = self.eye_point
+        if not (abs(x) <= _EYE_REACH_CM >= abs(y) and z >= _EYE_MIN_Z_CM):  # NaN included
+            raise ValueError(f"eye {self.eye_point} needs |x|, |y| <= {_EYE_REACH_CM} cm and z >= {_EYE_MIN_Z_CM} cm")
 
     @classmethod
     def aimed_at(cls, eye_point: tuple[float, float, float], target: PlanePoint) -> GazeRay:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
 from operator import attrgetter
@@ -268,7 +269,9 @@ def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
     chronologically ordered."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    return list(starmap(SimEvent, islice(_events(cfg), limit)))
+    # islice stops at most at sys.maxsize; no run has that many events.
+    stop = None if limit is None else min(limit, sys.maxsize)
+    return list(starmap(SimEvent, islice(_events(cfg), stop)))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,13 @@ def test_spec_constructor_sanity_checks():
     ]
 
 
+def test_spec_stores_any_cell_iterables_as_tuples():
+    spec = CalibrationSpec(validation_cells=[8, 11, 26, 29], training_sets={2: [6, 31]})
+    assert spec == CalibrationSpec(training_sets={2: (6, 31)})
+    assert plan(CalibrationSpec(validation_cells=[8, 11, 26, 29]), 2, CFG) == plan(CalibrationSpec(), 2, CFG)
+    assert plan(spec, 2, CFG) == plan(CalibrationSpec(), 2, CFG)
+
+
 def test_validate_reports_cells_beyond_the_layout():
     small = ShelfConfig(grid_rows=3, grid_cols=3)
     violations = validate_spec(CalibrationSpec(), small)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.calibration import CalibrationSpec
-from shelfgaze.cli import build_parser, main
+from shelfgaze.cli import _SUBCOMMANDS, build_parser, main
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
 
@@ -551,6 +551,11 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
     assert run(capsys, "simulate", "--camera-drop", "10")[:2] == (1, "")
     assert "--camera-drop" not in run(capsys, "simulate", "--help")[1]
     assert "--config" in run(capsys, "calib-plan", "--help")[1]
+    # The table's shelf column decides, for every subcommand, whether its help lists the shelf flags.
+    readers = [name for name, (_, _, reads_shelf) in _SUBCOMMANDS.items() if reads_shelf]
+    assert readers == ["optimize", "distance-table", "sweep", "cell", "gaze", "calib-plan", "validate-calib"]
+    for name in _SUBCOMMANDS:
+        assert ("--config" in run(capsys, name, "--help")[1]) == (name in readers), name
 
 
 @pytest.mark.parametrize(
@@ -629,6 +634,11 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         pytest.param(["calib-plan", "--size", "2", "--spec", "stdin.json"], "[" * 100_000,
                      "calibration spec file nests JSON too deeply",
                      id="argv40-'[' * 100000-calibration spec file nests JSON too deeply"),
+        # Eyes whose hit point would underflow or cancel to a wrong cell.
+        (["gaze", "--eye", "51,55.5,1e-320", "--target", "1,1"], None,
+         "eye (51.0, 55.5, 1e-320) needs |x|, |y| <= 10000.0 cm and z >= 0.001 cm"),
+        (["gaze", "--eye", "1e308,55.5,1", "--target", "1,1"], None,
+         "eye (1e+308, 55.5, 1.0) needs |x|, |y| <= 10000.0 cm and z >= 0.001 cm"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):

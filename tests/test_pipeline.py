@@ -211,6 +211,17 @@ def test_trace_csv_format(capsys):
         trace(fixed_cfg(83.33), -1)
 
 
+def test_trace_limit_past_the_stream_returns_the_whole_stream(capsys):
+    cfg = fixed_cfg(83.33)
+    assert trace(cfg, 2**70) == trace(cfg, 2**63) == trace(cfg)
+    outputs = []
+    for limit in ("99999999999999999999999", "1000"):
+        assert main(["simulate", "--duration", "1", "--trace", limit]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + len(trace(fixed_cfg(83.33, duration=1.0)))
+
+
 def test_replay_rejects_unknown_kind():
     cfg = fixed_cfg(83.33)
     with pytest.raises(ValueError):
