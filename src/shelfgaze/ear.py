@@ -9,7 +9,6 @@ Any consistent planar unit works; the ratio is unit-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateEyeError, EmptyBatchError
@@ -19,8 +18,7 @@ OPEN_THRESHOLD = 0.2
 Point2 = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class EyeLandmarks:
+class EyeLandmarks(NamedTuple):
     p1: Point2
     p2: Point2
     p3: Point2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EyeBelowPanelBottomError, check_ranges, in_range
 
@@ -87,8 +88,7 @@ class PersonSample:
         return cls(eye_height_cm + cfg.eye_crown_offset_cm, eye_height_cm, distance_cm)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Bisector split of the panel as seen from one eye position.
 
     ``db_cm`` is the drop below the shelf top at which a camera would sit
@@ -123,20 +123,24 @@ def validate_person(cfg: ShelfConfig, p: PersonSample) -> None:
         )
 
 
-def _split_angles(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) -> tuple[float, float]:
-    """Angles (top ray to camera ray, camera ray to bottom ray) at the eye.
+def _split_angles(cfg: ShelfConfig, p: PersonSample, drops: Iterable[float]) -> Iterator[tuple[float, float, float]]:
+    """For a camera at each drop: the drop and the angles (top ray to camera
+    ray, camera ray to bottom ray) at the eye.
 
     Each ray's elevation is atan2(height difference, distance) with a single
-    signed convention: positive above the eye line. For any drop within the
-    panel the three rays are ordered top >= camera >= bottom, so both
-    differences are nonnegative.
+    signed convention: positive above the eye line. The top and bottom rays
+    do not depend on the drop, so each drop costs one atan2. For any drop
+    within the panel the three rays are ordered top >= camera >= bottom, so
+    both differences are nonnegative. Nothing is checked here.
     """
     d = p.distance_cm
     h = p.eye_height_cm
-    theta_top = math.atan2(cfg.shelf_height_cm - h, d)
-    theta_cam = math.atan2(cfg.shelf_height_cm - camera_drop_cm - h, d)
+    top = cfg.shelf_height_cm
+    theta_top = math.atan2(top - h, d)
     theta_bottom = math.atan2(cfg.panel_bottom_height_cm - h, d)
-    return theta_top - theta_cam, theta_cam - theta_bottom
+    for drop in drops:
+        theta_cam = math.atan2(top - drop - h, d)
+        yield drop, theta_top - theta_cam, theta_cam - theta_bottom
 
 
 def bisector_split(cfg: ShelfConfig, p: PersonSample) -> SplitResult:
@@ -151,19 +155,30 @@ def bisector_split(cfg: ShelfConfig, p: PersonSample) -> SplitResult:
     ab = math.hypot(p.distance_cm, cfg.shelf_height_cm - p.eye_height_cm)
     ac = math.hypot(p.distance_cm, p.eye_height_cm - cfg.panel_bottom_height_cm)
     db = cfg.panel_height_cm * ab / (ab + ac)
-    alpha1, alpha2 = _split_angles(cfg, p, cfg.camera_drop_cm)
-    return SplitResult(ab_cm=ab, ac_cm=ac, db_cm=db, alpha1_rad=alpha1, alpha2_rad=alpha2)
+    ((_, alpha1, alpha2),) = _split_angles(cfg, p, (cfg.camera_drop_cm,))
+    return SplitResult(ab, ac, db, alpha1, alpha2)
+
+
+def imbalance_sweep(cfg: ShelfConfig, p: PersonSample, drops: Iterable[float]) -> list[tuple[float, float]]:
+    """(drop, alpha1 - alpha2) for a camera at each candidate drop.
+
+    The signed residual is zero exactly when the camera lies on the
+    bisector. It increases monotonically with the drop: a camera above the
+    bisector point (drop too small) leaves alpha1 < alpha2 and the residual
+    negative; below it, positive. Checks run in drop order, each before its
+    residual is kept: the first drop on the panel, then the person, then
+    each further drop. No drops give [] without a check.
+    """
+    sweep = []
+    for drop, alpha1, alpha2 in _split_angles(cfg, p, drops):
+        require_on_panel("camera drop", drop, cfg.panel_height_cm)
+        if not sweep:
+            validate_person(cfg, p)
+        sweep.append((drop, alpha1 - alpha2))
+    return sweep
 
 
 def angular_imbalance(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) -> float:
-    """Signed residual alpha1 - alpha2 for a camera at the given drop.
-
-    Zero exactly when the camera lies on the bisector. The residual
-    increases monotonically with the drop: a camera above the bisector
-    point (drop too small) leaves alpha1 < alpha2 and the residual
-    negative; below it, positive.
-    """
-    require_on_panel("camera drop", camera_drop_cm, cfg.panel_height_cm)
-    validate_person(cfg, p)
-    alpha1, alpha2 = _split_angles(cfg, p, camera_drop_cm)
-    return alpha1 - alpha2
+    """Signed residual alpha1 - alpha2 for a camera at the given drop: the
+    one-drop ``imbalance_sweep``."""
+    return imbalance_sweep(cfg, p, (camera_drop_cm,))[0][1]

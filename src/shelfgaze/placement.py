@@ -15,10 +15,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AllSamplesRejectedError, NoValidDistanceError, check_ranges, in_range
-from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig, angular_imbalance
+# imbalance_sweep is written with the residual it sweeps and stays importable from here.
+from .geometry import MAX_EYE_HEIGHT_CM, ShelfConfig, imbalance_sweep
 
 if TYPE_CHECKING:
     import numpy as np
@@ -243,7 +244,7 @@ def recommended_distance(cfg: ShelfConfig, stature_cm: float) -> float:
     """
     h = stature_cm - cfg.eye_crown_offset_cm
     bottom = cfg.panel_bottom_height_cm
-    if h <= bottom or h >= MAX_EYE_HEIGHT_CM:
+    if not bottom < h < MAX_EYE_HEIGHT_CM:  # also rejects NaN
         raise NoValidDistanceError(
             f"stature {stature_cm} cm yields eye height {h} cm outside"
             f" ({bottom}, {MAX_EYE_HEIGHT_CM})"
@@ -266,8 +267,7 @@ STATUS_OK = "ok"
 STATUS_NO_DISTANCE = "no_valid_distance"
 
 
-@dataclass(frozen=True)
-class DistanceRow:
+class DistanceRow(NamedTuple):
     stature_cm: float
     distance_cm: float | None
     status: str
@@ -285,9 +285,3 @@ def distance_table(cfg: ShelfConfig, statures_cm: list[float]) -> list[DistanceR
             rows.append(DistanceRow(stature, None, STATUS_NO_DISTANCE))
     return rows
 
-
-def imbalance_sweep(
-    cfg: ShelfConfig, p: PersonSample, drops: list[float]
-) -> list[tuple[float, float]]:
-    """Signed imbalance at each candidate drop; crosses zero at the bisector."""
-    return [(drop, angular_imbalance(cfg, p, drop)) for drop in drops]

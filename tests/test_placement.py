@@ -1,5 +1,6 @@
 """Population sampling, drop optimization, and the distance table."""
 
+import math
 import os
 import re
 import subprocess
@@ -14,8 +15,13 @@ from hypothesis import strategies as st
 
 from shelfgaze import placement
 from shelfgaze.cli import main
-from shelfgaze.errors import AllSamplesRejectedError, NoValidDistanceError, field_range
-from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance
+from shelfgaze.errors import (
+    AllSamplesRejectedError,
+    NoValidDistanceError,
+    ShelfGazeError,
+    field_range,
+)
+from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance, require_on_panel, validate_person
 from shelfgaze.placement import (
     RESIDUAL_GRID_STEP_CM,
     RESIDUAL_REFINE_TOL_CM,
@@ -354,6 +360,14 @@ def test_distance_table_marks_unreachable_rows():
         distance_table(CFG, [])
 
 
+def test_nan_stature_has_no_valid_distance():
+    with pytest.raises(NoValidDistanceError):
+        recommended_distance(CFG, math.nan)
+    (row,) = distance_table(CFG, [math.nan])
+    assert math.isnan(row.stature_cm)
+    assert row[1:] == (None, STATUS_NO_DISTANCE)
+
+
 def test_distance_table_csv_format(capsys):
     assert main(["distance-table", "--statures", "150,48.8"]) == 0
     csv = capsys.readouterr().out
@@ -374,3 +388,40 @@ def test_imbalance_sweep_csv(capsys):
     assert lines[0] == "drop_cm,residual_rad"
     assert lines[1].startswith("24.5,-0.557278")
     assert len(lines) == 3
+
+
+def _scalar_imbalance(cfg, p, drop):
+    """The residual of one drop from scratch: both checks, then all three elevations."""
+    require_on_panel("camera drop", drop, cfg.panel_height_cm)
+    validate_person(cfg, p)
+    h, d = p.eye_height_cm, p.distance_cm
+    theta_top = math.atan2(cfg.shelf_height_cm - h, d)
+    theta_cam = math.atan2(cfg.shelf_height_cm - drop - h, d)
+    theta_bottom = math.atan2(cfg.panel_bottom_height_cm - h, d)
+    return (theta_top - theta_cam) - (theta_cam - theta_bottom)
+
+
+def _sweep_outcome(call):
+    """The (drop, residual) pairs in hex, or the raised exception's type and message."""
+    try:
+        return [(drop.hex(), residual.hex()) for drop, residual in call()]
+    except (ValueError, ShelfGazeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eye_height_cm=st.floats(0.0, 300.0),
+    distance_cm=st.floats(1e-3, 10_000.0),
+    drops=st.lists(st.floats(-5.0, 143.0) | st.sampled_from([0.0, 138.0, math.nan, -math.inf]), max_size=12),
+)
+@example(eye_height_cm=120.0, distance_cm=112.5, drops=[24.5, 200.0, 55.5])  # off panel after a valid drop
+@example(eye_height_cm=40.0, distance_cm=112.5, drops=[24.5, 200.0])  # the person fails after the first drop
+@example(eye_height_cm=40.0, distance_cm=112.5, drops=[-1.0, 24.5])  # both fail: the drop is named
+@example(eye_height_cm=260.0, distance_cm=112.5, drops=[])  # no drops: no check
+def test_sweep_equals_the_scalar_imbalance_per_drop(eye_height_cm, distance_cm, drops):
+    p = PersonSample.from_eye_height(eye_height_cm, distance_cm, CFG)
+    got = _sweep_outcome(lambda: imbalance_sweep(CFG, p, drops))
+    assert got == _sweep_outcome(lambda: [(d, angular_imbalance(CFG, p, d)) for d in drops])
+    assert got == _sweep_outcome(lambda: [(d, _scalar_imbalance(CFG, p, d)) for d in drops])
+
