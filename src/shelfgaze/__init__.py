@@ -24,7 +24,7 @@ from .errors import (
     ShelfGazeError,
     UnknownSetSizeError,
 )
-from .geometry import PersonSample, ShelfConfig, bisector_split
+from .geometry import PersonSample, ShelfConfig, bisector_split, imbalance_sweep
 from .grid import GazeRay, GridSpec, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import (
     FixedTime,
@@ -36,13 +36,7 @@ from .pipeline import (
     sweep_processing_time,
     trace,
 )
-from .placement import (
-    PopulationSpec,
-    distance_table,
-    imbalance_sweep,
-    optimize_camera_drop,
-    sample_population,
-)
+from .placement import PopulationSpec, distance_table, optimize_camera_drop, sample_population
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from math import isclose
+from typing import NamedTuple
 
 from .errors import UnknownSetSizeError, check_ranges, in_range
 from .geometry import ShelfConfig
@@ -64,8 +65,7 @@ class CalibrationSpec:
             _check_cells(f"training[{size}]", cells)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
@@ -120,16 +120,14 @@ def validate_spec(spec: CalibrationSpec, cfg: ShelfConfig) -> list[Violation]:
     return violations
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     cell: int
     target: PlanePoint
     train_frames: tuple[int, ...]
     val_frames: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CalibrationPlan:
+class CalibrationPlan(NamedTuple):
     set_size: int
     entries: tuple[PlanEntry, ...]
 
@@ -158,8 +156,7 @@ def plan(spec: CalibrationSpec, set_size: int, cfg: ShelfConfig) -> CalibrationP
     return CalibrationPlan(set_size, tuple(entries))
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(NamedTuple):
     frame: int
     cell: int
     shelf: tuple[float, float]
@@ -185,4 +182,4 @@ def emit_ground_truth(cal_plan: CalibrationPlan, cfg: ShelfConfig) -> list[Groun
 
 def ground_truth_jsonl(records: list[GroundTruthRecord]) -> str:
     """One compact JSON object per record, its fields in order, each line ended."""
-    return "".join(json.dumps(vars(rec), separators=(",", ":")) + "\n" for rec in records)
+    return "".join(json.dumps(rec._asdict(), separators=(",", ":")) + "\n" for rec in records)

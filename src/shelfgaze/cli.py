@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import asdict, astuple
+from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from functools import partial
 from operator import attrgetter
@@ -28,11 +28,11 @@ from operator import attrgetter
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
 from .errors import ShelfGazeError, check_value, field_range, require_finite
-from .geometry import PersonSample, ShelfConfig, require_on_panel
+from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
 from .pipeline import simulate, sweep_processing_time, trace
-from .placement import STATUS_OK, PopulationSpec, distance_table, imbalance_sweep, optimize_camera_drop
+from .placement import STATUS_OK, PopulationSpec, distance_table, optimize_camera_drop
 
 MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
@@ -194,7 +194,7 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
 
 def _cmd_optimize(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     pop = _from_args(PopulationSpec, args)
-    _print_json(optimize_camera_drop(cfg, pop).as_dict())
+    _print_json(optimize_camera_drop(cfg, pop)._asdict())
     return 0
 
 
@@ -302,10 +302,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace is not None:
         _print_csv("t_ms,event,frame_id", map(attrgetter("t_ms", "kind", "frame_id"), trace(cfg, args.trace)))
     elif times is not None:
-        rows = sweep_processing_time(cfg, list(times))
-        _print_csv("time_ms,effective_fps,mean_skips", map(astuple, rows))
+        _print_csv("time_ms,effective_fps,mean_skips", sweep_processing_time(cfg, list(times)))
     else:
-        _print_json(asdict(simulate(cfg)))
+        _print_json(simulate(cfg)._asdict())
     return 0
 
 
@@ -346,7 +345,7 @@ def _cmd_calib_plan(args: argparse.Namespace, cfg: ShelfConfig) -> int:
 
 def _cmd_validate_calib(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     violations = validate_spec(_calibration_spec_from_args(args), cfg)
-    _print_json([asdict(v) for v in violations])
+    _print_json([v._asdict() for v in violations])
     return 0 if not violations else 2
 
 

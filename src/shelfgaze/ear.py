@@ -41,11 +41,15 @@ def _dist(a: Point2, b: Point2) -> float:
 
 
 def ear(l: EyeLandmarks) -> float:
-    """Summed vertical lid gaps over twice the horizontal eye width."""
+    """Summed vertical lid gaps over twice the horizontal eye width. A
+    width or ratio that is NaN or infinite is a ValueError."""
     width = _dist(l.p1, l.p4)
     if width == 0:
         raise DegenerateEyeError("eye corners coincide; aspect ratio undefined")
-    return (_dist(l.p2, l.p6) + _dist(l.p3, l.p5)) / (2.0 * width)
+    value = (_dist(l.p2, l.p6) + _dist(l.p3, l.p5)) / (2.0 * width)
+    if not (width < math.inf and value < math.inf):  # NaN included
+        raise ValueError(f"eye width {width} and aspect ratio {value} must be finite")
+    return value
 
 
 def classify(value: float, threshold: float = OPEN_THRESHOLD) -> bool:
@@ -65,5 +69,8 @@ def batch_stats(values: Sequence[float], threshold: float = OPEN_THRESHOLD) -> B
     """Mean, minimum, and open fraction of a recording's EAR values."""
     if not values:
         raise EmptyBatchError("no readings to summarize")
+    for v in values:
+        if not -math.inf < v < math.inf:  # NaN included
+            raise ValueError(f"values must be finite, got {v}")
     open_count = sum(1 for v in values if classify(v, threshold))
     return BatchStats(sum(values) / len(values), min(values), open_count / len(values))

@@ -49,7 +49,7 @@ class GazeRay:
 
     def __post_init__(self) -> None:
         norm = math.hypot(*self.direction)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:  # NaN included
             raise ValueError(f"direction must be a unit vector, |v| = {norm}")
         x, y, z = self.eye_point
         if not (abs(x) <= _EYE_REACH_CM >= abs(y) and z >= _EYE_MIN_Z_CM):  # NaN included
@@ -69,6 +69,8 @@ class GazeRay:
 
 def cell_center(cfg: ShelfConfig, index: int) -> PlanePoint:
     """Center of the numbered cell, shelf coordinates."""
+    if type(index) is not int:  # a bool or a whole float is no index
+        raise ValueError(f"index must be an int, got {index!r}")
     if not 1 <= index <= cfg.cell_count:
         raise IndexOutOfRangeError(f"cell index {index} outside 1..{cfg.cell_count}")
     col = (index - 1) % cfg.grid_cols

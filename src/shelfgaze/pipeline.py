@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice, starmap
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import check_ranges, field_range, in_range
 
@@ -96,17 +96,16 @@ class SimEvent:
     frame_id: int
 
 
-@dataclass(frozen=True)
-class SimMetrics:
+class SimMetrics(NamedTuple):
     processed_count: int
     captured_count: int
     dropped_count: int
     in_flight_count: int
     effective_fps: float
     mean_skips: float | None
-    skips_per_processed: dict[int, int] = field(default_factory=dict)
-    latency_mean_ms: float | None = None
-    latency_p95_ms: float | None = None
+    skips_per_processed: dict[int, int]
+    latency_mean_ms: float | None
+    latency_p95_ms: float | None
 
 
 def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
@@ -274,8 +273,7 @@ def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
     return list(starmap(SimEvent, islice(_events(cfg), stop)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     time_ms: float
     effective_fps: float
     mean_skips: float

@@ -67,6 +67,19 @@ def test_degenerate_eye_rejected():
         ear(collapsed)
 
 
+def test_ear_rejects_non_finite_landmarks():
+    finite = [0.0, 0.0, 1.0, 1.0, 3.0, 1.0, 4.0, 0.0, 3.0, -1.0, 1.0, -1.0]
+    nan_lid = finite[:11] + [math.nan]
+    inf_corner = [math.inf] + finite[1:]
+    # A width and gaps past the float range overflow to inf; finite corners
+    # that coincide stay a DegenerateEyeError.
+    huge = [-1e308, 0.0, 0.0, 1e308, 0.0, 1e308, 1e308, 0.0, 0.0, -1e308, 0.0, -1e308]
+    for coords in (nan_lid, inf_corner, huge):
+        with pytest.raises(ValueError, match="^eye width .* and aspect ratio .* must be finite$"):
+            ear(EyeLandmarks.from_flat(coords))
+    assert ear(EyeLandmarks.from_flat(finite)) == 0.5
+
+
 def test_from_flat_length_check():
     with pytest.raises(ValueError):
         EyeLandmarks.from_flat([0.0] * 11)
@@ -109,6 +122,9 @@ def test_batch_stats():
     assert stats.fraction_open == pytest.approx(0.75)
     with pytest.raises(EmptyBatchError):
         batch_stats([], 0.2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^values must be finite, got {bad}$"):
+            batch_stats([0.3, bad])
 
 
 def test_csv_parsing():

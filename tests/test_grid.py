@@ -77,6 +77,10 @@ def test_cell_center_index_bounds():
         cell_center(CFG, 0)
     with pytest.raises(IndexOutOfRangeError):
         cell_center(CFG, 37)
+    # In range by value, but not ints: no cell is read from them.
+    for index in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^index must be an int, got {index!r}$"):
+            cell_center(CFG, index)
 
 
 def test_center_roundtrip_all_cells():
@@ -132,6 +136,11 @@ def test_gaze_ray_validation():
         GazeRay((51.0, 55.5, 100.0), (0.0, 0.0, -0.5))  # not unit length
     with pytest.raises(ValueError):
         GazeRay((51.0, 55.5, 0.0), (0.0, 0.0, -1.0))  # eye on the panel plane
+    # A NaN norm is no unit length; the first probe used to reach ray_to_cell
+    # as an off-panel hit at x = NaN.
+    for direction in ((math.nan, 0.0, -1.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match=r"^direction must be a unit vector, \|v\| = nan$"):
+            GazeRay((50.0, 50.0, 100.0), direction)
     ray = GazeRay.aimed_at((51.0, 55.5, 100.0), PlanePoint(8.5, 80.5))
     assert math.isclose(sum(c * c for c in ray.direction), 1.0, rel_tol=1e-12)
 

@@ -21,7 +21,14 @@ from shelfgaze.errors import (
     ShelfGazeError,
     field_range,
 )
-from shelfgaze.geometry import PersonSample, ShelfConfig, angular_imbalance, require_on_panel, validate_person
+from shelfgaze.geometry import (
+    PersonSample,
+    ShelfConfig,
+    angular_imbalance,
+    imbalance_sweep,
+    require_on_panel,
+    validate_person,
+)
 from shelfgaze.placement import (
     RESIDUAL_GRID_STEP_CM,
     RESIDUAL_REFINE_TOL_CM,
@@ -32,7 +39,6 @@ from shelfgaze.placement import (
     _grid_argmin,
     _uniform01,
     distance_table,
-    imbalance_sweep,
     optimize_camera_drop,
     recommended_distance,
     sample_population,

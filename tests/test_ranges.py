@@ -4,7 +4,7 @@ the README table that documents it."""
 import math
 import re
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,7 @@ def test_ranges_keep_every_formula_finite(shelf, panel, offset, mean, std, dist_
         except AllSamplesRejectedError:
             return
         eye, distance, _ = sample_population(cfg, pop)
-    assert all(math.isfinite(value) for value in asdict(result).values())
+    assert all(math.isfinite(value) for value in result._asdict().values())
     # The residual at drop 0 is minus the angle the panel subtends: its mean
     # square stays positive, so the residual curve is never flat.
     r0 = np.arctan2(cfg.panel_bottom_height_cm - eye, distance) - np.arctan2(shelf - eye, distance)
