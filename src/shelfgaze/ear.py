@@ -72,5 +72,11 @@ def batch_stats(values: Sequence[float], threshold: float = OPEN_THRESHOLD) -> B
     for v in values:
         if not -math.inf < v < math.inf:  # NaN included
             raise ValueError(f"values must be finite, got {v}")
+    n = len(values)
+    mean = sum(values) / n
+    if not -math.inf < mean < math.inf:  # the float sum overflowed; the exact mean cannot
+        from fractions import Fraction
+
+        mean = float(sum(map(Fraction, values)) / n)
     open_count = sum(1 for v in values if classify(v, threshold))
-    return BatchStats(sum(values) / len(values), min(values), open_count / len(values))
+    return BatchStats(mean, min(values), open_count / n)

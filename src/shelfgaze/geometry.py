@@ -21,11 +21,11 @@ from .errors import EyeBelowPanelBottomError, check_ranges, in_range
 MAX_EYE_HEIGHT_CM = 250.0
 
 
-def require_on_panel(label: str, drop_cm: float, panel_height_cm: float) -> None:
-    """Raise ValueError, naming ``label``, unless the drop below the shelf top
-    lies on a panel of that height: in [0, panel_height_cm]."""
-    if not 0 <= drop_cm <= panel_height_cm:
-        raise ValueError(f"{label} {drop_cm} outside [0, {panel_height_cm}]")
+def require_on_panel(label: str, value: float, extent: float) -> None:
+    """Raise ValueError, naming ``label``, unless ``value`` lies on a panel
+    whose height or width is ``extent``: in [0, extent]."""
+    if not 0 <= value <= extent:
+        raise ValueError(f"{label} {value} outside [0, {extent}]")
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class ShelfConfig:
         if self.panel_height_cm > self.shelf_height_cm:
             raise ValueError(f"panel height {self.panel_height_cm} is above shelf height {self.shelf_height_cm}")
         require_on_panel("camera drop", self.camera_drop_cm, self.panel_height_cm)
-        if self.camera_x_cm > self.panel_width_cm:
-            raise ValueError(
-                f"camera x {self.camera_x_cm} outside [0, {self.panel_width_cm}]"
-            )
+        require_on_panel("camera x", self.camera_x_cm, self.panel_width_cm)
         # Derived sizes are plain attributes, not fields, so --config keys
         # stay the fields and per-call lookups read them at field
         # speed: a property recomputes on each read, and cached_property

@@ -430,19 +430,37 @@ def test_outputs_reproducible(capsys):
     assert a == b
 
 
+# Frozen from the exhaustive 0.1 cm residual scan that preceded the
+# branch-and-bound search: the search must reproduce it byte for byte.
+OPTIMIZE_FROZEN = {
+    ("2000", "7"): '{"mean_db_cm":56.530400347083265,"median_db_cm":57.18025968904544,'
+    '"std_db_cm":3.515247188725515,"residual_db_cm":55.542160593401114,'
+    '"rejected_samples":0,"sample_count":2000}\n',
+    ("20000", "3"): '{"mean_db_cm":56.50029061474367,"median_db_cm":57.09880853711459,'
+    '"std_db_cm":3.538454729387833,"residual_db_cm":55.50041187910331,'
+    '"rejected_samples":0,"sample_count":20000}\n',
+}
+
+
 def test_optimize_bytes(capsys):
-    # Frozen from the exhaustive 0.1 cm residual scan that preceded the
-    # branch-and-bound search: the search must reproduce it byte for byte.
-    frozen = {
-        ("2000", "7"): '{"mean_db_cm":56.530400347083265,"median_db_cm":57.18025968904544,'
-        '"std_db_cm":3.515247188725515,"residual_db_cm":55.542160593401114,'
-        '"rejected_samples":0,"sample_count":2000}\n',
-        ("20000", "3"): '{"mean_db_cm":56.50029061474367,"median_db_cm":57.09880853711459,'
-        '"std_db_cm":3.538454729387833,"residual_db_cm":55.50041187910331,'
-        '"rejected_samples":0,"sample_count":20000}\n',
-    }
-    for (samples, seed), expected in frozen.items():
+    for (samples, seed), expected in OPTIMIZE_FROZEN.items():
         assert run(capsys, "optimize", "--samples", samples, "--seed", seed) == (0, expected, "")
+
+
+def test_optimize_bytes_without_avx512_kernels():
+    # numpy sends float64 arctan2 to an AVX-512 kernel where the CPU has one,
+    # and that kernel's last bits differ from libm's. The search only compares
+    # residuals, so the output must not depend on which kernel ran. On a CPU
+    # without AVX-512 the variable changes nothing.
+    calls = "".join(
+        f"assert main(['optimize', '--samples', '{samples}', '--seed', '{seed}']) == 0\n"
+        for samples, seed in OPTIMIZE_FROZEN
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    proc = subprocess.run([sys.executable, "-c", "from shelfgaze.cli import main\n" + calls],
+                          env=env, capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout) == (0, "".join(OPTIMIZE_FROZEN.values())), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,11 @@ def test_batch_stats():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^values must be finite, got {bad}$"):
             batch_stats([0.3, bad])
+    # Finite readings whose sum overflows still have a finite mean.
+    assert batch_stats([1e308, 1e308]) == (1e308, 1e308, 1.0)
+    assert batch_stats([-1e308, -1e308, 1e308]) == (-1e308 / 3, -1e308, 1 / 3)
+    top = sys.float_info.max
+    assert batch_stats([top] * 3) == (top, top, 1.0)
 
 
 def test_csv_parsing():

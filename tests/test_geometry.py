@@ -34,9 +34,9 @@ def test_config_rejects_bad_dimensions():
         ShelfConfig(panel_height_cm=200.0)  # taller than the shelf
     with pytest.raises(ValueError):
         ShelfConfig(panel_width_cm=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^camera drop 139.0 outside \[0, 138.0\]$"):
         ShelfConfig(camera_drop_cm=139.0)  # below the panel
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^camera x 103.0 outside \[0, 102.0\]$"):
         ShelfConfig(camera_x_cm=103.0)
     with pytest.raises(ValueError):
         ShelfConfig(grid_rows=0)
