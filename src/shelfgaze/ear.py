@@ -31,22 +31,18 @@ class EyeLandmarks(NamedTuple):
         """Twelve numbers: x1, y1, ..., x6, y6."""
         if len(values) != 12:
             raise ValueError(f"expected 12 coordinates, got {len(values)}")
-        coords = [float(v) for v in values]
-        points = [(coords[i], coords[i + 1]) for i in range(0, 12, 2)]
-        return cls(*points)
-
-
-def _dist(a: Point2, b: Point2) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+        x1, y1, x2, y2, x3, y3, x4, y4, x5, y5, x6, y6 = map(float, values)
+        return cls((x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6))
 
 
 def ear(l: EyeLandmarks) -> float:
     """Summed vertical lid gaps over twice the horizontal eye width. A
     width or ratio that is NaN or infinite is a ValueError."""
-    width = _dist(l.p1, l.p4)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6) = l
+    width = math.hypot(x1 - x4, y1 - y4)
     if width == 0:
         raise DegenerateEyeError("eye corners coincide; aspect ratio undefined")
-    value = (_dist(l.p2, l.p6) + _dist(l.p3, l.p5)) / (2.0 * width)
+    value = (math.hypot(x2 - x6, y2 - y6) + math.hypot(x3 - x5, y3 - y5)) / (2.0 * width)
     if not (width < math.inf and value < math.inf):  # NaN included
         raise ValueError(f"eye width {width} and aspect ratio {value} must be finite")
     return value
@@ -54,6 +50,8 @@ def ear(l: EyeLandmarks) -> float:
 
 def classify(value: float, threshold: float = OPEN_THRESHOLD) -> bool:
     """True when the eye reads as open: value strictly above the threshold."""
+    if not -math.inf < value < math.inf:  # NaN included
+        raise ValueError(f"value must be finite, got {value}")
     if not 0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     return value > threshold

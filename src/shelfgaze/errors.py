@@ -83,7 +83,12 @@ class IndexOutOfRangeError(ShelfGazeError):
 
 
 class OutOfPanelError(ShelfGazeError):
-    """Point lies outside the panel rectangle."""
+    """Point lies outside the panel rectangle. ``args`` is the point and the
+    panel size, ``(x, y, width, height)``; the message is built when read."""
+
+    def __str__(self) -> str:
+        x, y, width, height = self.args
+        return f"point ({x}, {y}) outside panel [0, {width}] x [0, {height}]"
 
 
 class NoIntersectionError(ShelfGazeError):

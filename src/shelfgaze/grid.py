@@ -84,10 +84,7 @@ def point_to_cell(cfg: ShelfConfig, p: PlanePoint) -> int:
     the panel's right and bottom edges belong to the last column and row, so
     the closed panel is tiled exactly."""
     if not (0.0 <= p.x_cm <= cfg.panel_width_cm and 0.0 <= p.y_cm <= cfg.panel_height_cm):
-        raise OutOfPanelError(
-            f"point ({p.x_cm}, {p.y_cm}) outside panel"
-            f" [0, {cfg.panel_width_cm}] x [0, {cfg.panel_height_cm}]"
-        )
+        raise OutOfPanelError(p.x_cm, p.y_cm, cfg.panel_width_cm, cfg.panel_height_cm)
     col = min(int(p.x_cm // cfg.cell_width_cm), cfg.grid_cols - 1)
     row = min(int(p.y_cm // cfg.cell_height_cm), cfg.grid_rows - 1)
     return row * cfg.grid_cols + col + 1

@@ -47,6 +47,15 @@ def test_squint_misclassified_as_closed():
     assert classify(ear(SQUINT_EYE), OPEN_THRESHOLD) is False
 
 
+def test_classify_rejects_non_finite_value():
+    # The value is checked before the threshold.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^value must be finite, got {bad}$"):
+            classify(bad)
+        with pytest.raises(ValueError, match="^value must be finite"):
+            classify(bad, math.nan)
+
+
 def test_threshold_is_strict():
     assert classify(0.2, 0.2) is False
     assert classify(0.2 + 1e-12, 0.2) is True
@@ -86,6 +95,67 @@ def test_from_flat_length_check():
         EyeLandmarks.from_flat([0.0] * 11)
     e = EyeLandmarks.from_flat([0, 0, 1, 1, 3, 1, 4, 0, 3, -1, 1, -1])
     assert e == OPEN_EYE
+
+
+def _reference_from_flat(values):
+    """``EyeLandmarks.from_flat`` as the two list comprehensions wrote it."""
+    if len(values) != 12:
+        raise ValueError(f"expected 12 coordinates, got {len(values)}")
+    coords = [float(v) for v in values]
+    return [(coords[i], coords[i + 1]) for i in range(0, 12, 2)]
+
+
+def _reference_ear(points):
+    """``ear`` as three ``_dist`` calls wrote it."""
+
+    def dist(a, b):
+        return math.hypot(a[0] - b[0], a[1] - b[1])
+
+    p1, p2, p3, p4, p5, p6 = points
+    width = dist(p1, p4)
+    if width == 0:
+        raise DegenerateEyeError("eye corners coincide; aspect ratio undefined")
+    value = (dist(p2, p6) + dist(p3, p5)) / (2.0 * width)
+    if not (width < math.inf and value < math.inf):
+        raise ValueError(f"eye width {width} and aspect ratio {value} must be finite")
+    return value
+
+
+def _outcome(call, *args):
+    """A float's hex, or the exception's type and message."""
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.hex() if isinstance(result, float) else result
+
+
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(ANY_FLOAT, min_size=12, max_size=12), same_corners=st.booleans())
+def test_ear_matches_reference_bit_for_bit(values, same_corners):
+    if same_corners:  # p4 = p1: a degenerate eye unless a corner is NaN or infinite
+        values[6:8] = values[0:2]
+    eye = EyeLandmarks.from_flat(values)
+    assert [c.hex() for p in eye for c in p] == [c.hex() for p in _reference_from_flat(values) for c in p]
+    assert _outcome(ear, eye) == _outcome(_reference_ear, _reference_from_flat(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(ANY_FLOAT, min_size=11, max_size=13),
+    junk=st.sampled_from(["", "x", "1,2", None, [1.0], object()]),
+    where=st.integers(0, 12),
+)
+def test_from_flat_errors_match_reference(values, junk, where):
+    if len(values) != 12:
+        assert _outcome(EyeLandmarks.from_flat, values) == _outcome(_reference_from_flat, values)
+    values = values[:where] + [junk] + values[where + 1 :]
+    expected = _outcome(_reference_from_flat, values)
+    assert isinstance(expected, tuple) and expected[0] in (TypeError, ValueError)
+    assert _outcome(EyeLandmarks.from_flat, values) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Panel grid: cell numbering, point ownership, ray intersection."""
 
 import math
+import pickle
 import random
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.cli import main
-from shelfgaze.errors import IndexOutOfRangeError, NoIntersectionError, OutOfPanelError
+from shelfgaze.errors import IndexOutOfRangeError, NoIntersectionError, OutOfPanelError, ShelfGazeError
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.grid import (
     GazeRay,
@@ -103,6 +104,24 @@ def test_point_outside_panel_rejected():
     for x, y in ((-0.001, 10.0), (102.001, 10.0), (10.0, -0.001), (10.0, 138.001)):
         with pytest.raises(OutOfPanelError):
             point_to_cell(CFG, PlanePoint(x, y))
+
+
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=EDGE_FLOATS, y=EDGE_FLOATS, width=EDGE_FLOATS, height=EDGE_FLOATS)
+def test_out_of_panel_message_contract(x, y, width, height):
+    exc = OutOfPanelError(x, y, width, height)
+    expected = f"point ({x}, {y}) outside panel [0, {width}] x [0, {height}]"
+    assert isinstance(exc, ShelfGazeError)
+    assert str(exc) == expected
+    assert str(pickle.loads(pickle.dumps(exc))) == expected
+    # The same text through the raise in point_to_cell, for any point off the panel.
+    if not (0.0 <= x <= CFG.panel_width_cm and 0.0 <= y <= CFG.panel_height_cm):
+        with pytest.raises(OutOfPanelError) as raised:
+            point_to_cell(CFG, PlanePoint(x, y))
+        assert str(raised.value) == f"point ({x}, {y}) outside panel [0, 102.0] x [0, 138.0]"
 
 
 def test_millimeter_lattice_partitions_exactly():
