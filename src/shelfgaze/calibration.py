@@ -180,6 +180,10 @@ def emit_ground_truth(cal_plan: CalibrationPlan, cfg: ShelfConfig) -> list[Groun
     return records
 
 
+# One encoder for every record; ``json.dumps`` with ``separators`` builds one per call.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def ground_truth_jsonl(records: list[GroundTruthRecord]) -> str:
     """One compact JSON object per record, its fields in order, each line ended."""
-    return "".join(json.dumps(rec._asdict(), separators=(",", ":")) + "\n" for rec in records)
+    return "".join(_encode_compact(rec._asdict()) + "\n" for rec in records)

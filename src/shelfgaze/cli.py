@@ -84,9 +84,16 @@ def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: st
     p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
 
 
-def _subparser(sub, name: str, **text) -> _Parser:
-    """The subparser ``name``, with the shelf flags declared first when its command reads the shelf."""
-    p = sub.add_parser(name, **text)
+def _lone_parser(name: str, help: str, description: str) -> _Parser:
+    """What ``add_parser`` builds for ``name`` under the top-level parser, built
+    alone; ``help`` only describes the subcommand in the top-level help."""
+    return _Parser(prog=f"shelfgaze {name}", description=description)
+
+
+def _subparser(make, name: str, **text) -> _Parser:
+    """The parser ``make(name, **text)`` of subcommand ``name``, with the shelf
+    flags declared first when its command reads the shelf."""
+    p = make(name, **text)
     if _SUBCOMMANDS[name][2]:
         group = p.add_argument_group("shelf configuration")
         group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
@@ -349,7 +356,7 @@ def _cmd_validate_calib(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0 if not violations else 2
 
 
-def _optimize_parser(add) -> None:
+def _optimize_parser(add) -> _Parser:
     p = add(
         help="Monte Carlo camera drop placement over a shopper population",
         description="Sample a shopper population and report camera drop statistics "
@@ -363,9 +370,10 @@ def _optimize_parser(add) -> None:
     _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
+    return p
 
 
-def _distance_table_parser(add) -> None:
+def _distance_table_parser(add) -> _Parser:
     p = add(
         help="recommended viewing distance per stature (CSV, millimeters)",
         description="For each stature, the distance at which the configured camera drop "
@@ -376,9 +384,10 @@ def _distance_table_parser(add) -> None:
         default="150,155,160,165,170,175,180",
         help="comma-separated statures in cm (default %(default)s)",
     )
+    return p
 
 
-def _sweep_parser(add) -> None:
+def _sweep_parser(add) -> _Parser:
     p = add(
         help="angular imbalance vs camera drop for one person (CSV)",
         description="Signed angular imbalance (upper minus lower viewing half-angle) "
@@ -390,9 +399,10 @@ def _sweep_parser(add) -> None:
     p.add_argument("--stop", type=float, help="last drop in cm (default: panel height)")
     step_help = f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows"
     p.add_argument("--step", type=float, default=1.0, help=step_help)
+    return p
 
 
-def _cell_parser(add) -> None:
+def _cell_parser(add) -> _Parser:
     p = add(
         help="grid cell lookup: center of an index, or cell owning a point",
         description="With --index, print that cell's center. With --x/--y, print the "
@@ -401,9 +411,10 @@ def _cell_parser(add) -> None:
     p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
     p.add_argument("--x", type=float, help="point x in cm")
     p.add_argument("--y", type=float, help="point y in cm")
+    return p
 
 
-def _gaze_parser(add) -> None:
+def _gaze_parser(add) -> _Parser:
     p = add(
         help="intersect a gaze ray with the panel and report the cell",
         description="Eye position is x,y,z in panel coordinates (z toward the viewer, cm). "
@@ -412,9 +423,10 @@ def _gaze_parser(add) -> None:
     p.add_argument("--eye", required=True, metavar="X,Y,Z", help="eye position in cm")
     p.add_argument("--direction", metavar="DX,DY,DZ", help="gaze direction (any length)")
     p.add_argument("--target", metavar="X,Y", help="panel point to aim at")
+    return p
 
 
-def _ear_parser(add) -> None:
+def _ear_parser(add) -> _Parser:
     p = add(
         help="eye aspect ratio readings from a landmarks file",
         description="Read six-point eye landmarks and print one JSON reading per eye "
@@ -425,9 +437,10 @@ def _ear_parser(add) -> None:
     p.add_argument(
         "--threshold", type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)"
     )
+    return p
 
 
-def _simulate_parser(add) -> None:
+def _simulate_parser(add) -> _Parser:
     p = add(
         help="discrete-event run of the capture/processing pipeline",
         description="Single-slot latest-frame queue between a fixed-rate camera and a "
@@ -451,9 +464,10 @@ def _simulate_parser(add) -> None:
         metavar="T1,T2,...",
         help="sweep fixed processing times (ms) and print fps/skips per row",
     )
+    return p
 
 
-def _calib_plan_parser(add) -> None:
+def _calib_plan_parser(add) -> _Parser:
     p = add(
         help="per-frame calibration ground truth for a training set size (JSONL)",
         description="Plan a calibration session: training cells for the chosen set size "
@@ -465,9 +479,10 @@ def _calib_plan_parser(add) -> None:
     p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
     _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default {})")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
+    return p
 
 
-def _validate_calib_parser(add) -> None:
+def _validate_calib_parser(add) -> _Parser:
     p = add(
         help="check a calibration protocol for overlap/symmetry/budget problems",
         description="Print a JSON array of violations (empty when the protocol is "
@@ -475,11 +490,12 @@ def _validate_calib_parser(add) -> None:
     )
     _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
+    return p
 
 
 # Every subcommand in --help order: the function that declares its options on
-# the subparser ``add`` creates from its help and description, the command,
-# and whether it reads the shelf (then it takes the flags and ``cfg``).
+# the subparser ``add`` creates from its help and description and returns it,
+# the command, and whether it reads the shelf (then it takes the flags and ``cfg``).
 _SUBCOMMANDS = {
     "optimize": (_optimize_parser, _cmd_optimize, True),
     "distance-table": (_distance_table_parser, _cmd_distance_table, True),
@@ -494,20 +510,19 @@ _SUBCOMMANDS = {
 
 
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The top-level parser with only the subcommand ``argv[0]`` names, or
-    with all of them when it names none (help and usage errors list them)."""
+    """The parser ``main`` reads ``argv`` with. When ``argv[0]`` names a
+    subcommand, that subcommand's own parser, which reads ``argv[1:]``;
+    otherwise the top-level parser with all of them (help and usage errors
+    list them)."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]][0](partial(_subparser, _lone_parser, argv[0]))
     parser = _Parser(
         prog="shelfgaze",
         description="Planning and simulation tools for shelf-mounted gaze capture.",
     )
-    chosen = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS)
-    # A lone subcommand would otherwise be the only name on the usage line.
-    # With all of them built it stays unset: it would rename the argument in
-    # the "invalid choice" and "required" errors.
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(chosen) == 1 else None
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, metavar=metavar)
-    for name in chosen:
-        _SUBCOMMANDS[name][0](partial(_subparser, sub, name))
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    for name, (declare, _, _) in _SUBCOMMANDS.items():
+        declare(partial(_subparser, sub.add_parser, name))
     return parser
 
 
@@ -515,11 +530,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _SUBCOMMANDS:
+            # As under the top-level parser: the subcommand's parser reads the
+            # rest, and what it leaves over is an error of the whole command,
+            # which the top-level parser reports by parsing ``argv`` again.
+            name, (args, extra) = argv[0], parser.parse_known_args(argv[1:])
+            if extra:
+                build_parser().parse_args(argv)
+        else:
+            args = parser.parse_args(argv)
+            name = args.subcommand
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    _, command, reads_shelf = _SUBCOMMANDS[args.subcommand]
+    _, command, reads_shelf = _SUBCOMMANDS[name]
     try:
         return command(args, _shelf_from_args(args)) if reads_shelf else command(args)
     except (ShelfGazeError, ValueError, OSError) as exc:

@@ -118,15 +118,29 @@ def test_usage_errors_exit_one(capsys, monkeypatch):
 
 
 def _subcommands(parser) -> list[str]:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+    return [name for a in parser._actions if isinstance(a, argparse._SubParsersAction) for name in a.choices]
 
 
 def test_parser_builds_only_the_named_subcommand():
-    assert _subcommands(build_parser(["cell", "--index", "19"])) == ["cell"]
+    lone = build_parser(["cell", "--index", "19"])
+    assert (lone.prog, _subcommands(lone)) == ("shelfgaze cell", [])
     everything = [page[0][0] for page in HELP_PAGES[1:]]
     for argv in (["--help"], [], ["no-such-command"], ["-h", "cell"]):
         assert _subcommands(build_parser(argv)) == everything
+
+
+def test_subcommand_parser_reads_as_under_the_top_level_parser():
+    # main reads a named subcommand's arguments with that subcommand's own
+    # parser; the top-level parser, handing them on, must read the same.
+    calls = [argv for argv, *_ in FROZEN + FROZEN_DIGESTS] + [
+        ["cell", "--ind", "19"],
+        ["sweep", "--distance=112.5", "--start", "-0.0"],
+        ["simulate", "--fps", "24", "--jitter", "normal:2,1", "--duration", "2"],
+        ["optimize", "--samples", "300", "--seed", "5", "--camera-drop", "40"],
+    ]
+    for argv in calls:
+        args, extra = build_parser(argv).parse_known_args(argv[1:])
+        assert ({"subcommand": argv[0], **vars(args)}, extra) == (vars(build_parser().parse_args(argv)), [])
 
 
 def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
@@ -135,7 +149,7 @@ def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["shelfgaze", "cell", "--index", "19"])
     assert main() == 0
     assert capsys.readouterr().out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
-    assert [_subcommands(parser) for parser in built] == [["cell"]]
+    assert [parser.prog for parser in built] == ["shelfgaze cell"]
 
 
 def test_module_entry_point_reads_sys_argv():
