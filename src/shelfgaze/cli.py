@@ -38,9 +38,13 @@ MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
 
 
+# One encoder for every line; ``json.dumps`` with ``separators`` builds one per call.
+_encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
 def _print_json(value: object) -> None:
     """One compact JSON line; NaN or infinity raises ValueError (exit 1)."""
-    print(json.dumps(value, separators=(",", ":"), allow_nan=False))
+    print(_encode_json(value))
 
 
 def _print_csv(header: str, rows) -> None:

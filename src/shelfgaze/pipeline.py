@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial, wraps
 from itertools import islice, starmap
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -96,6 +97,18 @@ class SimEvent:
     frame_id: int
 
 
+def _init_event(self, t_ms, kind, frame_id):
+    _set_t_ms(self, t_ms)
+    _set_kind(self, kind)
+    _set_frame_id(self, frame_id)
+
+
+# The generated __init__ stores each field through object.__setattr__, about
+# 1.6 times as slow as the slot's own member descriptor. The signature stays.
+_set_t_ms, _set_kind, _set_frame_id = (SimEvent.__dict__[f.name].__set__ for f in fields(SimEvent))
+SimEvent.__init__ = wraps(SimEvent.__init__)(_init_event)
+
+
 class SimMetrics(NamedTuple):
     processed_count: int
     captured_count: int
@@ -112,48 +125,55 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
     """Chronological event stream of one run, as plain `(t_ms, kind,
     frame_id)` tuples; `trace` builds the `SimEvent`s.
 
-    Event order at equal timestamps is capture, drop (of the overwritten
-    slot frame), complete, take. A drop is emitted the moment a newer
-    capture overwrites the slot; a frame still waiting in the slot when the
-    run ends is dropped at the end time. A frame taken but not completed by
-    the end stays in flight and emits no completion.
+    The run alternates two phases. While the consumer is idle the slot is
+    empty, and a capture is taken at once. While it is busy, each capture
+    overwrites the slot and drops the frame there, until the frame in flight
+    completes; the consumer then takes the slot's frame, or turns idle. At
+    equal timestamps the order is capture, drop, complete, take. At the end,
+    a frame in the slot is dropped and a frame in flight emits nothing.
     """
     interval_ms = 1000.0 / cfg.capture_fps
     duration_ms = cfg.duration_s * 1000.0
-    proc_rng = random.Random(cfg.seed)
-    jitter_rng = random.Random(f"{cfg.seed}:capture-jitter")
-
-    def capture_time(index: int, prev: float | None) -> float:
-        t = index * interval_ms
-        if cfg.capture_jitter is not None:
-            t += cfg.capture_jitter.sample(jitter_rng)
-            if prev is not None and t < prev:
-                t = prev  # jitter never reorders the capture clock
-        return t
-
+    process = partial(cfg.processing_time.sample, random.Random(cfg.seed))
+    jitter = (None if cfg.capture_jitter is None
+              else partial(cfg.capture_jitter.sample, random.Random(f"{cfg.seed}:capture-jitter")))
     next_id = 0
-    next_cap = capture_time(0, None)
+    next_cap = 0.0 if jitter is None else 0.0 + jitter()  # a float, as every later capture time is
     slot: int | None = None
-    current = 0
-    done_t: float | None = None  # finish time of the frame in flight; None while idle
 
-    while next_cap < duration_ms or (done_t is not None and done_t <= duration_ms):
-        if next_cap < duration_ms and (done_t is None or next_cap <= done_t):
-            t = next_cap
-            yield t, CAPTURE, next_id
-            if slot is not None:
-                yield t, DROP, slot
-            slot = next_id
-            next_id += 1
-            next_cap = capture_time(next_id, t)
-        else:
+    while next_cap < duration_ms:
+        # Idle: the capture is taken at once.
+        t, current = next_cap, next_id
+        yield t, CAPTURE, current
+        next_id += 1
+        next_cap = next_id * interval_ms
+        if jitter is not None:
+            next_cap += jitter()
+            if next_cap < t:
+                next_cap = t  # jitter never reorders the capture clock
+        while True:
+            # Busy with `current`, taken at t.
+            yield t, TAKE, current
+            done_t = t + process()
+            while next_cap <= done_t and next_cap < duration_ms:
+                t = next_cap
+                yield t, CAPTURE, next_id
+                if slot is not None:
+                    yield t, DROP, slot
+                slot = next_id
+                next_id += 1
+                next_cap = next_id * interval_ms
+                if jitter is not None:
+                    next_cap += jitter()
+                    if next_cap < t:
+                        next_cap = t  # jitter never reorders the capture clock
+            if done_t > duration_ms:
+                break  # in flight at the end
             t = done_t
             yield t, COMPLETE, current
-            done_t = None
-        if done_t is None and slot is not None and t < duration_ms:
+            if slot is None or t == duration_ms:
+                break  # idle, or the run ends with a frame in the slot
             current, slot = slot, None
-            yield t, TAKE, current
-            done_t = t + cfg.processing_time.sample(proc_rng)
 
     if slot is not None:
         yield duration_ms, DROP, slot

@@ -1,6 +1,10 @@
 """Capture/processing pipeline simulation with a latest-frame queue."""
 
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 import struct
 import sys
@@ -334,6 +338,79 @@ def test_trace_follows_the_latest_frame_policy(cfg):
     assert overwritten is None and slot is None
 
 
+def _reference_events(cfg):
+    """`pipeline._events` written as one loop with one branch per event and
+    the capture clock in a nested function: slower, and kept here as the
+    definition of the event stream."""
+    interval_ms = 1000.0 / cfg.capture_fps
+    duration_ms = cfg.duration_s * 1000.0
+    proc_rng = random.Random(cfg.seed)
+    jitter_rng = random.Random(f"{cfg.seed}:capture-jitter")
+
+    def capture_time(index, prev):
+        t = index * interval_ms
+        if cfg.capture_jitter is not None:
+            t += cfg.capture_jitter.sample(jitter_rng)
+            if prev is not None and t < prev:
+                t = prev
+        return t
+
+    next_id = 0
+    next_cap = capture_time(0, None)
+    slot = None
+    current = 0
+    done_t = None
+    while next_cap < duration_ms or (done_t is not None and done_t <= duration_ms):
+        if next_cap < duration_ms and (done_t is None or next_cap <= done_t):
+            t = next_cap
+            yield t, CAPTURE, next_id
+            if slot is not None:
+                yield t, DROP, slot
+            slot = next_id
+            next_id += 1
+            next_cap = capture_time(next_id, t)
+        else:
+            t = done_t
+            yield t, COMPLETE, current
+            done_t = None
+        if done_t is None and slot is not None and t < duration_ms:
+            current, slot = slot, None
+            yield t, TAKE, current
+            done_t = t + cfg.processing_time.sample(proc_rng)
+    if slot is not None:
+        yield duration_ms, DROP, slot
+
+
+def _stream(events):
+    return [(t.hex(), kind, frame_id) for t, kind, frame_id in events]
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS)
+# A completion exactly at the end, with the slot empty and with a frame in it.
+@example(fixed_cfg(100.0, fps=10.0, duration=1.0))
+@example(fixed_cfg(150.0, fps=10.0, duration=0.3))
+# Jitter up to 500 ms on a 33 ms clock: many captures clamped to the one before.
+@example(SimConfig(FixedTime(83.33), capture_jitter=UniformTime(0.001, 500.0), duration_s=2.0))
+@example(SimConfig(FixedTime(1e6), capture_fps=1e-3, duration_s=1e6))
+# Integer times still give float timestamps.
+@example(SimConfig(FixedTime(50), capture_jitter=FixedTime(5), duration_s=1))
+def test_events_match_the_reference_loop_bit_for_bit(cfg):
+    assert _stream(pipeline._events(cfg)) == _stream(_reference_events(cfg))
+
+
+def test_reference_examples_reach_their_edge_cases():
+    # The explicit examples above do reach the cases they are named for.
+    for cfg, slot_full_at_end in ((fixed_cfg(100.0, fps=10.0, duration=1.0), False),
+                                  (fixed_cfg(150.0, fps=10.0, duration=0.3), True)):
+        events = list(_reference_events(cfg))
+        assert (1000.0 * cfg.duration_s, COMPLETE) in [(t, kind) for t, kind, _ in events]
+        assert (events[-1][1] == DROP) is slot_full_at_end
+    jittered = SimConfig(FixedTime(83.33), capture_jitter=UniformTime(0.001, 500.0), duration_s=2.0)
+    captures = [t for t, kind, _ in _reference_events(jittered) if kind == CAPTURE]
+    assert sum(a == b for a, b in zip(captures, captures[1:])) > 10
+
+
 def test_run_past_the_float_range_ends():
     # Runs whose clock ran past the float range (1e306 s is an infinite
     # number of milliseconds; frame 10 of the others finished past it) are
@@ -415,3 +492,28 @@ def test_trace_memory_per_event():
         tracemalloc.stop()
     assert len(events) == 4321
     assert peak <= 96 * len(events)
+
+
+def test_sim_event_keeps_the_frozen_slotted_dataclass_contract():
+    ev = SimEvent(12.5, CAPTURE, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.t_ms = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ev.kind
+    assert not hasattr(ev, "__dict__")
+    same = SimEvent(t_ms=12.5, kind=CAPTURE, frame_id=3)
+    assert ev == same and hash(ev) == hash(same)
+    assert ev != SimEvent(12.5, CAPTURE, 4)
+    assert repr(ev) == "SimEvent(t_ms=12.5, kind='capture', frame_id=3)"
+    assert dataclasses.replace(ev, kind=DROP) == SimEvent(12.5, DROP, 3)
+    assert copy.copy(ev) == ev and copy.deepcopy(ev) == ev
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ev, protocol))
+        assert type(back) is SimEvent and back == ev
+    with pytest.raises(TypeError):
+        SimEvent(12.5, CAPTURE)
+    with pytest.raises(TypeError):
+        SimEvent(12.5, CAPTURE, 3, 4)
+    with pytest.raises(TypeError):
+        SimEvent(12.5, CAPTURE, 3, kind=DROP)
+    assert str(inspect.signature(SimEvent)) == "(t_ms: 'float', kind: 'str', frame_id: 'int') -> None"
