@@ -513,6 +513,12 @@ _SUBCOMMANDS = {
 }
 
 
+# The top-level usage in the three lines argparse 3.11 prints at 80 columns,
+# given so that argparse does not wrap it: 3.13 keeps the "..." on the line
+# before, and a terminal of 110 columns or more would get one line.
+_TOP_USAGE = "shelfgaze [-h]\n{0}{{{1}}}\n{0}...".format(" " * len("usage: shelfgaze "), ",".join(_SUBCOMMANDS))
+
+
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
     """The parser ``main`` reads ``argv`` with. When ``argv[0]`` names a
     subcommand, that subcommand's own parser, which reads ``argv[1:]``;
@@ -522,9 +528,11 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
         return _SUBCOMMANDS[argv[0]][0](partial(_subparser, _lone_parser, argv[0]))
     parser = _Parser(
         prog="shelfgaze",
+        usage=_TOP_USAGE,
         description="Planning and simulation tools for shelf-mounted gaze capture.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    # The subcommands' progs would otherwise start with the whole usage text.
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, prog="shelfgaze")
     for name, (declare, _, _) in _SUBCOMMANDS.items():
         declare(partial(_subparser, sub.add_parser, name))
     return parser
@@ -542,6 +550,13 @@ def main(argv: list[str] | None = None) -> int:
             if extra:
                 build_parser().parse_args(argv)
         else:
+            # A missing or unknown subcommand is reported here, in one wording:
+            # 3.13 lists the choices without quotes.
+            if not argv:
+                parser.error("the following arguments are required: subcommand")
+            if not argv[0].startswith("-"):
+                choices = ", ".join(map(repr, _SUBCOMMANDS))
+                parser.error(f"argument subcommand: invalid choice: {argv[0]!r} (choose from {choices})")
             args = parser.parse_args(argv)
             name = args.subcommand
     except SystemExit as exc:

@@ -8,6 +8,11 @@ Times are milliseconds. When a capture tick coincides with a completion,
 the capture is applied first, so the consumer always picks up the newest
 possible frame.
 
+One loop, `_events`, states these rules. `trace` runs it for its events;
+`simulate` runs it in tally mode, where it counts each event as it happens
+and yields none. `replay_metrics` folds recorded events with `_fold`, and
+both paths end in the same `_metrics` summary.
+
 Standard library only: the latency mean and 95th percentile are computed the
 way numpy computes ``np.mean`` and ``np.percentile``, bit for bit, so the
 module does not load numpy.
@@ -22,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
 from itertools import islice, starmap
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Generator, Iterable, NamedTuple, Union
 
 from .errors import check_ranges, field_range, in_range
 
@@ -121,7 +126,7 @@ class SimMetrics(NamedTuple):
     latency_p95_ms: float | None
 
 
-def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
+def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, int], None, SimMetrics | None]:
     """Chronological event stream of one run, as plain `(t_ms, kind,
     frame_id)` tuples; `trace` builds the `SimEvent`s.
 
@@ -131,6 +136,11 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
     completes; the consumer then takes the slot's frame, or turns idle. At
     equal timestamps the order is capture, drop, complete, take. At the end,
     a frame in the slot is dropped and a frame in flight emits nothing.
+
+    With `tally`, the run yields nothing and returns its metrics, which
+    `simulate` reads: each event is counted where it happens, and a latency
+    is the completion time less the capture time of the frame in flight.
+    `replay_metrics` folds recorded events into the same metrics.
     """
     interval_ms = 1000.0 / cfg.capture_fps
     duration_ms = cfg.duration_s * 1000.0
@@ -140,11 +150,18 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
     next_id = 0
     next_cap = 0.0 if jitter is None else 0.0 + jitter()  # a float, as every later capture time is
     slot: int | None = None
+    # Tallies; next_id counts the captures.
+    dropped = takes = 0
+    latencies: list[float] = []
+    skips: dict[int, int] = {}
+    last_done: int | None = None
 
     while next_cap < duration_ms:
         # Idle: the capture is taken at once.
-        t, current = next_cap, next_id
-        yield t, CAPTURE, current
+        t = cap_t = next_cap
+        current = next_id
+        if not tally:
+            yield t, CAPTURE, current
         next_id += 1
         next_cap = next_id * interval_ms
         if jitter is not None:
@@ -152,15 +169,21 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
             if next_cap < t:
                 next_cap = t  # jitter never reorders the capture clock
         while True:
-            # Busy with `current`, taken at t.
-            yield t, TAKE, current
+            # Busy with `current`, captured at cap_t and taken at t.
+            if tally:
+                takes += 1
+            else:
+                yield t, TAKE, current
             done_t = t + process()
             while next_cap <= done_t and next_cap < duration_ms:
                 t = next_cap
-                yield t, CAPTURE, next_id
-                if slot is not None:
-                    yield t, DROP, slot
-                slot = next_id
+                if tally:
+                    dropped += slot is not None
+                else:
+                    yield t, CAPTURE, next_id
+                    if slot is not None:
+                        yield t, DROP, slot
+                slot, slot_t = next_id, t
                 next_id += 1
                 next_cap = next_id * interval_ms
                 if jitter is not None:
@@ -170,11 +193,20 @@ def _events(cfg: SimConfig) -> Iterator[tuple[float, str, int]]:
             if done_t > duration_ms:
                 break  # in flight at the end
             t = done_t
-            yield t, COMPLETE, current
+            if tally:
+                latencies.append(t - cap_t)
+                if last_done is not None:
+                    gap = current - last_done - 1
+                    skips[gap] = skips.get(gap, 0) + 1
+                last_done = current
+            else:
+                yield t, COMPLETE, current
             if slot is None or t == duration_ms:
                 break  # idle, or the run ends with a frame in the slot
-            current, slot = slot, None
+            current, cap_t, slot = slot, slot_t, None
 
+    if tally:
+        return _metrics(next_id, dropped + (slot is not None), takes, latencies, skips, cfg)
     if slot is not None:
         yield duration_ms, DROP, slot
 
@@ -233,7 +265,7 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
     """Fold `(t_ms, kind, frame_id)` rows into metrics. Uses nothing but the
     rows, so a recorded trace reproduces the metrics of the run that emitted
     it."""
-    captured = dropped = processed = takes = 0
+    captured = dropped = takes = 0
     capture_t: dict[int, float] = {}  # frames captured, not yet dropped or done
     latencies: list[float] = []
     skips: dict[int, int] = {}
@@ -249,7 +281,6 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         elif kind == TAKE:
             takes += 1
         elif kind == COMPLETE:
-            processed += 1
             latencies.append(t_ms - capture_t.pop(frame_id))
             if last_done is not None:
                 gap = frame_id - last_done - 1
@@ -258,6 +289,14 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
+    return _metrics(captured, dropped, takes, latencies, skips, cfg)
+
+
+def _metrics(captured: int, dropped: int, takes: int, latencies: list[float],
+             skips: dict[int, int], cfg: SimConfig) -> SimMetrics:
+    """Metrics from a run's tallies: one latency per completion, and a
+    histogram of the frames skipped between consecutive completions."""
+    processed = len(latencies)
     latency_mean, latency_p95 = _mean_p95(latencies) if latencies else (None, None)
     total = sum(skips.values())
     return SimMetrics(
@@ -280,7 +319,11 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
 
 
 def simulate(cfg: SimConfig) -> SimMetrics:
-    return _fold(_events(cfg), cfg)
+    # A tallied run yields nothing; its metrics come back with StopIteration.
+    try:
+        next(_events(cfg, tally=True))
+    except StopIteration as end:
+        return end.value
 
 
 def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:

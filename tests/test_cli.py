@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -127,6 +128,9 @@ def test_parser_builds_only_the_named_subcommand():
     everything = [page[0][0] for page in HELP_PAGES[1:]]
     for argv in (["--help"], [], ["no-such-command"], ["-h", "cell"]):
         assert _subcommands(build_parser(argv)) == everything
+    # Under the top-level parser, whose usage text is given, each is named as alone.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [p.prog for p in sub.choices.values()] == [f"shelfgaze {name}" for name in everything]
 
 
 def test_subcommand_parser_reads_as_under_the_top_level_parser():
@@ -576,6 +580,47 @@ def test_frozen_stdout_digests(capsys, argv, lines, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+CI_PYTHONS = ("3.10", "3.11", "3.12", "3.13")
+
+
+def _other_ci_pythons() -> list[str]:
+    """Interpreters of the other CI versions: on PATH as pythonX.Y, and
+    pyenv's builds."""
+    versions = [v for v in CI_PYTHONS if v != "{}.{}".format(*sys.version_info)]
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = [shutil.which(f"python{v}") for v in versions]
+    found += sorted(str(p) for v in versions for p in pyenv.glob(f"{v}.*/bin/python"))
+    return list(dict.fromkeys(os.path.realpath(p) for p in found if p))
+
+
+def test_frozen_bytes_on_the_other_ci_pythons(tmp_path):
+    # The help pages, usage errors and numpy-free frozen outputs, replayed with
+    # the standard library under every other CI version that starts here;
+    # those interpreters may have neither numpy nor pytest.
+    cases = [[[*argv, "--help"], None, 0, [lines, digest], ""] for argv, lines, digest in HELP_PAGES]
+    cases += [[argv, None, 1, "", err] for argv, err in USAGE_ERRORS]
+    cases += [[argv, stdin, code, out, None] for argv, stdin, code, out in FROZEN if argv[0] != "optimize"]
+    cases += [[argv, None, 0, [lines, digest], None] for argv, lines, digest in FROZEN_DIGESTS]
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    tests = Path(__file__).parent
+    runs = {
+        exe: subprocess.Popen([exe, "-I", str(tests / "replay_cli.py"), str(tests.parent / "src")], cwd=tmp_path,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for exe in _other_ci_pythons()
+    }
+    replayed = {}
+    for exe, proc in runs.items():
+        out, err = proc.communicate(json.dumps(cases), timeout=60)
+        started, _, differ = out.partition("\n")
+        if ".".join(started.strip("[]").split(", ")[:2]) in CI_PYTHONS:  # else it did not start
+            assert (proc.returncode, err) == (0, ""), exe
+            replayed[f"{exe} {started}"] = json.loads(differ)
+    if not replayed:
+        pytest.skip(f"no other interpreter of Python {', '.join(CI_PYTHONS)} starts here")
+    assert replayed == dict.fromkeys(replayed, [])
+
+
 def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
     # ear and simulate never read the shelf, so they reject its options.
     monkeypatch.setattr("sys.stdin", io.StringIO(EYES_CSV))
@@ -671,6 +716,16 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
          "eye (51.0, 55.5, 1e-320) needs |x|, |y| <= 10000.0 cm and z >= 0.001 cm"),
         (["gaze", "--eye", "1e308,55.5,1", "--target", "1,1"], None,
          "eye (1e+308, 55.5, 1.0) needs |x|, |y| <= 10000.0 cm and z >= 0.001 cm"),
+        (["gaze", "--eye", "10,abc,50", "--target", "1,1"], None,
+         "--eye must be 3 comma-separated numbers, got '10,abc,50'"),
+        (["sweep", "--distance", "100", "--start", "50", "--stop", "10"], None, "stop 10.0 is below start 50.0"),
+        (["gaze", "--eye", "10,10,50", "--direction", "0,0,0"], None, "--direction must be nonzero"),
+        (["gaze", "--eye", "10,10,0", "--target", "10,10"], None, "eye and target coincide"),
+        # A key of more digits than int() converts (4,300 by default).
+        pytest.param(["calib-plan", "--size", "2", "--spec", "stdin.json"],
+                     '{"training_sets": {"%s": [6, 31]}}' % ("9" * 5000),
+                     f"training_sets key '{'9' * 5000}' is not a set size",
+                     id="argv47-5000-digit training_sets key-is not a set size"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):

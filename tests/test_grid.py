@@ -172,10 +172,43 @@ def test_ray_to_cell_straight_ahead():
 
 
 def test_ray_missing_plane():
-    with pytest.raises(NoIntersectionError):
-        ray_to_cell(CFG, GazeRay((51.0, 55.5, 100.0), (0.0, 1.0, 0.0)))  # parallel
-    with pytest.raises(NoIntersectionError):
-        ray_to_cell(CFG, GazeRay((51.0, 55.5, 100.0), (0.0, 0.0, 1.0)))  # away
+    with pytest.raises(NoIntersectionError, match="^ray is parallel to the shelf plane$"):
+        ray_to_cell(CFG, GazeRay((51.0, 55.5, 100.0), (0.0, 1.0, 0.0)))
+    with pytest.raises(NoIntersectionError, match="^ray points away from the shelf plane$"):
+        ray_to_cell(CFG, GazeRay((51.0, 55.5, 100.0), (0.0, 0.0, 1.0)))
+
+
+# Each eye sits on one reach bound, 10,000 cm along x or y or 0.001 cm from
+# the plane, and the next float past it.
+REACH_EDGES = [
+    ((10_000.0, 0.0, 1.0), (math.nextafter(10_000.0, math.inf), 0.0, 1.0)),
+    ((-10_000.0, 0.0, 1.0), (math.nextafter(-10_000.0, -math.inf), 0.0, 1.0)),
+    ((0.0, 10_000.0, 1.0), (0.0, math.nextafter(10_000.0, math.inf), 1.0)),
+    ((0.0, -10_000.0, 1.0), (0.0, math.nextafter(-10_000.0, -math.inf), 1.0)),
+    ((0.0, 0.0, 0.001), (0.0, 0.0, math.nextafter(0.001, 0.0))),
+]
+
+
+@pytest.mark.parametrize(("inside", "outside"), REACH_EDGES)
+def test_eye_reach_bounds_are_inclusive(inside, outside):
+    assert GazeRay(inside, (0.0, 0.0, -1.0)).eye_point == inside
+    with pytest.raises(ValueError, match=r"needs \|x\|, \|y\| <= 10000.0 cm and z >= 0.001 cm$"):
+        GazeRay(outside, (0.0, 0.0, -1.0))
+
+
+def test_unit_tolerance_edge():
+    # |v| of (n, 0, 0) is n exactly. The farthest norms from 1 on either side
+    # that are within 1e-9 are accepted, and the next floats out are not. No
+    # float norm is exactly 1e-9 from 1, so `<` and `<=` there read alike.
+    for toward, n in ((math.inf, 1.0 + 1e-9), (0.0, 1.0 - 1e-9)):
+        while abs(n - 1.0) > 1e-9:
+            n = math.nextafter(n, 1.0)
+        while abs(math.nextafter(n, toward) - 1.0) <= 1e-9:
+            n = math.nextafter(n, toward)
+        assert 1e-9 - 2**-52 < abs(n - 1.0) < 1e-9
+        assert GazeRay((0.0, 0.0, 1.0), (n, 0.0, 0.0)).direction == (n, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^direction must be a unit vector"):
+            GazeRay((0.0, 0.0, 1.0), (math.nextafter(n, toward), 0.0, 0.0))
 
 
 def test_ray_hit_outside_panel():

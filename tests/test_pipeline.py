@@ -186,6 +186,27 @@ def test_replay_reproduces_metrics():
         assert replay_metrics(trace(cfg), cfg) == simulate(cfg)
 
 
+# How a run ends, with its processed, captured, dropped and in-flight counts,
+# skip histogram and mean latency, which `simulate` tallies in the loop.
+RUN_ENDS = [
+    # Frame 1 completes at the end, 200 ms after its capture; frame 2, in the
+    # slot, is dropped at the end.
+    pytest.param(fixed_cfg(150.0, fps=10.0, duration=0.3), (2, 3, 1, 0, {0: 1}, 175.0), id="done-at-end-slot-full"),
+    pytest.param(fixed_cfg(83.33, duration=0.1), (1, 3, 1, 1, {}, 83.33), id="frame-in-flight"),
+    pytest.param(fixed_cfg(20.0, duration=0.1), (3, 3, 0, 0, {0: 2}, 20.0), id="idle"),
+    # The first capture, jittered to 5 ms, falls past a 1 ms run.
+    pytest.param(SimConfig(FixedTime(50.0), capture_jitter=FixedTime(5.0), duration_s=0.001),
+                 (0, 0, 0, 0, {}, None), id="first-capture-past-the-end"),
+]
+
+
+@pytest.mark.parametrize(("cfg", "counts"), RUN_ENDS)
+def test_tally_at_the_end_of_a_run(cfg, counts):
+    m = simulate(cfg)
+    assert m == replay_metrics(trace(cfg), cfg)
+    assert (*m[:4], m.skips_per_processed, m.latency_mean_ms) == counts
+
+
 def test_determinism_and_seed_sensitivity():
     cfg = SimConfig(processing_time=UniformTime(66.7, 100.0), seed=4)
     assert trace(cfg) == trace(cfg)
