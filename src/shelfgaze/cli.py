@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
-from .errors import ShelfGazeError, check_value, field_range, require_finite
+from .errors import ShelfGazeError, field_range, require_finite
 from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
@@ -210,10 +210,7 @@ def _cmd_optimize(args: argparse.Namespace, cfg: ShelfConfig) -> int:
 
 
 def _cmd_distance_table(args: argparse.Namespace, cfg: ShelfConfig) -> int:
-    statures = _parse_floats(args.statures, "--statures")
-    for stature in statures:
-        check_value("stature_cm", stature, *field_range(PersonSample, "stature_cm"))
-    rows = distance_table(cfg, list(statures))
+    rows = distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
     table = []  # in millimeters, the reporting unit of the printed table
     for row in rows:
         distance_mm = "" if row.distance_cm is None else f"{row.distance_cm * 10.0:.3f}"

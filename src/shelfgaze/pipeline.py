@@ -9,9 +9,10 @@ the capture is applied first, so the consumer always picks up the newest
 possible frame.
 
 One loop, `_events`, states these rules. `trace` runs it for its events;
-`simulate` runs it in tally mode, where it counts each event as it happens
-and yields none. `replay_metrics` folds recorded events with `_fold`, and
-both paths end in the same `_metrics` summary.
+`simulate` runs it in tally mode, where it yields none, keeps only latencies
+and skip gaps, and takes its frame counts from frame conservation.
+`replay_metrics` folds recorded events with `_fold`, which counts every
+kind, and both paths end in the same `_metrics` summary.
 
 Standard library only: the latency mean and 95th percentile are computed the
 way numpy computes ``np.mean`` and ``np.percentile``, bit for bit, so the
@@ -137,10 +138,10 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
     equal timestamps the order is capture, drop, complete, take. At the end,
     a frame in the slot is dropped and a frame in flight emits nothing.
 
-    With `tally`, the run yields nothing and returns its metrics, which
-    `simulate` reads: each event is counted where it happens, and a latency
-    is the completion time less the capture time of the frame in flight.
-    `replay_metrics` folds recorded events into the same metrics.
+    With `tally`, the run yields nothing and returns the metrics that
+    `simulate` reads. It records each latency (completion time less the
+    capture time of the frame in flight) and skip gap. One frame is in flight
+    when the last take completes past the end; the rest were dropped.
     """
     interval_ms = 1000.0 / cfg.capture_fps
     duration_ms = cfg.duration_s * 1000.0
@@ -150,8 +151,7 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
     next_id = 0
     next_cap = 0.0 if jitter is None else 0.0 + jitter()  # a float, as every later capture time is
     slot: int | None = None
-    # Tallies; next_id counts the captures.
-    dropped = takes = 0
+    done_t = 0.0  # no frame in flight before the first take; next_id counts the captures
     latencies: list[float] = []
     skips: dict[int, int] = {}
     last_done: int | None = None
@@ -170,16 +170,12 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
                 next_cap = t  # jitter never reorders the capture clock
         while True:
             # Busy with `current`, captured at cap_t and taken at t.
-            if tally:
-                takes += 1
-            else:
+            if not tally:
                 yield t, TAKE, current
             done_t = t + process()
             while next_cap <= done_t and next_cap < duration_ms:
                 t = next_cap
-                if tally:
-                    dropped += slot is not None
-                else:
+                if not tally:
                     yield t, CAPTURE, next_id
                     if slot is not None:
                         yield t, DROP, slot
@@ -206,7 +202,8 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
             current, cap_t, slot = slot, slot_t, None
 
     if tally:
-        return _metrics(next_id, dropped + (slot is not None), takes, latencies, skips, cfg)
+        in_flight = int(done_t > duration_ms)
+        return _metrics(next_id, next_id - len(latencies) - in_flight, in_flight, latencies, skips, cfg)
     if slot is not None:
         yield duration_ms, DROP, slot
 
@@ -289,10 +286,10 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         else:
             raise ValueError(f"unknown event kind {kind!r}")
 
-    return _metrics(captured, dropped, takes, latencies, skips, cfg)
+    return _metrics(captured, dropped, takes - len(latencies), latencies, skips, cfg)
 
 
-def _metrics(captured: int, dropped: int, takes: int, latencies: list[float],
+def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float],
              skips: dict[int, int], cfg: SimConfig) -> SimMetrics:
     """Metrics from a run's tallies: one latency per completion, and a
     histogram of the frames skipped between consecutive completions."""
@@ -303,7 +300,7 @@ def _metrics(captured: int, dropped: int, takes: int, latencies: list[float],
         processed_count=processed,
         captured_count=captured,
         dropped_count=dropped,
-        in_flight_count=takes - processed,
+        in_flight_count=in_flight,
         effective_fps=processed / cfg.duration_s,
         mean_skips=sum(gap * count for gap, count in skips.items()) / total if total else None,
         skips_per_processed=dict(sorted(skips.items())),

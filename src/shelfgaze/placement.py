@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import AllSamplesRejectedError, NoValidDistanceError, check_ranges, in_range
-from .geometry import MAX_EYE_HEIGHT_CM, ShelfConfig
+from .errors import AllSamplesRejectedError, NoValidDistanceError, check_ranges, check_value, field_range, in_range
+from .geometry import MAX_EYE_HEIGHT_CM, PersonSample, ShelfConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -273,7 +273,7 @@ class DistanceRow(NamedTuple):
 
 
 def distance_table(cfg: ShelfConfig, statures_cm: list[float]) -> list[DistanceRow]:
-    """Recommended distance per stature; unreachable rows are marked, not dropped."""
+    """Recommended distance per stature; unreachable rows are marked, and invalid statures raise ValueError."""
     if not statures_cm:
         raise ValueError("stature list must be non-empty")
     rows = []
@@ -281,6 +281,7 @@ def distance_table(cfg: ShelfConfig, statures_cm: list[float]) -> list[DistanceR
         try:
             rows.append(DistanceRow(stature, recommended_distance(cfg, stature), STATUS_OK))
         except NoValidDistanceError:
+            check_value("stature_cm", stature, *field_range(PersonSample, "stature_cm"))
             rows.append(DistanceRow(stature, None, STATUS_NO_DISTANCE))
     return rows
 

@@ -189,6 +189,8 @@ def test_batch_stats():
     values = [0.31, 0.05, 0.29, 0.25]
     stats = batch_stats(values, 0.2)
     assert stats.mean == pytest.approx(sum(values) / 4.0)
+    # The float mean (0x1.999999999999bp-3), not the exact one (...ap-3).
+    assert batch_stats([0.1, 0.2, 0.3]).mean == (0.1 + 0.2 + 0.3) / 3
     assert stats.min == 0.05
     assert stats.fraction_open == pytest.approx(0.75)
     with pytest.raises(EmptyBatchError):

@@ -104,21 +104,6 @@ def test_slow_consumer_frozen_metrics():
     assert m.latency_p95_ms == pytest.approx(116.41699999999578, rel=1e-9)
 
 
-def test_frame_conservation():
-    # Every captured frame ends up processed, dropped, or still in flight.
-    configs = [
-        fixed_cfg(83.33),
-        fixed_cfg(20.0, duration=10.0),
-        fixed_cfg(200.0),
-        SimConfig(processing_time=UniformTime(66.7, 100.0), seed=5),
-        SimConfig(processing_time=NormalTime(83.0, 10.0), seed=9),
-        SimConfig(processing_time=FixedTime(83.33), capture_jitter=UniformTime(0.5, 3.0)),
-    ]
-    for cfg in configs:
-        m = simulate(cfg)
-        assert m.captured_count == m.processed_count + m.dropped_count + m.in_flight_count
-
-
 def test_first_events_frozen():
     events = trace(fixed_cfg(83.33), 7)
     interval = 1000.0 / 30.0
@@ -307,6 +292,40 @@ CONFIGS = st.builds(
     seed=st.integers(0, 2**32),
     capture_jitter=st.none() | DISTRIBUTIONS,
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS)
+@example(fixed_cfg(83.33))
+@example(fixed_cfg(20.0, duration=10.0))
+@example(fixed_cfg(200.0))
+@example(SimConfig(processing_time=UniformTime(66.7, 100.0), seed=5))
+@example(SimConfig(processing_time=NormalTime(83.0, 10.0), seed=9))
+@example(SimConfig(processing_time=FixedTime(83.33), capture_jitter=UniformTime(0.5, 3.0)))
+def test_frame_conservation(cfg):
+    # Every captured frame ends up processed, dropped, or still in flight.
+    # `simulate` takes its counts from this balance, so it is checked on the
+    # replay, which counts each kind of event on its own.
+    m = replay_metrics(trace(cfg), cfg)
+    assert m.captured_count == m.processed_count + m.dropped_count + m.in_flight_count
+    assert m.in_flight_count in (0, 1)
+    # Exactly ints: a bool count would print as `true` in the JSON output.
+    assert [type(count) for count in simulate(cfg)[:4]] == [int] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(MS, st.floats(5.0, 120.0), st.floats(0.01, 5.0))
+@example(83.33, 30.0, 60.0)  # the paper's 12 FPS
+# Work exactly one capture interval long, over a whole number of them: in
+# exact arithmetic the last completion lands on the end.
+@example(1000 / 39, 39.0, 4.230769230769233)
+def test_throughput_law_with_fixed_processing(ms, fps, duration_s):
+    # With fixed work T and exact capture ticks, the consumer finishes
+    # min(fps, 1000 / T) frames a second: it keeps up, or it takes the slot's
+    # frame at each completion. Over the run that is right to within one
+    # frame, plus the rounding of float event times at the end.
+    m = simulate(fixed_cfg(ms, fps=fps, duration=duration_s))
+    assert abs(m.processed_count - min(fps, 1000.0 / ms) * duration_s) <= 1 + 1e-9
 
 
 @settings(max_examples=100, deadline=None)

@@ -369,9 +369,45 @@ def test_distance_table_marks_unreachable_rows():
 def test_nan_stature_has_no_valid_distance():
     with pytest.raises(NoValidDistanceError):
         recommended_distance(CFG, math.nan)
-    (row,) = distance_table(CFG, [math.nan])
-    assert math.isnan(row.stature_cm)
-    assert row[1:] == (None, STATUS_NO_DISTANCE)
+    # The table checks a stature that has no distance against its declared
+    # range, as the CLI does, so NaN is named instead of given a row.
+    with pytest.raises(ValueError, match="^stature_cm must be finite, got nan$"):
+        distance_table(CFG, [math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    statures=st.lists(st.floats(), min_size=1, max_size=4),
+    panel_height_cm=st.floats(1.0, 181.0),
+    drop_frac=st.floats(0.0, 1.0),
+    eye_crown_offset_cm=st.floats(0.0, 100.0),
+)
+@example(statures=[math.inf], panel_height_cm=138.0, drop_frac=0.5, eye_crown_offset_cm=4.8)
+@example(statures=[-5.0], panel_height_cm=138.0, drop_frac=0.5, eye_crown_offset_cm=4.8)
+@example(statures=[1500.0], panel_height_cm=138.0, drop_frac=0.5, eye_crown_offset_cm=4.8)
+# A valid row first, then two invalid statures: the first one is named.
+@example(statures=[150.0, 1e308, math.nan], panel_height_cm=138.0, drop_frac=0.5, eye_crown_offset_cm=4.8)
+# Both ends of the range are valid statures; neither has a distance.
+@example(statures=[-0.0, 1000.0], panel_height_cm=181.0, drop_frac=0.3, eye_crown_offset_cm=0.0)
+def test_distance_table_keeps_the_stature_contract(statures, panel_height_cm, drop_frac, eye_crown_offset_cm):
+    # Any float, NaN, inf and subnormals included: a stature in the declared
+    # range gets a row, and any other raises a ValueError that names it.
+    cfg = ShelfConfig(panel_height_cm=panel_height_cm, camera_drop_cm=drop_frac * panel_height_cm,
+                      eye_crown_offset_cm=eye_crown_offset_cm)
+    lo, hi = field_range(PersonSample, "stature_cm")
+    invalid = [s for s in statures if not lo <= s <= hi]  # NaN included
+    if invalid:
+        with pytest.raises(ValueError, match="^stature_cm must be ") as raised:
+            distance_table(cfg, statures)
+        assert str(raised.value).endswith(f"got {invalid[0]}")
+        return
+    rows = distance_table(cfg, statures)
+    assert [row.stature_cm for row in rows] == statures
+    for row in rows:
+        if row.status == STATUS_OK:
+            assert 0.0 < row.distance_cm < math.inf
+        else:
+            assert row[1:] == (None, STATUS_NO_DISTANCE)
 
 
 def test_distance_table_csv_format(capsys):
