@@ -9,6 +9,7 @@ Any consistent planar unit works; the ratio is unit-free.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateEyeError, EmptyBatchError
@@ -64,17 +65,15 @@ class BatchStats(NamedTuple):
 
 
 def batch_stats(values: Sequence[float], threshold: float = OPEN_THRESHOLD) -> BatchStats:
-    """Mean, minimum, and open fraction of a recording's EAR values."""
+    """Mean, minimum, and open fraction of a recording's EAR values. Each
+    reading and the threshold are checked by ``classify``, before the mean."""
     if not values:
         raise EmptyBatchError("no readings to summarize")
-    for v in values:
-        if not -math.inf < v < math.inf:  # NaN included
-            raise ValueError(f"values must be finite, got {v}")
     n = len(values)
+    open_count = sum(map(classify, values, repeat(threshold)))
     mean = sum(values) / n
     if not -math.inf < mean < math.inf:  # the float sum overflowed; the exact mean cannot
         from fractions import Fraction
 
         mean = float(sum(map(Fraction, values)) / n)
-    open_count = sum(1 for v in values if classify(v, threshold))
     return BatchStats(mean, min(values), open_count / n)

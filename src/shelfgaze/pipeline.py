@@ -278,7 +278,10 @@ def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
         elif kind == TAKE:
             takes += 1
         elif kind == COMPLETE:
-            latencies.append(t_ms - capture_t.pop(frame_id))
+            try:
+                latencies.append(t_ms - capture_t.pop(frame_id))
+            except KeyError:
+                raise ValueError(f"frame {frame_id} completes but was never captured or was dropped") from None
             if last_done is not None:
                 gap = frame_id - last_done - 1
                 skips[gap] = skips.get(gap, 0) + 1
@@ -311,7 +314,8 @@ def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float]
 
 def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
     """Fold a recorded event stream into the metrics of the run that
-    emitted it."""
+    emitted it. An unknown event kind, or a complete of a frame that was
+    never captured or was dropped, raises ValueError."""
     return _fold(map(attrgetter("t_ms", "kind", "frame_id"), events), cfg)
 
 

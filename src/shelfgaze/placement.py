@@ -237,13 +237,14 @@ def recommended_distance(cfg: ShelfConfig, stature_cm: float) -> float:
 
     Solving alpha1 = alpha2 for d with r = drop / (panel_height - drop)
     gives d^2 = (r^2 (h - bottom)^2 - (top - h)^2) / (1 - r^2); the same
-    expression covers r > 1 after rearrangement. Raises NoValidDistanceError
-    when no positive distance exists (person too short or too tall for the
-    configured drop, or the camera sits exactly mid-panel).
+    expression covers r > 1 after rearrangement. ValueError: a stature outside
+    ``PersonSample.stature_cm``'s range, NaN included. NoValidDistanceError:
+    no positive distance (eye too low or high for the drop, or mid-panel camera).
     """
     h = stature_cm - cfg.eye_crown_offset_cm
     bottom = cfg.panel_bottom_height_cm
-    if not bottom < h < MAX_EYE_HEIGHT_CM:  # also rejects NaN
+    if not bottom < h < MAX_EYE_HEIGHT_CM:  # every invalid stature lands here, NaN too
+        check_value("stature_cm", stature_cm, *field_range(PersonSample, "stature_cm"))
         raise NoValidDistanceError(
             f"stature {stature_cm} cm yields eye height {h} cm outside"
             f" ({bottom}, {MAX_EYE_HEIGHT_CM})"
@@ -281,7 +282,6 @@ def distance_table(cfg: ShelfConfig, statures_cm: list[float]) -> list[DistanceR
         try:
             rows.append(DistanceRow(stature, recommended_distance(cfg, stature), STATUS_OK))
         except NoValidDistanceError:
-            check_value("stature_cm", stature, *field_range(PersonSample, "stature_cm"))
             rows.append(DistanceRow(stature, None, STATUS_NO_DISTANCE))
     return rows
 

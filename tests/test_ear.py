@@ -2,7 +2,10 @@
 
 import io
 import math
+import re
 import sys
+from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -196,13 +199,43 @@ def test_batch_stats():
     with pytest.raises(EmptyBatchError):
         batch_stats([], 0.2)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"^values must be finite, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^value must be finite, got {bad}$"):
             batch_stats([0.3, bad])
     # Finite readings whose sum overflows still have a finite mean.
     assert batch_stats([1e308, 1e308]) == (1e308, 1e308, 1.0)
     assert batch_stats([-1e308, -1e308, 1e308]) == (-1e308 / 3, -1e308, 1 / 3)
     top = sys.float_info.max
     assert batch_stats([top] * 3) == (top, top, 1.0)
+
+
+def _reference_mean(values):
+    """The float mean, or the exact one when the float sum overflows."""
+    mean = sum(values) / len(values)
+    if not -math.inf < mean < math.inf:
+        mean = float(sum(map(Fraction, values)) / len(values))
+    return mean
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.one_of(ANY_FLOAT, st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    threshold=st.one_of(ANY_FLOAT, st.floats(1e-3, 1.0)),
+)
+def test_batch_stats_leaves_the_reading_rule_to_classify(values, threshold):
+    # Any floats, NaN, inf and subnormals included: batch_stats raises what
+    # the first failing classify(v, threshold) raises, or returns the float
+    # mean and min and the fraction that classify calls open.
+    for v in values:
+        try:
+            classify(v, threshold)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$") as raised:
+                batch_stats(values, threshold)
+            assert raised.type is type(exc)
+            return
+    mean, low, fraction_open = batch_stats(values, threshold)
+    assert fraction_open == sum(map(classify, values, repeat(threshold))) / len(values)
+    assert (mean.hex(), low.hex()) == (_reference_mean(values).hex(), min(values).hex())
 
 
 def test_csv_parsing():

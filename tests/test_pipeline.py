@@ -236,6 +236,12 @@ def test_replay_rejects_unknown_kind():
     cfg = fixed_cfg(83.33)
     with pytest.raises(ValueError):
         replay_metrics([SimEvent(0.0, "teleport", 0)], cfg)
+    # A completion needs a capture of its frame that was not dropped.
+    never = [SimEvent(0.0, COMPLETE, 5)]
+    dropped = [SimEvent(0.0, CAPTURE, 0), SimEvent(0.0, DROP, 0), SimEvent(1.0, COMPLETE, 0)]
+    for events, frame in ((never, 5), (dropped, 0)):
+        with pytest.raises(ValueError, match=f"^frame {frame} completes but was never captured or was dropped$"):
+            replay_metrics(events, cfg)
 
 
 def test_sweep_rows():

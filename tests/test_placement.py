@@ -367,10 +367,10 @@ def test_distance_table_marks_unreachable_rows():
 
 
 def test_nan_stature_has_no_valid_distance():
-    with pytest.raises(NoValidDistanceError):
+    # A stature that has no distance is checked against its declared range,
+    # as the CLI does, so NaN is named instead of given a row.
+    with pytest.raises(ValueError, match="^stature_cm must be finite, got nan$"):
         recommended_distance(CFG, math.nan)
-    # The table checks a stature that has no distance against its declared
-    # range, as the CLI does, so NaN is named instead of given a row.
     with pytest.raises(ValueError, match="^stature_cm must be finite, got nan$"):
         distance_table(CFG, [math.nan])
 
@@ -392,9 +392,21 @@ def test_nan_stature_has_no_valid_distance():
 def test_distance_table_keeps_the_stature_contract(statures, panel_height_cm, drop_frac, eye_crown_offset_cm):
     # Any float, NaN, inf and subnormals included: a stature in the declared
     # range gets a row, and any other raises a ValueError that names it.
+    # recommended_distance owns the rule: it raises the same ValueError for
+    # an invalid stature, and a distance or NoValidDistanceError otherwise.
     cfg = ShelfConfig(panel_height_cm=panel_height_cm, camera_drop_cm=drop_frac * panel_height_cm,
                       eye_crown_offset_cm=eye_crown_offset_cm)
     lo, hi = field_range(PersonSample, "stature_cm")
+    for s in statures:
+        valid = lo <= s <= hi  # False for NaN
+        try:
+            assert 0.0 < recommended_distance(cfg, s) < math.inf and valid
+        except NoValidDistanceError:
+            assert valid
+        except ValueError as single:
+            assert not valid
+            with pytest.raises(ValueError, match=f"^{re.escape(str(single))}$"):
+                distance_table(cfg, [s])
     invalid = [s for s in statures if not lo <= s <= hi]  # NaN included
     if invalid:
         with pytest.raises(ValueError, match="^stature_cm must be ") as raised:
