@@ -9,10 +9,10 @@ the capture is applied first, so the consumer always picks up the newest
 possible frame.
 
 One loop, `_events`, states these rules. `trace` runs it for its events;
-`simulate` runs it in tally mode, where it yields none, keeps only latencies
-and skip gaps, and takes its frame counts from frame conservation.
-`replay_metrics` folds recorded events with `_fold`, which counts every
-kind, and both paths end in the same `_metrics` summary.
+`simulate` runs it in tally mode, keeping latencies and completed frame ids
+and taking its frame counts from frame conservation. `replay_metrics` folds
+recorded events with `_fold`, which follows the consumer's state. Both end
+in `_metrics`, the one place that turns completed ids into skip gaps.
 
 Standard library only: the latency mean and 95th percentile are computed the
 way numpy computes ``np.mean`` and ``np.percentile``, bit for bit, so the
@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
 from itertools import islice, starmap
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Generator, Iterable, NamedTuple, Union
 
-from .errors import check_ranges, field_range, in_range
+from .errors import check_ranges, check_value, field_range, in_range
 
 CAPTURE = "capture"
 DROP = "drop"
@@ -140,8 +141,8 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
 
     With `tally`, the run yields nothing and returns the metrics that
     `simulate` reads. It records each latency (completion time less the
-    capture time of the frame in flight) and skip gap. One frame is in flight
-    when the last take completes past the end; the rest were dropped.
+    capture time of the frame in flight) and completed frame id. One frame is
+    in flight when the last take completes past the end; the rest were dropped.
     """
     interval_ms = 1000.0 / cfg.capture_fps
     duration_ms = cfg.duration_s * 1000.0
@@ -153,8 +154,7 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
     slot: int | None = None
     done_t = 0.0  # no frame in flight before the first take; next_id counts the captures
     latencies: list[float] = []
-    skips: dict[int, int] = {}
-    last_done: int | None = None
+    done: list[int] = []
 
     while next_cap < duration_ms:
         # Idle: the capture is taken at once.
@@ -191,10 +191,7 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
             t = done_t
             if tally:
                 latencies.append(t - cap_t)
-                if last_done is not None:
-                    gap = current - last_done - 1
-                    skips[gap] = skips.get(gap, 0) + 1
-                last_done = current
+                done.append(current)
             else:
                 yield t, COMPLETE, current
             if slot is None or t == duration_ms:
@@ -203,7 +200,7 @@ def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, 
 
     if tally:
         in_flight = int(done_t > duration_ms)
-        return _metrics(next_id, next_id - len(latencies) - in_flight, in_flight, latencies, skips, cfg)
+        return _metrics(next_id, next_id - len(latencies) - in_flight, in_flight, latencies, done, cfg)
     if slot is not None:
         yield duration_ms, DROP, slot
 
@@ -259,45 +256,48 @@ def _mean_p95(xs: list[float]) -> tuple[float, float]:
 
 
 def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
-    """Fold `(t_ms, kind, frame_id)` rows into metrics. Uses nothing but the
-    rows, so a recorded trace reproduces the metrics of the run that emitted
-    it."""
-    captured = dropped = takes = 0
-    capture_t: dict[int, float] = {}  # frames captured, not yet dropped or done
+    """Fold `(t_ms, kind, frame_id)` rows into metrics, following the
+    consumer. ValueError names the kind and frame of a capture whose id is
+    not the count of captures so far, a drop or take of a frame not waiting,
+    a take while one is in flight, a complete of a frame not in flight, an
+    unknown kind, or a frame left waiting at the end (a run drops its slot)."""
+    captured = dropped = 0
+    waiting: dict[int, float] = {}  # capture times of frames not yet dropped or taken
+    flight = None  # the frame taken and not completed
     latencies: list[float] = []
-    skips: dict[int, int] = {}
-    last_done: int | None = None
+    done: list[int] = []
 
     for t_ms, kind, frame_id in rows:
-        if kind == CAPTURE:
-            captured += 1
-            capture_t[frame_id] = t_ms
-        elif kind == DROP:
-            dropped += 1
-            capture_t.pop(frame_id, None)
-        elif kind == TAKE:
-            takes += 1
-        elif kind == COMPLETE:
-            try:
-                latencies.append(t_ms - capture_t.pop(frame_id))
-            except KeyError:
-                raise ValueError(f"frame {frame_id} completes but was never captured or was dropped") from None
-            if last_done is not None:
-                gap = frame_id - last_done - 1
-                skips[gap] = skips.get(gap, 0) + 1
-            last_done = frame_id
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
+        try:
+            if kind == CAPTURE and frame_id == captured:
+                waiting[frame_id] = t_ms
+                captured += 1
+            elif kind == DROP:
+                del waiting[frame_id]
+                dropped += 1
+            elif kind == TAKE and flight is None:
+                flight, cap_t = frame_id, waiting.pop(frame_id)
+            elif kind == COMPLETE and flight is not None and frame_id == flight:
+                latencies.append(t_ms - cap_t)
+                done.append(frame_id)
+                flight = None
+            else:
+                raise KeyError(frame_id)
+        except KeyError:
+            raise ValueError(f"unexpected {kind!r} event for frame {frame_id}") from None
+    if waiting:
+        raise ValueError(f"frame {next(iter(waiting))} is captured but never taken or dropped")
 
-    return _metrics(captured, dropped, takes - len(latencies), latencies, skips, cfg)
+    return _metrics(captured, dropped, int(flight is not None), latencies, done, cfg)
 
 
 def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float],
-             skips: dict[int, int], cfg: SimConfig) -> SimMetrics:
-    """Metrics from a run's tallies: one latency per completion, and a
-    histogram of the frames skipped between consecutive completions."""
+             done: list[int], cfg: SimConfig) -> SimMetrics:
+    """Metrics from a run's tallies: one latency per completion, and the ids
+    of completed frames in order; consecutive ids n < m skip m - n - 1 frames."""
     processed = len(latencies)
     latency_mean, latency_p95 = _mean_p95(latencies) if latencies else (None, None)
+    skips = {step - 1: count for step, count in sorted(Counter(map(sub, done[1:], done)).items())}
     total = sum(skips.values())
     return SimMetrics(
         processed_count=processed,
@@ -306,16 +306,16 @@ def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float]
         in_flight_count=in_flight,
         effective_fps=processed / cfg.duration_s,
         mean_skips=sum(gap * count for gap, count in skips.items()) / total if total else None,
-        skips_per_processed=dict(sorted(skips.items())),
+        skips_per_processed=skips,
         latency_mean_ms=latency_mean,
         latency_p95_ms=latency_p95,
     )
 
 
 def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
-    """Fold a recorded event stream into the metrics of the run that
-    emitted it. An unknown event kind, or a complete of a frame that was
-    never captured or was dropped, raises ValueError."""
+    """Fold the event stream of a whole run into the metrics of the run that
+    emitted it. A row the latest-frame pipeline could not have emitted raises
+    ValueError, as does a frame left in the slot at the end (see `_fold`)."""
     return _fold(map(attrgetter("t_ms", "kind", "frame_id"), events), cfg)
 
 
@@ -330,8 +330,8 @@ def simulate(cfg: SimConfig) -> SimMetrics:
 def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
     """First `limit` events of the run (all of them by default),
     chronologically ordered."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit is not None:
+        check_value("limit", limit, 0, math.inf)
     # islice stops at most at sys.maxsize; no run has that many events.
     stop = None if limit is None else min(limit, sys.maxsize)
     return list(starmap(SimEvent, islice(_events(cfg), stop)))

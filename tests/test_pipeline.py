@@ -217,8 +217,11 @@ def test_jitter_keeps_capture_clock_monotone():
 def test_trace_csv_format(capsys):
     assert main(["simulate", "--proc", "fixed:83.33", "--trace", "2"]) == 0
     assert capsys.readouterr().out == "t_ms,event,frame_id\n0.0,capture,0\n0.0,take,0\n"
-    with pytest.raises(ValueError):
-        trace(fixed_cfg(83.33), -1)
+    # The limit is a count: a bool, a fraction, NaN or a string is rejected
+    # like a negative number, as `cell_center` rejects such an index.
+    for limit in (-1, True, 2.5, math.nan, "3"):
+        with pytest.raises(ValueError, match="^limit must be "):
+            trace(fixed_cfg(83.33), limit)
 
 
 def test_trace_limit_past_the_stream_returns_the_whole_stream(capsys):
@@ -234,14 +237,32 @@ def test_trace_limit_past_the_stream_returns_the_whole_stream(capsys):
 
 def test_replay_rejects_unknown_kind():
     cfg = fixed_cfg(83.33)
-    with pytest.raises(ValueError):
-        replay_metrics([SimEvent(0.0, "teleport", 0)], cfg)
-    # A completion needs a capture of its frame that was not dropped.
-    never = [SimEvent(0.0, COMPLETE, 5)]
-    dropped = [SimEvent(0.0, CAPTURE, 0), SimEvent(0.0, DROP, 0), SimEvent(1.0, COMPLETE, 0)]
-    for events, frame in ((never, 5), (dropped, 0)):
-        with pytest.raises(ValueError, match=f"^frame {frame} completes but was never captured or was dropped$"):
-            replay_metrics(events, cfg)
+    # Rows the latest-frame consumer could not have emitted, each with the
+    # kind and frame of the first row it rejects.
+    streams = [
+        ([(0.0, "teleport", 0)], "teleport", 0),
+        ([(0.0, CAPTURE, 0), (0.0, TAKE, 0), (1.0, "teleport", 0)], "teleport", 0),
+        # A completion needs a take of its frame, which needs a capture that
+        # was not dropped.
+        ([(0.0, COMPLETE, 5)], COMPLETE, 5),
+        ([(0.0, CAPTURE, 0), (0.0, DROP, 0), (1.0, COMPLETE, 0)], COMPLETE, 0),
+        ([(0.0, CAPTURE, 0), (5.0, COMPLETE, 0)], COMPLETE, 0),
+        ([(0.0, CAPTURE, 0), (0.0, TAKE, 0), (5.0, COMPLETE, 5)], COMPLETE, 5),
+        ([(0.0, COMPLETE, None)], COMPLETE, None),
+        # A drop of a frame never captured.
+        ([(0.0, DROP, 3)], DROP, 3),
+        # A take while a frame is in flight.
+        ([(0.0, CAPTURE, 0), (0.0, TAKE, 0), (1.0, CAPTURE, 1), (2.0, TAKE, 1)], TAKE, 1),
+        # A capture whose id is not the number of captures so far.
+        ([(0.0, CAPTURE, 0), (0.0, CAPTURE, 0)], CAPTURE, 0),
+    ]
+    for rows, kind, frame in streams:
+        with pytest.raises(ValueError, match=f"^unexpected '{kind}' event for frame {frame}$"):
+            replay_metrics([SimEvent(*row) for row in rows], cfg)
+    # A whole run drops the frame left in the slot at the end.
+    waiting = [SimEvent(0.0, CAPTURE, 0), SimEvent(0.0, TAKE, 0), SimEvent(1.0, CAPTURE, 1)]
+    with pytest.raises(ValueError, match="^frame 1 is captured but never taken or dropped$"):
+        replay_metrics(waiting, cfg)
 
 
 def test_sweep_rows():
@@ -282,6 +303,16 @@ def test_metrics_json_shape(capsys):
     assert short["latency_p95_ms"] is None
 
 
+def test_skip_histogram_lists_gaps_in_order():
+    # The gaps of this run first occur in the order 2, 1, 4, 0, 3, 5; the
+    # histogram, and so the JSON output, lists them by gap.
+    cfg = SimConfig(processing_time=UniformTime(20.0, 200.0), duration_s=10.0, seed=9)
+    expected = [(0, 22), (1, 22), (2, 17), (3, 15), (4, 12), (5, 10)]
+    for m in (simulate(cfg), replay_metrics(trace(cfg), cfg)):
+        assert list(m.skips_per_processed.items()) == expected
+        assert m.mean_skips == 2.0306122448979593
+
+
 MS = st.floats(1.0, 300.0)
 DISTRIBUTIONS = st.one_of(
     MS.map(FixedTime),
@@ -317,6 +348,23 @@ def test_frame_conservation(cfg):
     assert m.in_flight_count in (0, 1)
     # Exactly ints: a bool count would print as `true` in the JSON output.
     assert [type(count) for count in simulate(cfg)[:4]] == [int] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIGS, st.integers(0, 2**32), st.booleans())
+def test_replay_rejects_or_conserves_a_damaged_trace(cfg, k, duplicate):
+    # One event of a whole trace deleted or repeated: the fold rejects the
+    # stream, or what it accepts still conserves frames.
+    events = trace(cfg)
+    if events:
+        i = k % len(events)
+        events[i:i + 1] = [events[i]] * (2 if duplicate else 0)
+    try:
+        m = replay_metrics(events, cfg)
+    except ValueError:
+        return
+    assert m.in_flight_count in (0, 1)
+    assert m.captured_count == m.processed_count + m.dropped_count + m.in_flight_count
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,7 +560,7 @@ def test_fold_latency_statistics_match_numpy_bit_for_bit(latencies):
     # latency is latencies[i] exactly.
     rows = []
     for i, latency in enumerate(latencies):
-        rows += [(0.0, CAPTURE, i), (latency, COMPLETE, i)]
+        rows += [(0.0, CAPTURE, i), (0.0, TAKE, i), (latency, COMPLETE, i)]
     metrics = pipeline._fold(rows, fixed_cfg(50.0))
     with np.errstate(all="ignore"):
         mean = float(np.array(latencies).mean())
