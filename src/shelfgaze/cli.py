@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
-from .errors import ShelfGazeError, field_range, require_finite
+from .errors import ShelfGazeError, check_value, field_range, require_finite
 from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
@@ -161,8 +161,7 @@ def _parsed_eye(values: list) -> EyeLandmarks:
     infinity are input errors."""
     coords = [float(v) for v in values]
     for c in coords:
-        if not math.isfinite(c):
-            raise ValueError(f"coordinates must be finite, got {c}")
+        check_value("coordinates", c, -math.inf, math.inf)
     return EyeLandmarks.from_flat(coords)
 
 
@@ -192,7 +191,7 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     for index, entry in enumerate(data, start=1):
         if not isinstance(entry, list):
             raise ValueError(f"eye {index} must be a JSON array, got {entry!r}")
-        if len(entry) == 6 and all(isinstance(p, list) for p in entry):
+        if len(entry) == 6 and all(isinstance(p, list) and len(p) == 2 for p in entry):
             entry = [c for p in entry for c in p]
         try:
             if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in entry):

@@ -1,22 +1,30 @@
-"""Replays command-line cases through ``shelfgaze.cli.main`` with the standard
-library only, so that an interpreter without numpy or pytest can check the
-frozen bytes of tests/test_cli.py.
+"""Replays the frozen command-line cases of tests/golden.json with the standard
+library only, so that an interpreter without numpy or pytest can check them,
+and so can a job that has only the installed ``shelfgaze`` script.
 
-Usage: ``python replay_cli.py SRC_DIR < cases.json``
+Usage:
+  ``python replay_cli.py SRC_DIR < cases.json``: through ``shelfgaze.cli.main``
+  imported from SRC_DIR, in this process.
+  ``python replay_cli.py --installed < cases.json``: each case as a child
+  process of the ``shelfgaze`` found on PATH.
 
-Each case is ``[argv, stdin, code, stdout, stderr]``. A ``stdout`` given as
-``[lines, sha256]`` is compared by line count and digest, and a ``stderr`` of
-null is not compared. The cases run at 80 columns, in the current directory.
-The first line printed is the interpreter's version, before the package is
-imported; the second is the list of cases whose outcome differs, each with
-what came out.
+A case is an object with ``argv``, ``stdin`` (text or null), ``files`` (name to
+text, written into the working directory before the case runs), ``code``,
+``stdout`` and ``stderr``. A ``stdout`` given as ``[lines, sha256]`` is compared
+by line count and digest, and a ``stderr`` of null is not compared. The cases
+run at 80 columns, in a temporary working directory. The first line printed is
+the interpreter's version, before the package is imported; the second is the
+list of cases whose outcome differs, each as its argv and the exit code, stdout
+and stderr that came out. The exit status is 1 when a case differs.
 """
 
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 
@@ -26,22 +34,46 @@ def _matches(want, got: str) -> bool:
     return want is None or got == want
 
 
-def replay(cases: list) -> list:
+def in_process(argv: list, stdin: str) -> tuple:
     from shelfgaze.cli import main
 
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def installed(argv: list, stdin: str) -> tuple:
+    proc = subprocess.run(["shelfgaze", *argv], input=stdin, capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def replay(cases: list, run=in_process) -> list:
+    """The cases whose outcome under ``run`` differs, run in the current
+    directory, which receives their files."""
     os.environ["COLUMNS"] = "80"
     differ = []
-    for argv, stdin, code, stdout, stderr in cases:
-        out, err = io.StringIO(), io.StringIO()
-        sys.stdin = io.StringIO(stdin or "")
-        with redirect_stdout(out), redirect_stderr(err):
-            got = main(list(argv))
-        if not (got == code and _matches(stdout, out.getvalue()) and _matches(stderr, err.getvalue())):
-            differ.append([argv, got, out.getvalue(), err.getvalue()])
+    for case in cases:
+        for name, text in case["files"].items():
+            with open(name, "w", encoding="utf-8") as f:
+                f.write(text)
+        got = run(case["argv"], case["stdin"] or "")
+        if not (got[0] == case["code"] and _matches(case["stdout"], got[1]) and _matches(case["stderr"], got[2])):
+            differ.append([case["argv"], *got])
     return differ
 
 
 if __name__ == "__main__":
     print(json.dumps(list(sys.version_info[:3])), flush=True)
-    sys.path.insert(0, sys.argv[1])
-    print(json.dumps(replay(json.load(sys.stdin))))
+    if sys.argv[1] == "--installed":
+        run = installed
+    else:
+        sys.path.insert(0, os.path.abspath(sys.argv[1]))
+        run = in_process
+    cases = json.load(sys.stdin)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        differ = replay(cases, run)
+    print(json.dumps(differ))
+    sys.exit(bool(differ))

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -23,6 +22,43 @@ from shelfgaze.calibration import CalibrationSpec
 from shelfgaze.cli import _SUBCOMMANDS, build_parser, main
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
+
+from replay_cli import replay
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+# Every frozen command-line case: argv, stdin, input files, exit code, stdout
+# and stderr, in the shape replay_cli.py documents. The help pages and usage
+# errors were captured while every call built all nine subparsers; optimize's
+# outputs come from the exhaustive 0.1 cm residual scan that preceded the
+# branch-and-bound search, which must reproduce them byte for byte.
+CASES = json.loads((TESTS / "golden.json").read_text(encoding="utf-8"))
+HELP_PAGES = [case for case in CASES if case["argv"][-1:] == ["--help"]]
+ERRORS = [case for case in CASES if case["code"] == 1]
+DIGESTS = [case for case in CASES if isinstance(case["stdout"], list) and case not in HELP_PAGES]
+OUTPUTS = [case for case in CASES if case not in HELP_PAGES + ERRORS + DIGESTS]
+# optimize is the one subcommand that loads numpy (test_import_does_not_load_numpy).
+NUMPY = [case for case in OUTPUTS + DIGESTS if case["argv"][0] == "optimize"]
+EYES_CSV = "0,0,1,1,3,1,4,0,3,-1,1,-1\n0,0,1,0.1,2,0.1,3,0,2,-0.1,1,-0.1\n"
+
+
+def each_case(cases: list, name=" ".join):
+    return pytest.mark.parametrize("case", cases, ids=[name(case["argv"]) for case in cases])
+
+
+@pytest.fixture
+def workdir(monkeypatch, tmp_path):
+    """A working directory for the cases' files; the COLUMNS and sys.stdin
+    that replay sets are restored after the test."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", sys.stdin)
+
+
+def replay_child(exe: str, env: dict | None = None) -> subprocess.Popen:
+    """replay_cli.py under ``exe``, reading its cases from stdin."""
+    return subprocess.Popen([exe, "-I", str(TESTS / "replay_cli.py"), str(SRC)], env=env, text=True,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def run(capsys, *argv):
@@ -55,67 +91,21 @@ def test_help_exits_zero_and_documents_defaults(capsys):
     assert "0.2" in out
 
 
-# Line count and sha256 of each --help page at 80 columns, the top level
-# first, captured while every call built all nine subparsers. The optimize
-# and simulate pages were captured again when --samples and --duration named
-# their caps in their help lines; no other line of them changed.
-HELP_PAGES = [
-    ([], 26, "c23e578790efc6f53e5baefcb0adafd3949343b7c24351f371132f08068938e2"),
-    (["optimize"], 32, "68795ec6111d4e229a04909f0da3e6a057b9e0ba6016d892abcaacb0304be1fa"),
-    (["distance-table"], 21, "df41fe4871f541ebd8fac815bb0a361a428600a1ab2953faace77feb9af68f27"),
-    (["sweep"], 25, "73429dd2a8ebaef64a0a699c9e1c2c3b6cc6c2181bf589ee9a568b91270929dd"),
-    (["cell"], 22, "2dd5587e6950cfc2d2c42c92e32a3e8016be924ff87dcc24036b8540af183281"),
-    (["gaze"], 23, "5a66bf8751ede8a64c61c3b15268fbe794ca71e054c332ef54fa0cf3b6c6f7af"),
-    (["ear"], 12, "c79940ac251c5275871d2d712d344575febb5f600c966dcb97dd16f74c3706cb"),
-    (["simulate"], 20, "faab93ddee971cbad8c73b50f9602cbb71266c039c107e7a471d79270704cd49"),
-    (["calib-plan"], 24, "eaf939bac7bcaf8e965f1a6724ecc6fd12110a623ececbf897fad980ec1ac502"),
-    (["validate-calib"], 21, "a9b1c77ff3205ae439cb1f32e105cf20147963d3f70143a441efb4abe337490a"),
-]
+@each_case(HELP_PAGES, lambda argv: " ".join(argv[:-1]) or "top")
+def test_help_pages_frozen(workdir, case):
+    assert replay([case]) == []
 
 
-@pytest.mark.parametrize(("argv", "lines", "digest"), HELP_PAGES, ids=[" ".join(p[0]) or "top" for p in HELP_PAGES])
-def test_help_pages_frozen(capsys, monkeypatch, argv, lines, digest):
-    monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = run(capsys, *argv, "--help")
-    assert (code, err) == (0, "")
-    assert out.count("\n") == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-TOP_USAGE = (
-    "usage: shelfgaze [-h]\n"
-    "                 {optimize,distance-table,sweep,cell,gaze,ear,simulate,calib-plan,validate-calib}\n"
-    "                 ...\n"
-)
-# Exact stderr at 80 columns, captured while every call built all nine
-# subparsers.
-USAGE_ERRORS = [
-    (["no-such-command"], TOP_USAGE + "shelfgaze: error: argument subcommand: invalid choice: 'no-such-command' "
-     "(choose from 'optimize', 'distance-table', 'sweep', 'cell', 'gaze', 'ear', 'simulate', 'calib-plan', "
-     "'validate-calib')\n"),
-    ([], TOP_USAGE + "shelfgaze: error: the following arguments are required: subcommand\n"),
-    (["cell", "--index", "19", "extra"], TOP_USAGE + "shelfgaze: error: unrecognized arguments: extra\n"),
-    (["cell", "--index", "x"],
-     "usage: shelfgaze cell [-h] [--config PATH] [--shelf-height CM]\n"
-     "                      [--panel-height CM] [--panel-width CM] [--camera-x CM]\n"
-     "                      [--camera-drop CM] [--eye-offset CM] [--index INDEX]\n"
-     "                      [--x X] [--y Y]\n"
-     "shelfgaze cell: error: argument --index: invalid int value: 'x'\n"),
-]
-
-
-def test_usage_errors_exit_one(capsys, monkeypatch):
-    assert run(capsys, "no-such-command")[0] == 1
+def test_usage_errors_exit_one(capsys):
     assert run(capsys, "sweep")[0] == 1  # missing --distance
-    assert run(capsys, "cell", "--index", "x")[0] == 1
-    assert run(capsys)[0] == 1  # no subcommand
-
-    monkeypatch.setenv("COLUMNS", "80")
-    for argv, err in USAGE_ERRORS:
-        assert run(capsys, *argv) == (1, "", err)
     # An option before the subcommand: the top-level help, which
     # test_help_pages_frozen pins.
     assert run(capsys, "-h", "cell") == run(capsys, "--help")
+
+
+@each_case(ERRORS)
+def test_frozen_stderr(workdir, case):
+    assert replay([case]) == []
 
 
 def _subcommands(parser) -> list[str]:
@@ -125,7 +115,7 @@ def _subcommands(parser) -> list[str]:
 def test_parser_builds_only_the_named_subcommand():
     lone = build_parser(["cell", "--index", "19"])
     assert (lone.prog, _subcommands(lone)) == ("shelfgaze cell", [])
-    everything = [page[0][0] for page in HELP_PAGES[1:]]
+    everything = [case["argv"][0] for case in HELP_PAGES[1:]]
     for argv in (["--help"], [], ["no-such-command"], ["-h", "cell"]):
         assert _subcommands(build_parser(argv)) == everything
     # Under the top-level parser, whose usage text is given, each is named as alone.
@@ -136,7 +126,7 @@ def test_parser_builds_only_the_named_subcommand():
 def test_subcommand_parser_reads_as_under_the_top_level_parser():
     # main reads a named subcommand's arguments with that subcommand's own
     # parser; the top-level parser, handing them on, must read the same.
-    calls = [argv for argv, *_ in FROZEN + FROZEN_DIGESTS] + [
+    calls = [case["argv"] for case in OUTPUTS + DIGESTS] + [
         ["cell", "--ind", "19"],
         ["sweep", "--distance=112.5", "--start", "-0.0"],
         ["simulate", "--fps", "24", "--jitter", "normal:2,1", "--duration", "2"],
@@ -157,17 +147,10 @@ def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
 
 
 def test_module_entry_point_reads_sys_argv():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-m", "shelfgaze.cli", "cell", "--index", "19"],
                           env=env, capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n', "")
-
-
-def test_cell_by_index_bytes(capsys):
-    code, out, _ = run(capsys, "cell", "--index", "19")
-    assert code == 0
-    assert out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
 
 
 def test_cell_by_point(capsys):
@@ -448,37 +431,14 @@ def test_outputs_reproducible(capsys):
     assert a == b
 
 
-# Frozen from the exhaustive 0.1 cm residual scan that preceded the
-# branch-and-bound search: the search must reproduce it byte for byte.
-OPTIMIZE_FROZEN = {
-    ("2000", "7"): '{"mean_db_cm":56.530400347083265,"median_db_cm":57.18025968904544,'
-    '"std_db_cm":3.515247188725515,"residual_db_cm":55.542160593401114,'
-    '"rejected_samples":0,"sample_count":2000}\n',
-    ("20000", "3"): '{"mean_db_cm":56.50029061474367,"median_db_cm":57.09880853711459,'
-    '"std_db_cm":3.538454729387833,"residual_db_cm":55.50041187910331,'
-    '"rejected_samples":0,"sample_count":20000}\n',
-}
-
-
-def test_optimize_bytes(capsys):
-    for (samples, seed), expected in OPTIMIZE_FROZEN.items():
-        assert run(capsys, "optimize", "--samples", samples, "--seed", seed) == (0, expected, "")
-
-
 def test_optimize_bytes_without_avx512_kernels():
     # numpy sends float64 arctan2 to an AVX-512 kernel where the CPU has one,
     # and that kernel's last bits differ from libm's. The search only compares
     # residuals, so the output must not depend on which kernel ran. On a CPU
     # without AVX-512 the variable changes nothing.
-    calls = "".join(
-        f"assert main(['optimize', '--samples', '{samples}', '--seed', '{seed}']) == 0\n"
-        for samples, seed in OPTIMIZE_FROZEN
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    proc = subprocess.run([sys.executable, "-c", "from shelfgaze.cli import main\n" + calls],
-                          env=env, capture_output=True, text=True, check=False)
-    assert (proc.returncode, proc.stdout) == (0, "".join(OPTIMIZE_FROZEN.values())), proc.stderr
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    out, err = replay_child(sys.executable, env).communicate(json.dumps(NUMPY), timeout=60)
+    assert (out.partition("\n")[2], err) == ("[]\n", "")
 
 
 @pytest.mark.parametrize(
@@ -492,92 +452,34 @@ def test_optimize_non_finite_population_exits_one(capsys, flag, value, field):
     assert err == f"error: {field} must be finite, got {value}\n"
 
 
-# Stdout and exit code of every subcommand and output mode, captured before
-# cli.py took over the output formats from the library modules. Files named
-# in the arguments are written by the test into its working directory.
-EYES_CSV = "0,0,1,1,3,1,4,0,3,-1,1,-1\n0,0,1,0.1,2,0.1,3,0,2,-0.1,1,-0.1\n"
-EYES_JSON = "[[0,0,1,1,3,1,4,0,3,-1,1,-1],[[0,0],[1,0.2],[3,0.2],[4,0],[3,-0.2],[1,-0.2]]]"
-FILES = {
-    "overlap.json": '{"validation_cells": [8, 11, 26, 30]}',
-    "grid3x3.json": '{"grid_rows": 3, "grid_cols": 3}',
-}
-FROZEN = [
-    (["cell", "--index", "19"], None, 0, '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'),
-    (["cell", "--x", "60", "--y", "30"], None, 0, '{"x_cm":60.0,"y_cm":30.0,"cell":10}\n'),
-    (["gaze", "--eye", "51,55.5,100", "--target", "8.5,80.5"], None, 0, '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'),
-    (["gaze", "--eye", "51,55.5,100", "--direction=-85,50,-200"], None, 0, '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'),
-    (["ear", "--input", "-"], EYES_CSV, 0,
-     '{"value":0.5,"open":true,"threshold":0.2}\n{"value":0.06666666666666667,"open":false,"threshold":0.2}\n'),
-    (["ear", "--input", "-", "--format", "json"], EYES_JSON, 0,
-     '{"value":0.5,"open":true,"threshold":0.2}\n{"value":0.1,"open":false,"threshold":0.2}\n'),
-    (["ear", "--input", "-", "--threshold", "0.15"], "0,0,1,0.2,3,0.2,4,0,3,-0.2,1,-0.2\n", 0,
-     '{"value":0.1,"open":false,"threshold":0.15}\n'),
-    (["simulate"], None, 0,
-     '{"processed_count":720,"captured_count":1800,"dropped_count":1079,"in_flight_count":1,'
-     '"effective_fps":12.0,"mean_skips":1.4993045897079276,"skips_per_processed":{"1":360,"2":359},'
-     '"latency_mean_ms":107.08537037069,"latency_p95_ms":116.41699999999578}\n'),
-    (["simulate", "--trace", "6"], None, 0,
-     "t_ms,event,frame_id\n0.0,capture,0\n0.0,take,0\n33.333333333333336,capture,1\n"
-     "66.66666666666667,capture,2\n66.66666666666667,drop,1\n83.33,complete,0\n"),
-    (["simulate", "--sweep", "20,83.33,200"], None, 0,
-     "time_ms,effective_fps,mean_skips\n20.0,30.0,0.0\n83.33,12.0,1.4993045897079276\n"
-     "200.0,5.0,4.996655518394649\n"),
-    (["simulate", "--proc", "uniform:66.7,100", "--jitter", "normal:2,1", "--duration", "5", "--seed", "3"],
-     None, 0,
-     '{"processed_count":58,"captured_count":150,"dropped_count":91,"in_flight_count":1,'
-     '"effective_fps":11.6,"mean_skips":1.543859649122807,"skips_per_processed":{"1":26,"2":31},'
-     '"latency_mean_ms":101.66188404276237,"latency_p95_ms":125.17183860403019}\n'),
-    (["simulate", "--proc", "fixed:50", "--duration", "0.01"], None, 0,
-     '{"processed_count":0,"captured_count":1,"dropped_count":0,"in_flight_count":1,"effective_fps":0.0,'
-     '"mean_skips":null,"skips_per_processed":{},"latency_mean_ms":null,"latency_p95_ms":null}\n'),
-    (["validate-calib"], None, 0, "[]\n"),
-    (["validate-calib", "--spec", "overlap.json"], None, 2,
-     '[{"kind":"overlap","detail":"set 32 shares cells [30] with validation"},'
-     '{"kind":"asymmetric-validation","detail":"center x values [25.5, 25.5, 76.5, 93.5] not mirror-symmetric"}]\n'),
-    (["validate-calib", "--config", "grid3x3.json"], None, 2,
-     '[{"kind":"cell-range","detail":"set 2 cells [31] outside 1..9"},'
-     '{"kind":"cell-range","detail":"set 4 cells [13, 18, 33] outside 1..9"},'
-     '{"kind":"cell-range","detail":"set 8 cells [13, 18, 31, 33, 36] outside 1..9"},'
-     '{"kind":"cell-range","detail":"set 16 cells [13, 15, 16, 18, 19, 21, 22, 24, 31, 33, 34, 36] outside 1..9"},'
-     '{"kind":"cell-range","detail":"set 32 cells [10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, '
-     '27, 28, 30, 31, 32, 33, 34, 35, 36] outside 1..9"},'
-     '{"kind":"cell-range","detail":"validation cells [11, 26, 29] outside 1..9"}]\n'),
-    (["distance-table"], None, 0,
-     "stature_mm,distance_mm,status\n1500,793.315,ok\n1550,881.324,ok\n1600,958.705,ok\n"
-     "1650,1027.862,ok\n1700,1090.359,ok\n1750,1147.286,ok\n1800,1199.437,ok\n"),
-    (["distance-table", "--statures", "45,48.8"], None, 2,
-     "stature_mm,distance_mm,status\n450,,no_valid_distance\n488,,no_valid_distance\n"),
-    (["sweep", "--stature", "165", "--distance", "112.5", "--start", "50", "--stop", "60", "--step", "5"],
-     None, 0, "drop_cm,residual_rad\n50.0,-0.11512902790768886\n55.0,-0.03278751571125238\n"
-     "60.0,0.04754425427855824\n"),
-    (["optimize", "--samples", "300", "--seed", "5"], None, 0,
-     '{"mean_db_cm":56.58744566920965,"median_db_cm":57.13621397866331,"std_db_cm":3.57947200367977,'
-     '"residual_db_cm":55.547094971370996,"rejected_samples":0,"sample_count":300}\n'),
-]
-# Longer outputs, pinned by line count and sha256.
-FROZEN_DIGESTS = [
-    (["calib-plan", "--size", "2"], 24, "b4068a6f853dd24641084ee6db740fec7390a73cdd904560bd1549c6eab5f00d"),
-    (["calib-plan", "--size", "32", "--seed", "9"], 144,
-     "965d51e4a585e53da909b5f3b16ec58d45dd79738d6dd69ce99230250fa55a96"),
-    (["sweep", "--distance", "112.5"], 140, "95cedcaa7a2c7c86faf7becaa30274830ebfb21decd4549601c45625a0dc7848"),
-]
+@each_case(OUTPUTS)
+def test_frozen_stdout(workdir, case):
+    assert replay([case]) == []
 
 
-@pytest.mark.parametrize(("argv", "stdin", "code", "stdout"), FROZEN, ids=[" ".join(c[0]) for c in FROZEN])
-def test_frozen_stdout(capsys, monkeypatch, tmp_path, argv, stdin, code, stdout):
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
-    assert run(capsys, *argv)[:2] == (code, stdout)
+@each_case(DIGESTS)
+def test_frozen_stdout_digests(workdir, case):
+    assert replay([case]) == []
 
 
-@pytest.mark.parametrize(("argv", "lines", "digest"), FROZEN_DIGESTS, ids=[" ".join(c[0]) for c in FROZEN_DIGESTS])
-def test_frozen_stdout_digests(capsys, argv, lines, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out.count("\n") == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_replay_reports_exactly_the_edited_cases(workdir, tmp_path):
+    edited = json.loads(json.dumps([case for case in CASES if case not in NUMPY]))
+    out_case = next(case for case in edited if case["argv"] == ["cell", "--index", "19"])
+    out_case["stdout"] = out_case["stdout"].replace("19}", "18}")
+    err_case = next(case for case in edited if case["argv"] == ["distance-table", "--statures", "150,-5"])
+    err_case["stderr"] = err_case["stderr"].replace("-5.0", "-6.0")
+    assert [argv for argv, *_ in replay(edited)] == [out_case["argv"], err_case["argv"]]
+    # The same two and one unedited case, through a script on PATH that runs
+    # what the console script runs.
+    script = tmp_path / "bin" / "shelfgaze"
+    script.parent.mkdir()
+    script.write_text(f"#!{sys.executable}\nfrom shelfgaze.cli import entry\nentry()\n")
+    script.chmod(0o755)
+    env = {**os.environ, "PATH": f"{script.parent}{os.pathsep}{os.environ['PATH']}", "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, str(TESTS / "replay_cli.py"), "--installed"], env=env, text=True,
+                          input=json.dumps([out_case, edited[0], err_case]), capture_output=True, check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert [argv for argv, *_ in json.loads(proc.stdout.splitlines()[1])] == [out_case["argv"], err_case["argv"]]
 
 
 CI_PYTHONS = ("3.10", "3.11", "3.12", "3.13")
@@ -593,28 +495,18 @@ def _other_ci_pythons() -> list[str]:
     return list(dict.fromkeys(os.path.realpath(p) for p in found if p))
 
 
-def test_frozen_bytes_on_the_other_ci_pythons(tmp_path):
-    # The help pages, usage errors and numpy-free frozen outputs, replayed with
-    # the standard library under every other CI version that starts here;
-    # those interpreters may have neither numpy nor pytest.
-    cases = [[[*argv, "--help"], None, 0, [lines, digest], ""] for argv, lines, digest in HELP_PAGES]
-    cases += [[argv, None, 1, "", err] for argv, err in USAGE_ERRORS]
-    cases += [[argv, stdin, code, out, None] for argv, stdin, code, out in FROZEN if argv[0] != "optimize"]
-    cases += [[argv, None, 0, [lines, digest], None] for argv, lines, digest in FROZEN_DIGESTS]
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text)
-    tests = Path(__file__).parent
-    runs = {
-        exe: subprocess.Popen([exe, "-I", str(tests / "replay_cli.py"), str(tests.parent / "src")], cwd=tmp_path,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for exe in _other_ci_pythons()
-    }
+def test_frozen_bytes_on_the_other_ci_pythons():
+    # The frozen cases but optimize's, replayed with the standard library
+    # under every other CI version that starts here; those interpreters may
+    # have neither numpy nor pytest.
+    cases = json.dumps([case for case in CASES if case not in NUMPY])
+    runs = {exe: replay_child(exe) for exe in _other_ci_pythons()}
     replayed = {}
     for exe, proc in runs.items():
-        out, err = proc.communicate(json.dumps(cases), timeout=60)
+        out, err = proc.communicate(cases, timeout=60)
         started, _, differ = out.partition("\n")
         if ".".join(started.strip("[]").split(", ")[:2]) in CI_PYTHONS:  # else it did not start
-            assert (proc.returncode, err) == (0, ""), exe
+            assert err == "", exe
             replayed[f"{exe} {started}"] = json.loads(differ)
     if not replayed:
         pytest.skip(f"no other interpreter of Python {', '.join(CI_PYTHONS)} starts here")
@@ -726,6 +618,9 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
                      '{"training_sets": {"%s": [6, 31]}}' % ("9" * 5000),
                      f"training_sets key '{'9' * 5000}' is not a set size",
                      id="argv47-5000-digit training_sets key-is not a set size"),
+        # Six lists of twelve numbers in all, but not six pairs.
+        (["ear", "--input", "-", "--format", "json"], "[[[],[0,0,1,1],[3,1],[4,0],[3,-1],[1,-1]]]",
+         "eye 1 coordinates must be numbers, got [[], [0, 0, 1, 1], [3, 1], [4, 0], [3, -1], [1, -1]]"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):
@@ -832,12 +727,14 @@ JSON_VALUES = st.recursive(
     lambda values: st.lists(values, max_size=4) | st.dictionaries(st.text(max_size=3), values, max_size=3),
     max_leaves=8,
 )
-# Arrays of eyes: any JSON, twelve values, or six pairs of values.
+# Arrays of eyes: any JSON, twelve values, six pairs of values, or six lists
+# of numbers of any length.
 EYES = st.lists(
     st.one_of(
         JSON_VALUES,
         st.lists(JSON_SCALARS, min_size=12, max_size=12),
         st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2), min_size=6, max_size=6),
+        st.lists(st.lists(st.integers(-5, 5), max_size=4), min_size=6, max_size=6),
     ),
     max_size=3,
 )
