@@ -25,6 +25,8 @@ if TYPE_CHECKING:
 
 RESIDUAL_GRID_STEP_CM = 0.1
 RESIDUAL_REFINE_TOL_CM = 1e-4
+# The search's work vector is this many times shorter than the population.
+_WORK_CHUNKS = 4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _U53 = 1 << 53
 
@@ -71,7 +73,9 @@ def _uniform01(gen: np.random.Generator, n: int) -> np.ndarray:
 
     # Midpoints of 2^53 buckets, strictly inside (0, 1) as ndtri needs. The
     # top midpoint rounds to 1.0, so it becomes the largest float below 1.
-    u = (gen.integers(0, _U53, n).astype(np.float64) + 0.5) / _U53
+    u = gen.integers(0, _U53, n).astype(np.float64)
+    u += 0.5
+    u /= _U53
     return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
 
 
@@ -83,6 +87,12 @@ def sample_population(
     Rejection mirrors geometry.validate_person: eyes at or below the panel
     bottom, or beyond the sane height bound, are excluded rather than
     clamped.
+
+    Each draw is scaled in place, with the bits of mean + std * ndtri(u) -
+    offset and min + span * u. The peak is 3 population vectors (8 bytes a
+    shopper each), while the distances are drawn: the eye heights and the
+    draw's integers and floats. Only when some draw was rejected are the
+    valid samples copied out, one array at a time.
     """
     # Imported here, with numpy, so that `import shelfgaze` and every
     # subcommand but `optimize` load neither.
@@ -90,13 +100,20 @@ def sample_population(
     from scipy.special import ndtri
 
     gen = np.random.Generator(np.random.Philox(key=pop.seed))
-    stature = pop.height_mean_cm + pop.height_std_cm * ndtri(_uniform01(gen, pop.sample_count))
-    span = pop.distance_max_cm - pop.distance_min_cm
-    distance = pop.distance_min_cm + span * _uniform01(gen, pop.sample_count)
-    eye = stature - cfg.eye_crown_offset_cm
+    eye = _uniform01(gen, pop.sample_count)
+    ndtri(eye, out=eye)
+    eye *= pop.height_std_cm
+    eye += pop.height_mean_cm
+    eye -= cfg.eye_crown_offset_cm
+    distance = _uniform01(gen, pop.sample_count)
+    distance *= pop.distance_max_cm - pop.distance_min_cm
+    distance += pop.distance_min_cm
     valid = (eye > cfg.panel_bottom_height_cm) & (eye < MAX_EYE_HEIGHT_CM)
     rejected = int(pop.sample_count - valid.sum())
-    return eye[valid], distance[valid], rejected
+    if rejected:
+        eye = eye[valid]
+        distance = distance[valid]
+    return eye, distance, rejected
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> float:
@@ -116,6 +133,30 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
+def _square_mean(r: np.ndarray) -> float:
+    """mean(r * r), with np.mean's bits, squaring r in place."""
+    r *= r
+    return float(r.sum()) / r.size
+
+
+def _mean_squares(r: np.ndarray, part: np.ndarray) -> tuple[float, float, float]:
+    """(M, P, N) of one residual vector: its mean square, and the mean squares
+    of its positive and negative parts. P and N pass through the work vector
+    part, one chunk of its length at a time, so part may be shorter than r;
+    then r is squared in place for M."""
+    import numpy as np
+
+    pos = neg = 0.0
+    for lo in range(0, r.size, part.size):
+        chunk = r[lo:lo + part.size]
+        work = part[:chunk.size]
+        np.maximum(chunk, 0.0, out=work)
+        pos += float(work.dot(work))
+        np.minimum(chunk, 0.0, out=work)
+        neg += float(work.dot(work))
+    return _square_mean(r), pos / r.size, neg / r.size
+
+
 def _grid_argmin(residual, last: int) -> int:
     """First i in 0..last minimizing M(i) = mean(residual(i * RESIDUAL_GRID_STEP_CM) ** 2),
     the index a scan of the whole grid picks.
@@ -128,24 +169,20 @@ def _grid_argmin(residual, last: int) -> int:
     bound can beat the best point: about 30 evaluations, none repeated. P
     and N sum nonnegative squares, so their relative error is at most n*eps,
     1.1e-10 at a million shoppers: the margin covers it and residual rounding.
-    residual may return the same vector each call: an evaluation is done
-    with it before the next call.
+    residual may return the same vector each call, and an evaluation may
+    overwrite that vector (it squares it in place); it is done with it before
+    the next call. P and N pass through a work vector 1/_WORK_CHUNKS as long.
     """
     import numpy as np
 
-    part = None  # one work vector for the parts and the squares
+    part = None
 
     def evaluate(i: int) -> tuple[float, float, float]:
         nonlocal part
         r = residual(i * RESIDUAL_GRID_STEP_CM)
         if part is None:
-            part = np.empty_like(r)
-        np.maximum(r, 0.0, out=part)
-        pos = float(part @ part)
-        np.minimum(r, 0.0, out=part)
-        neg = float(part @ part)
-        np.multiply(r, r, out=part)
-        return float(np.mean(part)), pos / r.size, neg / r.size
+            part = np.empty(-(-r.size // _WORK_CHUNKS))
+        return _mean_squares(r, part)
 
     seen = {i: evaluate(i) for i in {0, last}}
     best = min((m, i) for i, (m, _, _) in seen.items())  # ties keep the first index
@@ -165,12 +202,17 @@ def _residual_minimum(eye: np.ndarray, distance: np.ndarray, top: float, bottom:
     """Drop minimizing the mean of the squared residual theta_top +
     theta_bottom - 2 * theta_cam, which is 0 where the camera ray bisects a
     shopper's view of the panel: the grid argmin over 0..last, refined by
-    golden section. Every evaluation writes one preallocated residual vector,
-    with at most one work vector next to it; both are freed on return."""
+    golden section. Next to eye and distance it holds theta_top +
+    theta_bottom, the residual vector that every evaluation overwrites, and
+    the search's quarter-length work vector: a peak of 4.25 population
+    vectors, eye and distance included; all but those two are freed on
+    return."""
     import numpy as np
 
-    theta_sum = np.arctan2(top - eye, distance) + np.arctan2(bottom - eye, distance)
-    r = np.empty_like(theta_sum)
+    theta_sum = np.subtract(top, eye)
+    np.arctan2(theta_sum, distance, out=theta_sum)
+    r = np.subtract(bottom, eye)
+    theta_sum += np.arctan2(r, distance, out=r)
 
     def residual(drop: float) -> np.ndarray:
         # theta_sum - 2.0 * arctan2(top - drop - eye, distance), in place.
@@ -179,14 +221,10 @@ def _residual_minimum(eye: np.ndarray, distance: np.ndarray, top: float, bottom:
         np.multiply(2.0, r, out=r)
         return np.subtract(theta_sum, r, out=r)
 
-    def mean_sq_residual(drop: float) -> float:
-        res = residual(drop)
-        return float(np.mean(np.multiply(res, res, out=res)))
-
     best = _grid_argmin(residual, last)
     lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
     hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
-    return _golden_min(mean_sq_residual, lo, hi, RESIDUAL_REFINE_TOL_CM)
+    return _golden_min(lambda drop: _square_mean(residual(drop)), lo, hi, RESIDUAL_REFINE_TOL_CM)
 
 
 def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResult:
@@ -202,6 +240,8 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     Deterministic for a fixed seed; samples are aggregated in draw order.
     The declared ranges of the settings bound the grid to 10,001 points and
     keep every drop and squared residual finite and, at drop 0, nonzero.
+    Its peak is the search's, 4.25 population vectors (8 bytes a sampled
+    shopper each): 34 MB at a million shoppers.
     """
     import numpy as np
 
@@ -216,11 +256,18 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     last = math.ceil((cfg.panel_height_cm + RESIDUAL_GRID_STEP_CM / 2) / RESIDUAL_GRID_STEP_CM) - 1
     residual_db = _residual_minimum(eye, distance, top, bottom, last)
 
-    # Per-sample drops come after the search, whose vectors are freed by
-    # then and so do not raise the peak memory on top of these arrays.
-    ab = np.hypot(distance, top - eye)
-    ac = np.hypot(distance, eye - bottom)
-    db = cfg.panel_height_cm * ab / (ab + ac)
+    # Per-sample drops, panel * ab / (ab + ac) with ab = hypot(distance, top -
+    # eye) and ac = hypot(distance, eye - bottom), in two vectors: ac
+    # overwrites eye, and distance goes once both are computed.
+    db = np.subtract(top, eye)
+    np.hypot(distance, db, out=db)
+    eye -= bottom
+    ac = np.hypot(distance, eye, out=eye)
+    del eye, distance
+    ac += db
+    db *= cfg.panel_height_cm
+    db /= ac
+    del ac
 
     return PlacementResult(
         mean_db_cm=float(db.mean()),

@@ -22,6 +22,7 @@ from shelfgaze.errors import (
     field_range,
 )
 from shelfgaze.geometry import (
+    MAX_EYE_HEIGHT_CM,
     PersonSample,
     ShelfConfig,
     angular_imbalance,
@@ -37,6 +38,7 @@ from shelfgaze.placement import (
     PopulationSpec,
     _golden_min,
     _grid_argmin,
+    _mean_squares,
     _uniform01,
     distance_table,
     optimize_camera_drop,
@@ -289,15 +291,98 @@ def test_residual_search_evaluations_and_memory(monkeypatch):
     pop = PopulationSpec(sample_count=100_000, seed=7)
     optimize_camera_drop(CFG, pop)
     assert len(drops) == len(set(drops)) <= 40
-    # No residual vector outlives its evaluation: the peak stays at the
-    # stride scan's 5.60 MB (keeping every evaluated vector would add ~24 MB).
+    # The peak is the search's: eye, distance, theta_sum, the one residual
+    # vector every evaluation overwrites, and a quarter-length work vector,
+    # 4.25 vectors of 0.8 MB (the out-of-place search held 6.0, 4.81 MB).
+    assert _traced_peak(lambda: optimize_camera_drop(CFG, pop)) <= 3.41e6 * 1.02
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        optimize_camera_drop(CFG, pop)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.60e6 * 1.02
+
+
+def test_sampling_memory():
+    # 100k shoppers: the eye heights, plus the distance draw's integers and
+    # floats, 3 vectors of 0.8 MB (drawing out of place held 5.1, 4.10 MB).
+    assert _traced_peak(lambda: sample_population(CFG, PopulationSpec(sample_count=100_000, seed=7))) <= 2.5e6
+
+
+def _out_of_place_population(cfg, pop):
+    """sample_population as one expression per array, each a new array: the
+    reference whose bits the in-place draws must keep."""
+    from scipy.special import ndtri
+
+    gen = np.random.Generator(np.random.Philox(key=pop.seed))
+
+    def uniform01():
+        u = (gen.integers(0, 2**53, pop.sample_count).astype(np.float64) + 0.5) / 2**53
+        return np.minimum(u, np.nextafter(1.0, 0.0))
+
+    stature = pop.height_mean_cm + pop.height_std_cm * ndtri(uniform01())
+    distance = pop.distance_min_cm + (pop.distance_max_cm - pop.distance_min_cm) * uniform01()
+    eye = stature - cfg.eye_crown_offset_cm
+    valid = (eye > cfg.panel_bottom_height_cm) & (eye < MAX_EYE_HEIGHT_CM)
+    return eye[valid], distance[valid], int(pop.sample_count - valid.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mean=st.sampled_from([165.0, 48.0, 30.0, 262.0]) | st.floats(0.0, 300.0),
+    std=st.floats(1e-3, 100.0),
+    dist_a=st.floats(1e-3, 10_000.0),
+    dist_b=st.floats(1e-3, 10_000.0),
+    offset=st.floats(0.0, 100.0),
+    samples=st.sampled_from([1, 2, 3, 5, 6, 7]),
+    seed=st.integers(0, 2**128 - 1),
+)
+@example(mean=165.0, std=6.0, dist_a=75.0, dist_b=150.0, offset=4.8, samples=7, seed=0)  # none rejected
+@example(mean=48.0, std=2.0, dist_a=75.0, dist_b=150.0, offset=4.8, samples=7, seed=0)  # some rejected
+@example(mean=30.0, std=0.1, dist_a=75.0, dist_b=150.0, offset=4.8, samples=5, seed=0)  # all below the panel
+@example(mean=262.0, std=1.0, dist_a=75.0, dist_b=150.0, offset=4.8, samples=3, seed=0)  # all too high
+def test_sampling_equals_the_out_of_place_formula(mean, std, dist_a, dist_b, offset, samples, seed):
+    assume(dist_a != dist_b)
+    cfg = ShelfConfig(eye_crown_offset_cm=offset)
+    pop = PopulationSpec(height_mean_cm=mean, height_std_cm=std, distance_min_cm=min(dist_a, dist_b),
+                         distance_max_cm=max(dist_a, dist_b), sample_count=samples, seed=seed)
+    got, want = sample_population(cfg, pop), _out_of_place_population(cfg, pop)
+    assert got[2] == want[2]
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sampling_examples_reject_none_some_and_all():
+    # The property's examples cover each branch of the copy through the mask.
+    for mean, std, samples, rejected in ((165.0, 6.0, 7, "none"), (48.0, 2.0, 7, "some"),
+                                         (30.0, 0.1, 5, "all"), (262.0, 1.0, 3, "all")):
+        count = sample_population(CFG, PopulationSpec(height_mean_cm=mean, height_std_cm=std, sample_count=samples))[2]
+        assert {"none": count == 0, "some": 0 < count < samples, "all": count == samples}[rejected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+@example([0.75])
+@example([-1.5, 2.0])
+@example([0.1, -0.2, 0.3])
+@example([3.0, -1e-3, 0.0, 7.5, -2.25])
+def test_chunked_evaluation_matches_the_whole_vector(values):
+    # The search's evaluation passes P and N through a work vector a quarter
+    # of r long (n = 1, 2, 3 and 5 leave 1, 2, 3 and 3 chunks). M keeps
+    # np.mean's bits; P and N sum nonnegative squares in another order, so
+    # they agree with the whole-vector dot to n * eps.
+    r = np.array(values)
+    n = r.size
+    pos, neg = np.maximum(r, 0.0), np.minimum(r, 0.0)
+    m, p, q = _mean_squares(r.copy(), np.empty(-(-n // 4)))
+    assert m.hex() == float(np.mean(r * r)).hex()
+    tol = {"rel_tol": n * np.finfo(float).eps, "abs_tol": n * 2.0**-1074}  # the absolute part: squares that underflow
+    assert math.isclose(p, float(pos @ pos) / n, **tol)
+    assert math.isclose(q, float(neg @ neg) / n, **tol)
 
 
 def test_optimize_estimators_agree():

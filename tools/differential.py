@@ -1,0 +1,184 @@
+"""Differential check of two source trees: the same drawn inputs through each,
+compared output by output.
+
+Usage, from the root of a checkout:
+
+    python3 tools/differential.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
+
+PARENT_SRC and CHANGE_SRC are directories that hold a ``shelfgaze`` package,
+such as the ``src`` of two archive copies. Each tree runs in its own
+interpreter, which draws N configs from the seed and prints one line per
+public output: ``sample_population`` (its arrays as sha256 of ``tobytes()``),
+``optimize_camera_drop`` and ``distance_table`` on a drawn shelf and
+population; ``simulate``, ``replay_metrics(trace(cfg))`` and
+``sweep_processing_time`` on a drawn pipeline run. Then it replays every case
+of this checkout's ``tests/golden.json`` through ``shelfgaze.cli.main``. An
+exception is an output too: its type and message. The exit status is 0 when
+every line matches, 1 at the first line that differs, which is printed as
+both trees gave it, and 2 when a tree cannot run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _draw_placement(rng: random.Random):
+    from shelfgaze.geometry import ShelfConfig
+    from shelfgaze.placement import PopulationSpec
+
+    shelf = rng.uniform(100.0, 300.0)
+    panel = rng.uniform(20.0, min(shelf, 250.0))
+    cfg = ShelfConfig(shelf_height_cm=shelf, panel_height_cm=panel, camera_drop_cm=rng.uniform(0.0, panel),
+                      eye_crown_offset_cm=rng.uniform(0.0, 15.0))
+    near, far = sorted(rng.uniform(1.0, 1500.0) for _ in range(2))
+    pop = PopulationSpec(
+        height_mean_cm=rng.uniform(30.0, 280.0),  # from every eye below the panel to every eye too high
+        height_std_cm=rng.uniform(0.1, 60.0),
+        distance_min_cm=near,
+        distance_max_cm=far,
+        sample_count=round(math.exp(rng.uniform(0.0, math.log(20_000)))),
+        seed=rng.getrandbits(64),
+    )
+    statures = [rng.uniform(40.0, 260.0) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.05:
+        statures.append(rng.choice([-5.0, math.nan, 1e308]))
+    return cfg, pop, statures
+
+
+def _draw_pipeline(rng: random.Random):
+    from shelfgaze.pipeline import FixedTime, NormalTime, SimConfig, UniformTime
+
+    def distribution(top_ms: float):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return FixedTime(rng.uniform(1e-3, top_ms))
+        if kind == 1:
+            return UniformTime(*sorted(rng.uniform(1e-3, top_ms) for _ in range(2)))
+        return NormalTime(rng.uniform(1e-3, top_ms), rng.uniform(0.0, top_ms / 3))
+
+    cfg = SimConfig(
+        processing_time=distribution(300.0),
+        capture_fps=rng.uniform(0.5, 120.0),
+        duration_s=math.exp(rng.uniform(math.log(1e-3), math.log(8.0))),
+        seed=rng.getrandbits(64),
+        capture_jitter=distribution(5.0) if rng.random() < 0.5 else None,
+    )
+    return cfg, [rng.uniform(1.0, 300.0) for _ in range(3)]
+
+
+def _digest(array) -> str:
+    return f"{array.dtype}[{array.size}]:{hashlib.sha256(array.tobytes()).hexdigest()}"
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as exc:  # the raised error is the output being compared
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _outputs(configs: int, seed: int):
+    """(label, output) of every compared call, in a fixed order."""
+    from shelfgaze.pipeline import replay_metrics, simulate, sweep_processing_time, trace
+    from shelfgaze.placement import distance_table, optimize_camera_drop, sample_population
+
+    rng = random.Random(seed)
+    for k in range(configs):
+        cfg, pop, statures = _draw_placement(rng)
+        eye, distance, rejected = sample_population(cfg, pop)
+        yield f"{k} sample_population", f"{_digest(eye)} {_digest(distance)} rejected={rejected}"
+        yield f"{k} optimize_camera_drop", _outcome(lambda: optimize_camera_drop(cfg, pop))
+        yield f"{k} distance_table", _outcome(lambda: distance_table(cfg, statures))
+        sim, times = _draw_pipeline(rng)
+        yield f"{k} simulate", _outcome(lambda: simulate(sim))
+        yield f"{k} replay_metrics(trace)", _outcome(lambda: replay_metrics(trace(sim), sim))
+        yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    from replay_cli import in_process
+
+    os.environ["COLUMNS"] = "80"
+    cases = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for case in cases:
+            for name, text in case["files"].items():
+                Path(name).write_text(text, encoding="utf-8")
+            code, out, err = in_process(case["argv"], case["stdin"] or "")
+            stdout = f"{out.count(chr(10))} lines, sha256 {hashlib.sha256(out.encode()).hexdigest()}"
+            yield f"golden {json.dumps(case['argv'])}", f"exit {code}, stdout {stdout}, stderr {err!r}"
+
+
+def worker(src: str, configs: int, seed: int) -> int:
+    """Print the outputs of the shelfgaze under src, one line each."""
+    sys.path.insert(0, src)
+    import shelfgaze
+
+    if Path(shelfgaze.__file__).resolve().parent != Path(src).resolve() / "shelfgaze":
+        print(f"error: imported shelfgaze from {shelfgaze.__file__}, not {src}", file=sys.stderr)
+        return 2
+    for label, output in _outputs(configs, seed):
+        print(f"{label}: {output}", flush=True)
+    return 0
+
+
+def compare(parent: str, change: str, configs: int, seed: int) -> int:
+    """Run both trees side by side and compare their lines in order."""
+    procs = [
+        subprocess.Popen([sys.executable, __file__, "--worker", src, "--configs", str(configs), "--seed", str(seed)],
+                         stdout=subprocess.PIPE, text=True)
+        for src in (parent, change)
+    ]
+    equal = 0
+    try:
+        while True:
+            got = [proc.stdout.readline() for proc in procs]
+            if got[0] != got[1]:
+                break
+            if not got[0]:
+                return 2 if any(proc.wait() for proc in procs) else 0
+            equal += 1
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        print(f"{equal} equal outputs ({configs} configs, seed {seed}, and the CLI cases)")
+    print("first difference:")
+    for name, line in zip(("parent", "change"), got):
+        print(f"  {name}: {line.rstrip() or '(no more output)'}")
+    # A tree that stopped early with an error did not run.
+    return 2 if any(not line and proc.returncode for line, proc in zip(got, procs)) else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", metavar="PARENT_SRC", nargs="?")
+    parser.add_argument("change", metavar="CHANGE_SRC", nargs="?")
+    parser.add_argument("--configs", type=int, default=3000, help="drawn configs (default 3000)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the drawn configs (default 0)")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.configs < 0 or args.seed < 0:
+        parser.error("--configs and --seed must be nonnegative")
+    if args.worker:
+        return worker(args.worker, args.configs, args.seed)
+    if not (args.parent and args.change):
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+    return compare(args.parent, args.change, args.configs, args.seed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
