@@ -157,33 +157,18 @@ def _mean_squares(r: np.ndarray, part: np.ndarray) -> tuple[float, float, float]
     return _square_mean(r), pos / r.size, neg / r.size
 
 
-def _grid_argmin(residual, last: int) -> int:
-    """First i in 0..last minimizing M(i) = mean(residual(i * RESIDUAL_GRID_STEP_CM) ** 2),
-    the index a scan of the whole grid picks.
+def _grid_argmin(evaluate, last: int) -> int:
+    """First i in 0..last minimizing M(i), the index a scan of the whole grid
+    picks; evaluate(i) returns the floats (M(i), P(i), N(i)).
 
-    Each element of residual(x) must rise with x. Between grid points p < q
-    it then stays within its values at p and q, so M inside the span is at
-    least P(p) + N(q), where P and N are the mean squares of the positive
-    and of the negative parts; an evaluation keeps only M, P and N. Best
-    first, the span with the lowest bound is split at its midpoint until no
-    bound can beat the best point: about 30 evaluations, none repeated. P
-    and N sum nonnegative squares, so their relative error is at most n*eps,
-    1.1e-10 at a million shoppers: the margin covers it and residual rounding.
-    residual may return the same vector each call, and an evaluation may
-    overwrite that vector (it squares it in place); it is done with it before
-    the next call. P and N pass through a work vector 1/_WORK_CHUNKS as long.
+    The bound contract: for grid indices p < q, P(p) + N(q) is a lower bound
+    on M at every index in p..q, up to a margin of 1e-9 times the best M
+    plus 1e-18. The margin holds for P and N accurate to a relative n * eps,
+    as any sum of n nonnegative squares is (1.1e-10 at a million terms), and
+    for squares that underflow. Best first, the span with the lowest bound
+    is split at its midpoint until no bound can beat the best point: about
+    30 evaluations, none repeated.
     """
-    import numpy as np
-
-    part = None
-
-    def evaluate(i: int) -> tuple[float, float, float]:
-        nonlocal part
-        r = residual(i * RESIDUAL_GRID_STEP_CM)
-        if part is None:
-            part = np.empty(-(-r.size // _WORK_CHUNKS))
-        return _mean_squares(r, part)
-
     seen = {i: evaluate(i) for i in {0, last}}
     best = min((m, i) for i, (m, _, _) in seen.items())  # ties keep the first index
     spans = [(seen[0][1] + seen[last][2], 0, last)] if last > 1 else []
@@ -202,17 +187,20 @@ def _residual_minimum(eye: np.ndarray, distance: np.ndarray, top: float, bottom:
     """Drop minimizing the mean of the squared residual theta_top +
     theta_bottom - 2 * theta_cam, which is 0 where the camera ray bisects a
     shopper's view of the panel: the grid argmin over 0..last, refined by
-    golden section. Next to eye and distance it holds theta_top +
-    theta_bottom, the residual vector that every evaluation overwrites, and
-    the search's quarter-length work vector: a peak of 4.25 population
-    vectors, eye and distance included; all but those two are freed on
-    return."""
+    golden section. Each element of the residual rises with the drop
+    (theta_cam falls), so between grid points p < q it stays within its
+    values at p and q, and _grid_argmin's bound P(p) + N(q) holds. This
+    function owns the vectors: next to eye and distance, theta_top +
+    theta_bottom, the residual that every evaluation overwrites, and a work
+    vector 1/_WORK_CHUNKS as long for P and N; a peak of 4.25 population
+    vectors. All but eye and distance are freed on return."""
     import numpy as np
 
     theta_sum = np.subtract(top, eye)
     np.arctan2(theta_sum, distance, out=theta_sum)
     r = np.subtract(bottom, eye)
     theta_sum += np.arctan2(r, distance, out=r)
+    part = np.empty(-(-r.size // _WORK_CHUNKS))
 
     def residual(drop: float) -> np.ndarray:
         # theta_sum - 2.0 * arctan2(top - drop - eye, distance), in place.
@@ -221,7 +209,7 @@ def _residual_minimum(eye: np.ndarray, distance: np.ndarray, top: float, bottom:
         np.multiply(2.0, r, out=r)
         return np.subtract(theta_sum, r, out=r)
 
-    best = _grid_argmin(residual, last)
+    best = _grid_argmin(lambda i: _mean_squares(residual(i * RESIDUAL_GRID_STEP_CM), part), last)
     lo = max(best - 1, 0) * RESIDUAL_GRID_STEP_CM
     hi = min(best + 1, last) * RESIDUAL_GRID_STEP_CM
     return _golden_min(lambda drop: _square_mean(residual(drop)), lo, hi, RESIDUAL_REFINE_TOL_CM)
@@ -231,12 +219,10 @@ def optimize_camera_drop(cfg: ShelfConfig, pop: PopulationSpec) -> PlacementResu
     """Per-sample bisector drops aggregated over the population.
 
     Also runs the residual estimator: the drop minimizing the mean squared
-    imbalance. Its minimum on a 0.1 cm drop grid is found by a best-first
-    branch and bound over grid spans (``_grid_argmin``): about 30 evaluations
-    for typical populations instead of 1,381, and the same grid point as
-    evaluating every drop, even where the curve has several local minima.
-    That point is refined once by golden section to 1e-4 cm between its
-    neighbours, which assumes the curve is unimodal there.
+    imbalance (``_residual_minimum``, whose bound makes ``_grid_argmin`` pick
+    the same 0.1 cm grid point as evaluating every drop). That point is
+    refined once by golden section to 1e-4 cm between its neighbours, which
+    assumes the curve is unimodal there.
     Deterministic for a fixed seed; samples are aggregated in draw order.
     The declared ranges of the settings bound the grid to 10,001 points and
     keep every drop and squared residual finite and, at drop 0, nonzero.

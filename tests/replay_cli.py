@@ -49,19 +49,22 @@ def installed(argv: list, stdin: str) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def replay(cases: list, run=in_process) -> list:
-    """The cases whose outcome under ``run`` differs, run in the current
-    directory, which receives their files."""
+def run_cases(cases: list, run=in_process):
+    """Each case with its (code, stdout, stderr) under ``run``, at 80 columns
+    in the current directory, which receives the case's files first."""
     os.environ["COLUMNS"] = "80"
-    differ = []
     for case in cases:
         for name, text in case["files"].items():
             with open(name, "w", encoding="utf-8") as f:
                 f.write(text)
-        got = run(case["argv"], case["stdin"] or "")
-        if not (got[0] == case["code"] and _matches(case["stdout"], got[1]) and _matches(case["stderr"], got[2])):
-            differ.append([case["argv"], *got])
-    return differ
+        yield case, run(case["argv"], case["stdin"] or "")
+
+
+def replay(cases: list, run=in_process) -> list:
+    """The cases whose outcome under ``run`` differs, run in the current
+    directory, which receives their files."""
+    return [[case["argv"], *got] for case, got in run_cases(cases, run)
+            if not (got[0] == case["code"] and _matches(case["stdout"], got[1]) and _matches(case["stderr"], got[2]))]
 
 
 if __name__ == "__main__":

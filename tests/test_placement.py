@@ -234,10 +234,10 @@ def test_residual_drop_matches_exhaustive_scan(shelf, panel, mean, std, dist_a, 
     assert optimize_camera_drop(cfg, pop).residual_db_cm == _exhaustive_residual_drop(cfg, pop)
 
 
-def _counted(residual, drops):
-    def wrapped(drop):
-        drops.append(drop)
-        return residual(drop)
+def _counted(evaluate, indices):
+    def wrapped(i):
+        indices.append(i)
+        return evaluate(i)
 
     return wrapped
 
@@ -276,21 +276,27 @@ def test_grid_argmin_matches_full_scan(last, elements):
         z = slope * (drop - center)
         return weight * np.where(kinds == "line", z, np.where(kinds == "tanh", np.tanh(z), np.floor(z)))
 
-    full = [float(np.mean(r * r)) for r in (residual(i * RESIDUAL_GRID_STEP_CM) for i in range(last + 1))]
-    drops = []
-    assert _grid_argmin(_counted(residual, drops), last) == int(np.argmin(full))
-    assert len(drops) == len(set(drops))
+    def evaluate(i):
+        r = residual(i * RESIDUAL_GRID_STEP_CM)
+        pos, neg = np.maximum(r, 0.0), np.minimum(r, 0.0)
+        return float(np.mean(r * r)), float(np.mean(pos * pos)), float(np.mean(neg * neg))
+
+    full = [evaluate(i)[0] for i in range(last + 1)]
+    indices = []
+    assert _grid_argmin(_counted(evaluate, indices), last) == int(np.argmin(full))
+    assert all(type(i) is int and 0 <= i <= last for i in indices)
+    assert len(indices) == len(set(indices))
 
 
 def test_residual_search_evaluations_and_memory(monkeypatch):
     # 100k shoppers, seed 7: the search evaluates 30 grid points, each once
     # (the stride scan it replaced took 70 evaluations of 60 points).
-    drops = []
+    indices = []
     search = placement._grid_argmin
-    monkeypatch.setattr(placement, "_grid_argmin", lambda residual, last: search(_counted(residual, drops), last))
+    monkeypatch.setattr(placement, "_grid_argmin", lambda evaluate, last: search(_counted(evaluate, indices), last))
     pop = PopulationSpec(sample_count=100_000, seed=7)
     optimize_camera_drop(CFG, pop)
-    assert len(drops) == len(set(drops)) <= 40
+    assert len(indices) == len(set(indices)) <= 40
     # The peak is the search's: eye, distance, theta_sum, the one residual
     # vector every evaluation overwrites, and a quarter-length work vector,
     # 4.25 vectors of 0.8 MB (the out-of-place search held 6.0, 4.81 MB).

@@ -4,6 +4,7 @@ compared output by output.
 Usage, from the root of a checkout:
 
     python3 tools/differential.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
+        [--change-env NAME=VALUE ...]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``shelfgaze`` package,
 such as the ``src`` of two archive copies. Each tree runs in its own
@@ -13,7 +14,10 @@ public output: ``sample_population`` (its arrays as sha256 of ``tobytes()``),
 population; ``simulate``, ``replay_metrics(trace(cfg))`` and
 ``sweep_processing_time`` on a drawn pipeline run. Then it replays every case
 of this checkout's ``tests/golden.json`` through ``shelfgaze.cli.main``. An
-exception is an output too: its type and message. The exit status is 0 when
+exception is an output too: its type and message. Each ``--change-env``
+sets a variable in the change tree's interpreter only, so ``src src
+--change-env NPY_DISABLE_CPU_FEATURES=...`` compares one tree under two sets
+of numpy CPU kernels. The exit status is 0 when
 every line matches, 1 at the first line that differs, which is printed as
 both trees gave it, and 2 when a tree cannot run.
 """
@@ -107,16 +111,12 @@ def _outputs(configs: int, seed: int):
         yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
 
     sys.path.insert(0, str(ROOT / "tests"))
-    from replay_cli import in_process
+    from replay_cli import run_cases
 
-    os.environ["COLUMNS"] = "80"
     cases = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for case in cases:
-            for name, text in case["files"].items():
-                Path(name).write_text(text, encoding="utf-8")
-            code, out, err = in_process(case["argv"], case["stdin"] or "")
+        for case, (code, out, err) in run_cases(cases):
             stdout = f"{out.count(chr(10))} lines, sha256 {hashlib.sha256(out.encode()).hexdigest()}"
             yield f"golden {json.dumps(case['argv'])}", f"exit {code}, stdout {stdout}, stderr {err!r}"
 
@@ -134,12 +134,13 @@ def worker(src: str, configs: int, seed: int) -> int:
     return 0
 
 
-def compare(parent: str, change: str, configs: int, seed: int) -> int:
-    """Run both trees side by side and compare their lines in order."""
+def compare(parent: str, change: str, configs: int, seed: int, change_env: dict[str, str]) -> int:
+    """Run both trees side by side, the change's worker with change_env added
+    to its environment, and compare their lines in order."""
     procs = [
         subprocess.Popen([sys.executable, __file__, "--worker", src, "--configs", str(configs), "--seed", str(seed)],
-                         stdout=subprocess.PIPE, text=True)
-        for src in (parent, change)
+                         stdout=subprocess.PIPE, text=True, env=env)
+        for src, env in ((parent, None), (change, {**os.environ, **change_env}))
     ]
     equal = 0
     try:
@@ -163,12 +164,21 @@ def compare(parent: str, change: str, configs: int, seed: int) -> int:
     return 2 if any(not line and proc.returncode for line, proc in zip(got, procs)) else 1
 
 
+def _assignment(text: str) -> tuple[str, str]:
+    name, eq, value = text.partition("=")
+    if not (name and eq):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_SRC", nargs="?")
     parser.add_argument("change", metavar="CHANGE_SRC", nargs="?")
     parser.add_argument("--configs", type=int, default=3000, help="drawn configs (default 3000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the drawn configs (default 0)")
+    parser.add_argument("--change-env", metavar="NAME=VALUE", type=_assignment, action="append", default=[],
+                        help="set a variable in the change tree's worker only (repeatable)")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.configs < 0 or args.seed < 0:
@@ -177,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         return worker(args.worker, args.configs, args.seed)
     if not (args.parent and args.change):
         parser.error("PARENT_SRC and CHANGE_SRC are required")
-    return compare(args.parent, args.change, args.configs, args.seed)
+    return compare(args.parent, args.change, args.configs, args.seed, dict(args.change_env))
 
 
 if __name__ == "__main__":
