@@ -9,10 +9,10 @@ the capture is applied first, so the consumer always picks up the newest
 possible frame.
 
 One loop, `_events`, states these rules. `trace` runs it for its events;
-`simulate` runs it in tally mode, keeping latencies and completed frame ids
-and taking its frame counts from frame conservation. `replay_metrics` folds
-recorded events with `_fold`, which follows the consumer's state. Both end
-in `_metrics`, the one place that turns completed ids into skip gaps.
+`simulate` runs it in tally mode, taking its frame counts from frame
+conservation. `replay_metrics` folds recorded events, whose times must not
+fall and must stay within [0, end of run], following the consumer's state.
+Both end in `_metrics`, the one place that turns completed ids into skip gaps.
 
 Standard library only: the latency mean and 95th percentile are computed the
 way numpy computes ``np.mean`` and ``np.percentile``, bit for bit, so the
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
 from itertools import islice, starmap
-from operator import attrgetter, sub
+from operator import sub
 from typing import Generator, Iterable, NamedTuple, Union
 
 from .errors import check_ranges, check_value, field_range, in_range
@@ -255,42 +255,6 @@ def _mean_p95(xs: list[float]) -> tuple[float, float]:
     return mean, (b - d * (1 - g) if g >= 0.5 else a + d * g)
 
 
-def _fold(rows: Iterable[tuple[float, str, int]], cfg: SimConfig) -> SimMetrics:
-    """Fold `(t_ms, kind, frame_id)` rows into metrics, following the
-    consumer. ValueError names the kind and frame of a capture whose id is
-    not the count of captures so far, a drop or take of a frame not waiting,
-    a take while one is in flight, a complete of a frame not in flight, an
-    unknown kind, or a frame left waiting at the end (a run drops its slot)."""
-    captured = dropped = 0
-    waiting: dict[int, float] = {}  # capture times of frames not yet dropped or taken
-    flight = None  # the frame taken and not completed
-    latencies: list[float] = []
-    done: list[int] = []
-
-    for t_ms, kind, frame_id in rows:
-        try:
-            if kind == CAPTURE and frame_id == captured:
-                waiting[frame_id] = t_ms
-                captured += 1
-            elif kind == DROP:
-                del waiting[frame_id]
-                dropped += 1
-            elif kind == TAKE and flight is None:
-                flight, cap_t = frame_id, waiting.pop(frame_id)
-            elif kind == COMPLETE and flight is not None and frame_id == flight:
-                latencies.append(t_ms - cap_t)
-                done.append(frame_id)
-                flight = None
-            else:
-                raise KeyError(frame_id)
-        except KeyError:
-            raise ValueError(f"unexpected {kind!r} event for frame {frame_id}") from None
-    if waiting:
-        raise ValueError(f"frame {next(iter(waiting))} is captured but never taken or dropped")
-
-    return _metrics(captured, dropped, int(flight is not None), latencies, done, cfg)
-
-
 def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float],
              done: list[int], cfg: SimConfig) -> SimMetrics:
     """Metrics from a run's tallies: one latency per completion, and the ids
@@ -313,10 +277,45 @@ def _metrics(captured: int, dropped: int, in_flight: int, latencies: list[float]
 
 
 def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
-    """Fold the event stream of a whole run into the metrics of the run that
-    emitted it. A row the latest-frame pipeline could not have emitted raises
-    ValueError, as does a frame left in the slot at the end (see `_fold`)."""
-    return _fold(map(attrgetter("t_ms", "kind", "frame_id"), events), cfg)
+    """Fold the events of a whole run, read by `t_ms`, `kind` and `frame_id`,
+    into the metrics of the run that emitted it. ValueError names the kind,
+    frame and time of an event before the one it follows (or 0) or past the
+    run's end, NaN included; the kind and frame of a capture whose id is not
+    the count of captures so far, a drop or take of a frame not waiting, a
+    take while one is in flight, a complete of a frame not in flight, or an
+    unknown kind; and a frame left waiting at the end (a run drops its slot)."""
+    last_t, end_ms = 0.0, cfg.duration_s * 1000.0  # the end as `_events` computes it
+    captured = dropped = 0
+    waiting: dict[int, float] = {}  # capture times of frames not yet dropped or taken
+    flight = None  # the frame taken and not completed
+    latencies: list[float] = []
+    done: list[int] = []
+    for ev in events:
+        t_ms, kind = ev.t_ms, ev.kind
+        if not last_t <= t_ms <= end_ms:
+            raise ValueError(f"{kind!r} event for frame {ev.frame_id} at {t_ms} ms is outside [{last_t}, {end_ms}]")
+        last_t = t_ms
+        try:
+            if kind == CAPTURE and ev.frame_id == captured:
+                waiting[ev.frame_id] = t_ms
+                captured += 1
+            elif kind == DROP:
+                del waiting[ev.frame_id]
+                dropped += 1
+            elif kind == TAKE and flight is None:
+                flight, cap_t = ev.frame_id, waiting.pop(ev.frame_id)
+            elif kind == COMPLETE and flight is not None and ev.frame_id == flight:
+                latencies.append(t_ms - cap_t)
+                done.append(ev.frame_id)
+                flight = None
+            else:
+                raise KeyError
+        except KeyError:
+            raise ValueError(f"unexpected {kind!r} event for frame {ev.frame_id}") from None
+    if waiting:
+        raise ValueError(f"frame {next(iter(waiting))} is captured but never taken or dropped")
+
+    return _metrics(captured, dropped, int(flight is not None), latencies, done, cfg)
 
 
 def simulate(cfg: SimConfig) -> SimMetrics:

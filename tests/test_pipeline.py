@@ -6,9 +6,13 @@ import inspect
 import math
 import pickle
 import random
+import re
 import struct
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -263,6 +267,48 @@ def test_replay_rejects_unknown_kind():
     waiting = [SimEvent(0.0, CAPTURE, 0), SimEvent(0.0, TAKE, 0), SimEvent(1.0, CAPTURE, 1)]
     with pytest.raises(ValueError, match="^frame 1 is captured but never taken or dropped$"):
         replay_metrics(waiting, cfg)
+    # Times no run emits: a completion before the take it ends, at NaN, and
+    # past the end of a 60 s run; a capture before the run starts.
+    taken = [SimEvent(5.0, CAPTURE, 0), SimEvent(5.0, TAKE, 0)]
+    for stream, message in (
+        (taken + [SimEvent(1.0, COMPLETE, 0)], "'complete' event for frame 0 at 1.0 ms is outside [5.0, 60000.0]"),
+        (taken + [SimEvent(math.nan, COMPLETE, 0)], "'complete' event for frame 0 at nan ms is outside [5.0, 60000.0]"),
+        (taken + [SimEvent(9e9, COMPLETE, 0)],
+         "'complete' event for frame 0 at 9000000000.0 ms is outside [5.0, 60000.0]"),
+        ([SimEvent(-1.0, CAPTURE, 0)], "'capture' event for frame 0 at -1.0 ms is outside [0.0, 60000.0]"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replay_metrics(stream, cfg)
+    # An event at the last time, and one at the end, are in time.
+    at_end = taken + [SimEvent(5.0, CAPTURE, 1), SimEvent(5.0, CAPTURE, 2), SimEvent(5.0, DROP, 1),
+                      SimEvent(60000.0, DROP, 2)]
+    assert replay_metrics(at_end, cfg)[:4] == (0, 3, 2, 1)
+
+
+class _Row(NamedTuple):
+    """An event of another type, its fields in another order."""
+
+    frame_id: int
+    kind: str
+    t_ms: float
+
+
+def _rows(events):
+    return [_Row(ev.frame_id, ev.kind, ev.t_ms) for ev in events]
+
+
+def test_replay_reads_events_by_attribute():
+    cfg = SimConfig(UniformTime(66.7, 100.0), duration_s=3.0, seed=11)
+    events = trace(cfg)
+    assert replay_metrics(_rows(events), cfg) == replay_metrics(events, cfg) == simulate(cfg)
+    # The same errors, by the same names.
+    for damaged in (events[:5] + events[6:], events[:-1]):
+        messages = []
+        for stream in (damaged, _rows(damaged)):
+            with pytest.raises(ValueError) as raised:
+                replay_metrics(stream, cfg)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 def test_sweep_rows():
@@ -380,6 +426,89 @@ def test_throughput_law_with_fixed_processing(ms, fps, duration_s):
     # frame, plus the rounding of float event times at the end.
     m = simulate(fixed_cfg(ms, fps=fps, duration=duration_s))
     assert abs(m.processed_count - min(fps, 1000.0 / ms) * duration_s) <= 1 + 1e-9
+
+
+def _oracle(fps, ms, duration_s):
+    """A fixed-time, unjittered run in closed form, in exact arithmetic: the
+    capture interval I, the run's end D, the capture count, the (completion
+    time, frame) of each processed frame, and the frames in flight at the end.
+
+    With T <= I each capture kI is taken at once and done at kI + T, if that
+    is by D. With T > I take k is at kT, of frame floor(kT / I), the newest
+    capture by then: a capture at a completion's time comes first. The run
+    stops at the first take done past D, or after a completion at D."""
+    interval, t_proc, end = Fraction(1000.0 / fps), Fraction(ms), Fraction(duration_s * 1000.0)
+    captured = math.ceil(end / interval)  # the captures kI < D
+    if t_proc <= interval:
+        done = [(k * interval + t_proc, k) for k in range(captured) if k * interval + t_proc <= end]
+        return interval, end, captured, done, captured - len(done)
+    done, t = [], Fraction(0)
+    while t < end and t + t_proc <= end:
+        done.append((t + t_proc, t // interval))
+        t += t_proc
+    return interval, end, captured, done, int(t < end)
+
+
+@st.composite
+def exact_runs(draw):
+    """(fps, ms, duration_s) with I = 1000 / fps = 2^a * 5^b / 2^j, T = m / 2^j
+    and D a multiple of 15.625 ms, so that every time the loop computes is an
+    exact float; T up to I or from I to 8 I, as often; at most 3,000 captures,
+    as many runs in each octave of length."""
+    fps = 2.0 ** draw(st.integers(-3, 7)) * 5 ** draw(st.integers(0, 3))
+    scale = 2 ** draw(st.integers(0, 6))
+    top = int(1000 / fps * scale)  # the largest m with T <= I
+    ms = draw(st.integers(1, max(1, top)) if draw(st.booleans()) else st.integers(top + 1, 8 * top + 1)) / scale
+    units = max(1, int(3000 * 64 / fps))  # the most 1/64 s units in 3,000 captures
+    octave = draw(st.integers(0, units.bit_length() - 1))
+    return fps, ms, draw(st.integers(2**octave, min(2 ** (octave + 1), units))) / 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_runs())
+@example((25.0, 20.0, 1.0))  # T < I: each capture taken at once
+@example((10.0, 100.0, 1.0))  # T = I: each completion on the next capture, the last at D
+@example((32.0, 83.25, 60.0))  # T > I, near the paper's 12 FPS
+# T > I: completions on the capture ticks at 300, 600 and 900 ms, and frame 9,
+# taken at 900 ms, is in flight at the end.
+@example((10.0, 150.0, 1.0))
+@example((10.0, 150.0, 0.3))  # T > I: frame 1 done at D, frame 2 in the slot
+def test_fixed_unjittered_runs_match_the_exact_oracle(run):
+    fps, ms, duration_s = run
+    interval, end, captured, done, in_flight = _oracle(fps, ms, duration_s)
+    # The family's premise: I as the loop computes it is exact, and so is
+    # each latency.
+    assert interval == Fraction(1000) / Fraction(fps)
+    latencies = [float(c - frame * interval) for c, frame in done]
+    assert [Fraction(x) for x in latencies] == [c - frame * interval for c, frame in done]
+    m = simulate(fixed_cfg(ms, fps=fps, duration=duration_s))
+    assert m.captured_count == captured
+    dropped = captured - len(done) - in_flight
+    assert (m.processed_count, m.dropped_count, m.in_flight_count) == (len(done), dropped, in_flight)
+    gaps = Counter(b - a - 1 for (_, a), (_, b) in zip(done, done[1:]))
+    assert list(m.skips_per_processed.items()) == sorted(gaps.items())
+    if latencies:
+        assert _bits(m.latency_mean_ms) == _bits(float(np.mean(latencies)))
+        assert _bits(m.latency_p95_ms) == _bits(float(np.percentile(latencies, 95)))
+    else:
+        assert m.latency_mean_ms is m.latency_p95_ms is None
+
+
+def test_oracle_examples_reach_their_cases():
+    # The explicit examples above do reach the cases they are named for.
+    interval, end, captured, done, in_flight = _oracle(25.0, 20.0, 1.0)
+    assert 20 < interval and len(done) == captured
+    interval, end, captured, done, in_flight = _oracle(10.0, 100.0, 1.0)
+    assert 100 == interval and done[-1][0] == end and in_flight == 0
+    for run in ((32.0, 83.25, 60.0), (10.0, 150.0, 1.0), (10.0, 150.0, 0.3)):
+        assert run[1] > _oracle(*run)[0]
+    # Completions on capture ticks before the end, and a run that ends busy.
+    interval, end, captured, done, in_flight = _oracle(10.0, 150.0, 1.0)
+    assert [c for c, _ in done if c % interval == 0 and c < end] == [300, 600, 900]
+    assert in_flight == 1 and done[-1][0] + 150 > end
+    # A completion at D, with the newest capture in the slot.
+    interval, end, captured, done, in_flight = _oracle(10.0, 150.0, 0.3)
+    assert done[-1][0] == end and in_flight == 0 and captured - 1 not in [frame for _, frame in done]
 
 
 @settings(max_examples=100, deadline=None)
@@ -556,12 +685,10 @@ def _bits(x):
 @example([math.inf])
 @example([2.0, math.nan, 1.0])
 def test_fold_latency_statistics_match_numpy_bit_for_bit(latencies):
-    # Frame i is captured at 0 and completes at latencies[i], so its
-    # latency is latencies[i] exactly.
-    rows = []
-    for i, latency in enumerate(latencies):
-        rows += [(0.0, CAPTURE, i), (0.0, TAKE, i), (latency, COMPLETE, i)]
-    metrics = pipeline._fold(rows, fixed_cfg(50.0))
+    # Any floats, so not a run's: the tallies of frames 0, 1, ... completed
+    # with these latencies go to `_metrics`, where both folds end.
+    n = len(latencies)
+    metrics = pipeline._metrics(n, 0, 0, latencies, list(range(n)), fixed_cfg(50.0))
     with np.errstate(all="ignore"):
         mean = float(np.array(latencies).mean())
         p95 = float(np.percentile(latencies, 95))

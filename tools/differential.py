@@ -11,7 +11,9 @@ such as the ``src`` of two archive copies. Each tree runs in its own
 interpreter, which draws N configs from the seed and prints one line per
 public output: ``sample_population`` (its arrays as sha256 of ``tobytes()``),
 ``optimize_camera_drop`` and ``distance_table`` on a drawn shelf and
-population; ``simulate``, ``replay_metrics(trace(cfg))`` and
+population; ``simulate``, ``replay_metrics(trace(cfg))``, ``replay_metrics``
+of that trace with event ``k % n`` deleted and with it duplicated (for config
+k of a trace of n events, so the fold's error paths are compared too), and
 ``sweep_processing_time`` on a drawn pipeline run. Then it replays every case
 of this checkout's ``tests/golden.json`` through ``shelfgaze.cli.main``. An
 exception is an output too: its type and message. Each ``--change-env``
@@ -93,6 +95,14 @@ def _outcome(call) -> str:
         return f"raised {type(exc).__name__}: {exc}"
 
 
+def _damaged(events: list, k: int, copies: int) -> list:
+    """events with event k % n replaced by `copies` copies of it."""
+    if events:
+        i = k % len(events)
+        events[i:i + 1] = [events[i]] * copies
+    return events
+
+
 def _outputs(configs: int, seed: int):
     """(label, output) of every compared call, in a fixed order."""
     from shelfgaze.pipeline import replay_metrics, simulate, sweep_processing_time, trace
@@ -108,6 +118,9 @@ def _outputs(configs: int, seed: int):
         sim, times = _draw_pipeline(rng)
         yield f"{k} simulate", _outcome(lambda: simulate(sim))
         yield f"{k} replay_metrics(trace)", _outcome(lambda: replay_metrics(trace(sim), sim))
+        for damage, copies in (("deleted", 0), ("duplicated", 2)):
+            yield (f"{k} replay_metrics(trace, event k % n {damage})",
+                   _outcome(lambda: replay_metrics(_damaged(trace(sim), k, copies), sim)))
         yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
 
     sys.path.insert(0, str(ROOT / "tests"))
