@@ -11,6 +11,11 @@ Dataclass settings resolve in three layers, in ``_from_args``: the dataclass
 default, then a JSON settings file (--config for the shelf, --spec for the
 calibration protocol), then the flags actually given. Only subcommands that
 read the shelf, as ``_SUBCOMMANDS`` marks them, accept the shelf flags.
+
+A call that names a subcommand builds that subcommand's parser alone and
+parses the rest of argv once; only argv that starts with an option (--help)
+builds the top-level parser with all nine. A missing or unknown subcommand, and
+what its parser leaves over, are reported by a bare parser with the fixed usage.
 """
 
 from __future__ import annotations
@@ -19,11 +24,11 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
-from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
@@ -264,6 +269,8 @@ def _cmd_gaze(args: argparse.Namespace, cfg: ShelfConfig) -> int:
         raise ValueError("give exactly one of --direction or --target")
     if args.direction is not None:
         d = _parse_floats(args.direction, "--direction", 3)
+        if math.hypot(*d) < sys.float_info.min:  # subnormal components: scale them exactly, or dividing rounds
+            d = [math.ldexp(c, 1022) for c in d]
         norm = math.hypot(*d)
         if norm == 0:
             raise ValueError("--direction must be nonzero")
@@ -356,13 +363,7 @@ def _cmd_validate_calib(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0 if not violations else 2
 
 
-def _optimize_parser(add) -> _Parser:
-    p = add(
-        help="Monte Carlo camera drop placement over a shopper population",
-        description="Sample a shopper population and report camera drop statistics "
-        "(mean/median/std of the per-person bisector drop, plus the drop minimizing "
-        "the mean squared angular imbalance).",
-    )
+def _optimize_options(p: _Parser) -> None:
     samples_help = f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"
     _field_flag(p, PopulationSpec, "--samples", "sample_count", samples_help)
     _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
@@ -370,83 +371,46 @@ def _optimize_parser(add) -> _Parser:
     _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})")
     _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
-    return p
 
 
-def _distance_table_parser(add) -> _Parser:
-    p = add(
-        help="recommended viewing distance per stature (CSV, millimeters)",
-        description="For each stature, the distance at which the configured camera drop "
-        "sits exactly on the person's bisector. Rows with no valid distance are marked.",
-    )
+def _distance_table_options(p: _Parser) -> None:
     p.add_argument(
         "--statures",
         default="150,155,160,165,170,175,180",
         help="comma-separated statures in cm (default %(default)s)",
     )
-    return p
 
 
-def _sweep_parser(add) -> _Parser:
-    p = add(
-        help="angular imbalance vs camera drop for one person (CSV)",
-        description="Signed angular imbalance (upper minus lower viewing half-angle) "
-        "across candidate camera drops; the zero crossing is the bisector drop.",
-    )
+def _sweep_options(p: _Parser) -> None:
     p.add_argument("--stature", type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")
     p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
     p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
     p.add_argument("--stop", type=float, help="last drop in cm (default: panel height)")
     step_help = f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows"
     p.add_argument("--step", type=float, default=1.0, help=step_help)
-    return p
 
 
-def _cell_parser(add) -> _Parser:
-    p = add(
-        help="grid cell lookup: center of an index, or cell owning a point",
-        description="With --index, print that cell's center. With --x/--y, print the "
-        "cell owning the point. Coordinates are panel cm, origin top-left, y down.",
-    )
+def _cell_options(p: _Parser) -> None:
     p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
     p.add_argument("--x", type=float, help="point x in cm")
     p.add_argument("--y", type=float, help="point y in cm")
-    return p
 
 
-def _gaze_parser(add) -> _Parser:
-    p = add(
-        help="intersect a gaze ray with the panel and report the cell",
-        description="Eye position is x,y,z in panel coordinates (z toward the viewer, cm). "
-        "Aim with a direction vector (normalized internally) or a target point on the panel.",
-    )
+def _gaze_options(p: _Parser) -> None:
     p.add_argument("--eye", required=True, metavar="X,Y,Z", help="eye position in cm")
     p.add_argument("--direction", metavar="DX,DY,DZ", help="gaze direction (any length)")
     p.add_argument("--target", metavar="X,Y", help="panel point to aim at")
-    return p
 
 
-def _ear_parser(add) -> _Parser:
-    p = add(
-        help="eye aspect ratio readings from a landmarks file",
-        description="Read six-point eye landmarks and print one JSON reading per eye "
-        "with open/closed classification.",
-    )
+def _ear_options(p: _Parser) -> None:
     p.add_argument("--input", required=True, help="landmarks file, or - for stdin")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="input format (default %(default)s)")
     p.add_argument(
         "--threshold", type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)"
     )
-    return p
 
 
-def _simulate_parser(add) -> _Parser:
-    p = add(
-        help="discrete-event run of the capture/processing pipeline",
-        description="Single-slot latest-frame queue between a fixed-rate camera and a "
-        "consumer with the given processing-time distribution. Prints metrics JSON, "
-        "or an event trace / processing-time sweep as CSV.",
-    )
+def _simulate_options(p: _Parser) -> None:
     p.add_argument(
         "--proc",
         default="fixed:83.33",
@@ -464,48 +428,65 @@ def _simulate_parser(add) -> _Parser:
         metavar="T1,T2,...",
         help="sweep fixed processing times (ms) and print fps/skips per row",
     )
-    return p
 
 
-def _calib_plan_parser(add) -> _Parser:
-    p = add(
-        help="per-frame calibration ground truth for a training set size (JSONL)",
-        description="Plan a calibration session: training cells for the chosen set size "
-        "plus the four validation cells, three training frames and one validation frame "
-        "per cell, selected by seeded shuffle.",
-    )
+def _calib_plan_options(p: _Parser) -> None:
     *smaller, largest = TRAINING_SETS
     sizes = f"{', '.join(map(str, smaller))}, or {largest}"
     p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
     _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default {})")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
-    return p
 
 
-def _validate_calib_parser(add) -> _Parser:
-    p = add(
-        help="check a calibration protocol for overlap/symmetry/budget problems",
-        description="Print a JSON array of violations (empty when the protocol is "
-        "consistent). Exits 2 when violations are found.",
-    )
+def _validate_calib_options(p: _Parser) -> None:
     _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
     p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
-    return p
 
 
-# Every subcommand in --help order: the function that declares its options on
-# the subparser ``add`` creates from its help and description and returns it,
-# the command, and whether it reads the shelf (then it takes the flags and ``cfg``).
+class _Subcommand(NamedTuple):
+    help: str  # its line in the top-level help
+    description: str  # the text under its own usage
+    options: Callable[[_Parser], None]  # declares its options on a parser
+    command: Callable[..., int]
+    reads_shelf: bool  # then it takes the shelf flags, and ``command`` takes ``cfg``
+
+
+# Every subcommand, in --help order.
 _SUBCOMMANDS = {
-    "optimize": (_optimize_parser, _cmd_optimize, True),
-    "distance-table": (_distance_table_parser, _cmd_distance_table, True),
-    "sweep": (_sweep_parser, _cmd_sweep, True),
-    "cell": (_cell_parser, _cmd_cell, True),
-    "gaze": (_gaze_parser, _cmd_gaze, True),
-    "ear": (_ear_parser, _cmd_ear, False),
-    "simulate": (_simulate_parser, _cmd_simulate, False),
-    "calib-plan": (_calib_plan_parser, _cmd_calib_plan, True),
-    "validate-calib": (_validate_calib_parser, _cmd_validate_calib, True),
+    "optimize": _Subcommand("Monte Carlo camera drop placement over a shopper population",
+        "Sample a shopper population and report camera drop statistics (mean/median/std of the per-person "
+        "bisector drop, plus the drop minimizing the mean squared angular imbalance).",
+        _optimize_options, _cmd_optimize, True),
+    "distance-table": _Subcommand("recommended viewing distance per stature (CSV, millimeters)",
+        "For each stature, the distance at which the configured camera drop sits exactly on the person's "
+        "bisector. Rows with no valid distance are marked.",
+        _distance_table_options, _cmd_distance_table, True),
+    "sweep": _Subcommand("angular imbalance vs camera drop for one person (CSV)",
+        "Signed angular imbalance (upper minus lower viewing half-angle) across candidate camera drops; "
+        "the zero crossing is the bisector drop.",
+        _sweep_options, _cmd_sweep, True),
+    "cell": _Subcommand("grid cell lookup: center of an index, or cell owning a point",
+        "With --index, print that cell's center. With --x/--y, print the cell owning the point. "
+        "Coordinates are panel cm, origin top-left, y down.",
+        _cell_options, _cmd_cell, True),
+    "gaze": _Subcommand("intersect a gaze ray with the panel and report the cell",
+        "Eye position is x,y,z in panel coordinates (z toward the viewer, cm). Aim with a direction vector "
+        "(normalized internally) or a target point on the panel.",
+        _gaze_options, _cmd_gaze, True),
+    "ear": _Subcommand("eye aspect ratio readings from a landmarks file",
+        "Read six-point eye landmarks and print one JSON reading per eye with open/closed classification.",
+        _ear_options, _cmd_ear, False),
+    "simulate": _Subcommand("discrete-event run of the capture/processing pipeline",
+        "Single-slot latest-frame queue between a fixed-rate camera and a consumer with the given "
+        "processing-time distribution. Prints metrics JSON, or an event trace / processing-time sweep as CSV.",
+        _simulate_options, _cmd_simulate, False),
+    "calib-plan": _Subcommand("per-frame calibration ground truth for a training set size (JSONL)",
+        "Plan a calibration session: training cells for the chosen set size plus the four validation cells, "
+        "three training frames and one validation frame per cell, selected by seeded shuffle.",
+        _calib_plan_options, _cmd_calib_plan, True),
+    "validate-calib": _Subcommand("check a calibration protocol for overlap/symmetry/budget problems",
+        "Print a JSON array of violations (empty when the protocol is consistent). Exits 2 when violations are found.",
+        _validate_calib_options, _cmd_validate_calib, True),
 }
 
 
@@ -515,13 +496,29 @@ _SUBCOMMANDS = {
 _TOP_USAGE = "shelfgaze [-h]\n{0}{{{1}}}\n{0}...".format(" " * len("usage: shelfgaze "), ",".join(_SUBCOMMANDS))
 
 
-def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The parser ``main`` reads ``argv`` with. When ``argv[0]`` names a
-    subcommand, that subcommand's own parser, which reads ``argv[1:]``;
-    otherwise the top-level parser with all of them (help and usage errors
-    list them)."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]][0](partial(_subparser, _lone_parser, argv[0]))
+def _with_options(p: _Parser, name: str) -> _Parser:
+    """``p`` with subcommand ``name``'s options: the shelf flags first when its command reads the shelf."""
+    if _SUBCOMMANDS[name].reads_shelf:
+        group = p.add_argument_group("shelf configuration")
+        group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
+        for flag, field, label in (
+            ("--shelf-height", "shelf_height_cm", "shelf top height"),
+            ("--panel-height", "panel_height_cm", "front panel height"),
+            ("--panel-width", "panel_width_cm", "front panel width"),
+            ("--camera-x", "camera_x_cm", "camera horizontal position"),
+            ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
+            ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
+        ):
+            _field_flag(group, ShelfConfig, flag, field, label + " (default {:g})", "CM")
+    _SUBCOMMANDS[name].options(p)
+    return p
+
+
+def build_parser(name: str | None = None) -> _Parser:
+    """Subcommand ``name``'s parser, built alone to read the arguments after the
+    name; with no name, the top-level parser with every subcommand."""
+    if name is not None:
+        return _with_options(_Parser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description), name)
     parser = _Parser(
         prog="shelfgaze",
         usage=_TOP_USAGE,
@@ -529,38 +526,36 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
     )
     # The subcommands' progs would otherwise start with the whole usage text.
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, prog="shelfgaze")
-    for name, (declare, _, _) in _SUBCOMMANDS.items():
-        declare(partial(_subparser, sub.add_parser, name))
+    for name, row in _SUBCOMMANDS.items():
+        _with_options(sub.add_parser(name, help=row.help, description=row.description), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    name = argv[0] if argv else ""
     try:
-        if argv and argv[0] in _SUBCOMMANDS:
-            # As under the top-level parser: the subcommand's parser reads the
-            # rest, and what it leaves over is an error of the whole command,
-            # which the top-level parser reports by parsing ``argv`` again.
-            name, (args, extra) = argv[0], parser.parse_known_args(argv[1:])
-            if extra:
-                build_parser().parse_args(argv)
-        else:
-            # A missing or unknown subcommand is reported here, in one wording:
-            # 3.13 lists the choices without quotes.
-            if not argv:
-                parser.error("the following arguments are required: subcommand")
-            if not argv[0].startswith("-"):
-                choices = ", ".join(map(repr, _SUBCOMMANDS))
-                parser.error(f"argument subcommand: invalid choice: {argv[0]!r} (choose from {choices})")
-            args = parser.parse_args(argv)
+        if name.startswith("-"):  # help, or an option before the subcommand
+            args = build_parser().parse_args(argv)
             name = args.subcommand
+        else:
+            # Errors of the whole command, worded as the top-level parser words
+            # them but for 3.13's choices without quotes.
+            message = "the following arguments are required: subcommand"
+            if name in _SUBCOMMANDS:
+                args, extra = build_parser(name).parse_known_args(argv[1:])
+                message = extra and f"unrecognized arguments: {' '.join(extra)}"
+            elif argv:
+                choices = ", ".join(map(repr, _SUBCOMMANDS))
+                message = f"argument subcommand: invalid choice: {name!r} (choose from {choices})"
+            if message:
+                _Parser(prog="shelfgaze", usage=_TOP_USAGE).error(message)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    _, command, reads_shelf = _SUBCOMMANDS[name]
+    row = _SUBCOMMANDS[name]
     try:
-        return command(args, _shelf_from_args(args)) if reads_shelf else command(args)
+        return row.command(args, _shelf_from_args(args)) if row.reads_shelf else row.command(args)
     except (ShelfGazeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ShelfGazeError) else 1

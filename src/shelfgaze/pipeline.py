@@ -10,8 +10,8 @@ possible frame.
 
 One loop, `_events`, states these rules. `trace` runs it for its events;
 `simulate` runs it in tally mode, taking its frame counts from frame
-conservation. `replay_metrics` folds recorded events, whose times must not
-fall and must stay within [0, end of run], following the consumer's state.
+conservation. `replay_metrics` folds recorded events (int frame ids, times
+that never fall and stay in [0, end of run]) following the consumer's state.
 Both end in `_metrics`, the one place that turns completed ids into skip gaps.
 
 Standard library only: the latency mean and 95th percentile are computed the
@@ -280,41 +280,43 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
     """Fold the events of a whole run, read by `t_ms`, `kind` and `frame_id`,
     into the metrics of the run that emitted it. ValueError names the kind,
     frame and time of an event before the one it follows (or 0) or past the
-    run's end, NaN included; the kind and frame of a capture whose id is not
-    the count of captures so far, a drop or take of a frame not waiting, a
-    take while one is in flight, a complete of a frame not in flight, or an
-    unknown kind; and a frame left waiting at the end (a run drops its slot)."""
+    run's end, NaN included; the kind and frame of a frame id not of type `int`,
+    a capture whose id is not the count of captures so far, a drop or take of a
+    frame not waiting, a take while one is in flight, a complete of a frame not
+    in flight, or an unknown kind; and a frame left waiting at the end."""
     last_t, end_ms = 0.0, cfg.duration_s * 1000.0  # the end as `_events` computes it
     captured = dropped = 0
     waiting: dict[int, float] = {}  # capture times of frames not yet dropped or taken
     flight = None  # the frame taken and not completed
     latencies: list[float] = []
     done: list[int] = []
+    capture, drop, take, complete = CAPTURE, DROP, TAKE, COMPLETE  # local names read faster
     for ev in events:
-        t_ms, kind = ev.t_ms, ev.kind
+        t_ms, kind, frame_id = ev.t_ms, ev.kind, ev.frame_id
         if not last_t <= t_ms <= end_ms:
-            raise ValueError(f"{kind!r} event for frame {ev.frame_id} at {t_ms} ms is outside [{last_t}, {end_ms}]")
+            raise ValueError(f"{kind!r} event for frame {frame_id} at {t_ms} ms is outside [{last_t}, {end_ms}]")
         last_t = t_ms
         try:
-            if kind == CAPTURE and ev.frame_id == captured:
-                waiting[ev.frame_id] = t_ms
+            if frame_id.__class__ is not int:  # 0.0 and False would pass for frame 0 below
+                raise KeyError
+            if kind == capture and frame_id == captured:
+                waiting[frame_id] = t_ms
                 captured += 1
-            elif kind == DROP:
-                del waiting[ev.frame_id]
+            elif kind == drop:
+                del waiting[frame_id]
                 dropped += 1
-            elif kind == TAKE and flight is None:
-                flight, cap_t = ev.frame_id, waiting.pop(ev.frame_id)
-            elif kind == COMPLETE and flight is not None and ev.frame_id == flight:
+            elif kind == take and flight is None:
+                flight, cap_t = frame_id, waiting.pop(frame_id)
+            elif kind == complete and frame_id == flight:
                 latencies.append(t_ms - cap_t)
-                done.append(ev.frame_id)
+                done.append(frame_id)
                 flight = None
             else:
                 raise KeyError
         except KeyError:
-            raise ValueError(f"unexpected {kind!r} event for frame {ev.frame_id}") from None
+            raise ValueError(f"unexpected {kind!r} event for frame {frame_id!r}") from None
     if waiting:
         raise ValueError(f"frame {next(iter(waiting))} is captured but never taken or dropped")
-
     return _metrics(captured, dropped, int(flight is not None), latencies, done, cfg)
 
 
@@ -327,13 +329,11 @@ def simulate(cfg: SimConfig) -> SimMetrics:
 
 
 def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
-    """First `limit` events of the run (all of them by default),
-    chronologically ordered."""
+    """First `limit` events of the run (all of them by default), chronologically ordered."""
     if limit is not None:
         check_value("limit", limit, 0, math.inf)
-    # islice stops at most at sys.maxsize; no run has that many events.
-    stop = None if limit is None else min(limit, sys.maxsize)
-    return list(starmap(SimEvent, islice(_events(cfg), stop)))
+        limit = min(limit, sys.maxsize)  # where islice stops at most; no run has that many events
+    return list(starmap(SimEvent, islice(_events(cfg), limit)))
 
 
 class SweepRow(NamedTuple):

@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.calibration import CalibrationSpec
@@ -113,11 +113,10 @@ def _subcommands(parser) -> list[str]:
 
 
 def test_parser_builds_only_the_named_subcommand():
-    lone = build_parser(["cell", "--index", "19"])
+    lone = build_parser("cell")
     assert (lone.prog, _subcommands(lone)) == ("shelfgaze cell", [])
     everything = [case["argv"][0] for case in HELP_PAGES[1:]]
-    for argv in (["--help"], [], ["no-such-command"], ["-h", "cell"]):
-        assert _subcommands(build_parser(argv)) == everything
+    assert _subcommands(build_parser()) == everything
     # Under the top-level parser, whose usage text is given, each is named as alone.
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert [p.prog for p in sub.choices.values()] == [f"shelfgaze {name}" for name in everything]
@@ -133,17 +132,60 @@ def test_subcommand_parser_reads_as_under_the_top_level_parser():
         ["optimize", "--samples", "300", "--seed", "5", "--camera-drop", "40"],
     ]
     for argv in calls:
-        args, extra = build_parser(argv).parse_known_args(argv[1:])
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
         assert ({"subcommand": argv[0], **vars(args)}, extra) == (vars(build_parser().parse_args(argv)), [])
 
 
+def _record_builds(monkeypatch) -> dict:
+    """The progs of the parsers main builds, and the counts of subparsers
+    added and of parses, recorded from here on."""
+    seen = {"built": [], "add_parser": 0, "parses": 0}
+
+    def build(name=None):
+        parser = build_parser(name)
+        seen["built"].append(parser.prog)
+        return parser
+
+    def count(key, method):
+        def counted(*args, **kwargs):
+            seen[key] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr("shelfgaze.cli.build_parser", build)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        count("add_parser", argparse._SubParsersAction.add_parser))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        count("parses", argparse.ArgumentParser.parse_known_args))
+    return seen
+
+
 def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
-    built = []
-    monkeypatch.setattr("shelfgaze.cli.build_parser", lambda argv: built.append(build_parser(argv)) or built[-1])
+    seen = _record_builds(monkeypatch)
     monkeypatch.setattr("sys.argv", ["shelfgaze", "cell", "--index", "19"])
     assert main() == 0
     assert capsys.readouterr().out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
-    assert [parser.prog for parser in built] == ["shelfgaze cell"]
+    assert seen == {"built": ["shelfgaze cell"], "add_parser": 0, "parses": 1}
+
+
+def test_usage_errors_build_no_subparser_and_parse_argv_once(capsys, monkeypatch):
+    # The top-level usage is fixed text, so these errors print it without
+    # building the nine subparsers or parsing argv again.
+    seen = _record_builds(monkeypatch)
+    for argv, built, parses in (
+        (["cell", "--index", "19", "extra"], ["shelfgaze cell"], 1),  # what the subcommand leaves over
+        ([], [], 0),  # no subcommand
+        (["no-such-command"], [], 0),
+    ):
+        seen.update(built=[], add_parser=0, parses=0)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: shelfgaze [-h]\n")
+        assert seen == {"built": built, "add_parser": 0, "parses": parses}, argv
+    # Only argv that starts with an option builds the top-level parser, with every subparser.
+    for argv in (["--help"], ["-h", "cell"], ["--bogus", "cell"]):
+        seen.update(built=[], add_parser=0)
+        main(argv)
+        assert (seen["built"], seen["add_parser"]) == (["shelfgaze"], len(_SUBCOMMANDS)), argv
 
 
 def test_module_entry_point_reads_sys_argv():
@@ -204,6 +246,22 @@ def test_gaze_errors(capsys):
 )
 def test_gaze_norm_of_extreme_components(capsys, argv, expected):
     assert run(capsys, "gaze", *argv) == expected
+
+
+_SUBNORMAL = st.floats(-sys.float_info.min, sys.float_info.min, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_SUBNORMAL, _SUBNORMAL, _SUBNORMAL).filter(any))
+@example((1e-320, 0.0, -1e-320))
+@example((5e-324, -5e-324, 5e-324))
+def test_gaze_direction_of_subnormal_components(direction):
+    # "Any length" includes a vector whose components are all subnormal: it
+    # resolves to a cell or a domain error, never to a false unit-vector error.
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["gaze", "--eye", "51,55.5,100", f"--direction={','.join(map(repr, direction))}"])
+    assert code in (0, 2) and "unit vector" not in err.getvalue(), err.getvalue()
 
 
 def test_distance_table_default(capsys):
@@ -511,7 +569,7 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
     assert "--camera-drop" not in run(capsys, "simulate", "--help")[1]
     assert "--config" in run(capsys, "calib-plan", "--help")[1]
     # The table's shelf column decides, for every subcommand, whether its help lists the shelf flags.
-    readers = [name for name, (_, _, reads_shelf) in _SUBCOMMANDS.items() if reads_shelf]
+    readers = [name for name, row in _SUBCOMMANDS.items() if row.reads_shelf]
     assert readers == ["optimize", "distance-table", "sweep", "cell", "gaze", "calib-plan", "validate-calib"]
     for name in _SUBCOMMANDS:
         assert ("--config" in run(capsys, name, "--help")[1]) == (name in readers), name

@@ -12,7 +12,7 @@ SRC = ROOT / "src"
 
 
 CASES = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
-EQUAL = f"{20 * 8 + len(CASES)} equal outputs"  # 8 outputs a config, then the CLI cases
+EQUAL = f"{20 * 9 + len(CASES)} equal outputs"  # 9 outputs a config, then the golden cases
 
 
 def _differential(parent: Path, change: Path, *options: str) -> subprocess.CompletedProcess:

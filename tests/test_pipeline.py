@@ -259,6 +259,13 @@ def test_replay_rejects_unknown_kind():
         ([(0.0, CAPTURE, 0), (0.0, TAKE, 0), (1.0, CAPTURE, 1), (2.0, TAKE, 1)], TAKE, 1),
         # A capture whose id is not the number of captures so far.
         ([(0.0, CAPTURE, 0), (0.0, CAPTURE, 0)], CAPTURE, 0),
+        # A frame id that is not an int, though it equals one.
+        ([(0.0, CAPTURE, 0.0), (0.0, TAKE, 0.0), (5.0, CAPTURE, 1.0), (10.0, COMPLETE, 0.0), (10.0, TAKE, 1.0),
+          (20.0, COMPLETE, 1.0)], CAPTURE, 0.0),
+        ([(0.0, CAPTURE, False)], CAPTURE, False),
+        ([(0.0, CAPTURE, 0), (0.0, TAKE, 0.0)], TAKE, 0.0),
+        ([(0.0, CAPTURE, 0), (0.0, DROP, False)], DROP, False),
+        ([(0.0, CAPTURE, 0), (0.0, TAKE, 0), (5.0, COMPLETE, 0.0)], COMPLETE, 0.0),
     ]
     for rows, kind, frame in streams:
         with pytest.raises(ValueError, match=f"^unexpected '{kind}' event for frame {frame}$"):

@@ -14,8 +14,13 @@ public output: ``sample_population`` (its arrays as sha256 of ``tobytes()``),
 population; ``simulate``, ``replay_metrics(trace(cfg))``, ``replay_metrics``
 of that trace with event ``k % n`` deleted and with it duplicated (for config
 k of a trace of n events, so the fold's error paths are compared too), and
-``sweep_processing_time`` on a drawn pipeline run. Then it replays every case
-of this checkout's ``tests/golden.json`` through ``shelfgaze.cli.main``. An
+``sweep_processing_time`` on a drawn pipeline run; and one command line
+through ``shelfgaze.cli.main``, for a subcommand that loads no numpy: a valid
+call, or one with an abbreviated option, an ``--opt=value`` pair, a leftover
+argument, an option before the subcommand or ``-h`` at a drawn position, drawn
+from its own generator so that the configs stay those of earlier versions.
+Then it replays every case of this checkout's ``tests/golden.json`` the same
+way. A command line's output is its exit code, stdout digest and stderr; an
 exception is an output too: its type and message. Each ``--change-env``
 sets a variable in the change tree's interpreter only, so ``src src
 --change-env NPY_DISABLE_CPU_FEATURES=...`` compares one tree under two sets
@@ -84,6 +89,56 @@ def _draw_pipeline(rng: random.Random):
     return cfg, [rng.uniform(1.0, 300.0) for _ in range(3)]
 
 
+def _draw_cli(rng: random.Random) -> dict:
+    """A replay case for a subcommand that loads no numpy: a valid call, or
+    that call with one option abbreviated, one given as --opt=value, a
+    leftover argument, an option before the subcommand, or -h at a drawn
+    position."""
+    def num(lo: float, hi: float) -> str:
+        return f"{rng.uniform(lo, hi):.6g}"
+
+    calls = {
+        "distance-table": [("--statures", ",".join(num(40, 260) for _ in range(rng.randint(1, 4))))],
+        "sweep": [("--distance", num(20, 400)), ("--start", num(0, 60)), ("--stop", num(60, 138)),
+                  ("--step", num(1, 20))],
+        "cell": ([("--index", str(rng.randint(0, 40)))] if rng.random() < 0.5
+                 else [("--x", num(-5, 110)), ("--y", num(-5, 145))]),
+        "gaze": [("--eye", f"{num(0, 102)},{num(0, 138)},{num(20, 300)}"),
+                 rng.choice([("--target", f"{num(-5, 110)},{num(-5, 145)}"),
+                             ("--direction", f"{num(-1, 1)},{num(-1, 1)},{num(-1, 0)}")])],
+        "ear": [("--input", "-"), ("--format", "csv"), ("--threshold", num(0.05, 0.5))],
+        "simulate": [("--fps", num(1, 60)), ("--duration", num(0.01, 2)), ("--proc", f"fixed:{num(1, 200)}"),
+                     ("--seed", str(rng.randint(0, 99)))],
+        "calib-plan": [("--size", str(rng.choice([2, 3, 4, 8, 16, 32]))), ("--seed", str(rng.randint(0, 99)))],
+        "validate-calib": [("--seed", str(rng.randint(0, 99)))],
+    }
+    eyes = "".join(",".join(num(-5, 5) for _ in range(12)) + "\n" for _ in range(rng.randint(1, 3)))
+    name = rng.choice(sorted(calls))
+    options = calls[name]
+    i = rng.randrange(len(options))
+    flag, value = options[i]
+    form = rng.randrange(6)
+    if form == 1:
+        options[i] = (flag[:rng.randint(3, len(flag))], value)
+    elif form == 2:
+        options[i] = (f"{flag}={value}",)
+    argv = [name]
+    for option in options:  # a value that starts with "-" reads as an option unless joined to its flag
+        argv += ["=".join(option)] if option[-1].startswith("-") else option
+    if form == 3:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["extra", "7", "-q", "--", "--bogus=1"]))
+    elif form == 4:
+        argv.insert(0, rng.choice(["--bogus", "-q", flag]))
+    elif form == 5:
+        argv.insert(rng.randint(0, len(argv)), "-h")
+    return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": {}}
+
+
+def _cli_outcome(code: int, out: str, err: str) -> str:
+    stdout = f"{out.count(chr(10))} lines, sha256 {hashlib.sha256(out.encode()).hexdigest()}"
+    return f"exit {code}, stdout {stdout}, stderr {err!r}"
+
+
 def _digest(array) -> str:
     return f"{array.dtype}[{array.size}]:{hashlib.sha256(array.tobytes()).hexdigest()}"
 
@@ -108,6 +163,9 @@ def _outputs(configs: int, seed: int):
     from shelfgaze.pipeline import replay_metrics, simulate, sweep_processing_time, trace
     from shelfgaze.placement import distance_table, optimize_camera_drop, sample_population
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from replay_cli import run_cases
+
     rng = random.Random(seed)
     for k in range(configs):
         cfg, pop, statures = _draw_placement(rng)
@@ -122,16 +180,14 @@ def _outputs(configs: int, seed: int):
             yield (f"{k} replay_metrics(trace, event k % n {damage})",
                    _outcome(lambda: replay_metrics(_damaged(trace(sim), k, copies), sim)))
         yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
-
-    sys.path.insert(0, str(ROOT / "tests"))
-    from replay_cli import run_cases
+        for case, got in run_cases([_draw_cli(random.Random(f"cli {seed} {k}"))]):
+            yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(*got)
 
     cases = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for case, (code, out, err) in run_cases(cases):
-            stdout = f"{out.count(chr(10))} lines, sha256 {hashlib.sha256(out.encode()).hexdigest()}"
-            yield f"golden {json.dumps(case['argv'])}", f"exit {code}, stdout {stdout}, stderr {err!r}"
+        for case, got in run_cases(cases):
+            yield f"golden {json.dumps(case['argv'])}", _cli_outcome(*got)
 
 
 def worker(src: str, configs: int, seed: int) -> int:
@@ -169,7 +225,7 @@ def compare(parent: str, change: str, configs: int, seed: int, change_env: dict[
             proc.kill()
             proc.wait()
             proc.stdout.close()
-        print(f"{equal} equal outputs ({configs} configs, seed {seed}, and the CLI cases)")
+        print(f"{equal} equal outputs ({configs} configs, seed {seed}, and the golden CLI cases)")
     print("first difference:")
     for name, line in zip(("parent", "change"), got):
         print(f"  {name}: {line.rstrip() or '(no more output)'}")
