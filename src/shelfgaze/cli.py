@@ -93,31 +93,6 @@ def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: st
     p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
 
 
-def _lone_parser(name: str, help: str, description: str) -> _Parser:
-    """What ``add_parser`` builds for ``name`` under the top-level parser, built
-    alone; ``help`` only describes the subcommand in the top-level help."""
-    return _Parser(prog=f"shelfgaze {name}", description=description)
-
-
-def _subparser(make, name: str, **text) -> _Parser:
-    """The parser ``make(name, **text)`` of subcommand ``name``, with the shelf
-    flags declared first when its command reads the shelf."""
-    p = make(name, **text)
-    if _SUBCOMMANDS[name][2]:
-        group = p.add_argument_group("shelf configuration")
-        group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
-        for flag, field, label in (
-            ("--shelf-height", "shelf_height_cm", "shelf top height"),
-            ("--panel-height", "panel_height_cm", "front panel height"),
-            ("--panel-width", "panel_width_cm", "front panel width"),
-            ("--camera-x", "camera_x_cm", "camera horizontal position"),
-            ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
-            ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
-        ):
-            _field_flag(group, ShelfConfig, flag, field, label + " (default {:g})", "CM")
-    return p
-
-
 def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
     """``cls`` from its defaults, overridden by ``settings``, overridden by
     every flag whose dest is one of its fields and whose value is not None."""
@@ -269,9 +244,10 @@ def _cmd_gaze(args: argparse.Namespace, cfg: ShelfConfig) -> int:
         raise ValueError("give exactly one of --direction or --target")
     if args.direction is not None:
         d = _parse_floats(args.direction, "--direction", 3)
-        if math.hypot(*d) < sys.float_info.min:  # subnormal components: scale them exactly, or dividing rounds
-            d = [math.ldexp(c, 1022) for c in d]
         norm = math.hypot(*d)
+        if norm < sys.float_info.min:  # subnormal components: scale them exactly, or dividing rounds
+            d = [math.ldexp(c, 1022) for c in d]
+            norm = math.hypot(*d)
         if norm == 0:
             raise ValueError("--direction must be nonzero")
         ray = GazeRay(eye, (d[0] / norm, d[1] / norm, d[2] / norm))

@@ -317,6 +317,7 @@ def replay_metrics(events: Iterable[SimEvent], cfg: SimConfig) -> SimMetrics:
             raise ValueError(f"unexpected {kind!r} event for frame {frame_id!r}") from None
     if waiting:
         raise ValueError(f"frame {next(iter(waiting))} is captured but never taken or dropped")
+
     return _metrics(captured, dropped, int(flight is not None), latencies, done, cfg)
 
 
@@ -329,11 +330,13 @@ def simulate(cfg: SimConfig) -> SimMetrics:
 
 
 def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
-    """First `limit` events of the run (all of them by default), chronologically ordered."""
+    """First `limit` events of the run (all of them by default),
+    chronologically ordered."""
     if limit is not None:
         check_value("limit", limit, 0, math.inf)
-        limit = min(limit, sys.maxsize)  # where islice stops at most; no run has that many events
-    return list(starmap(SimEvent, islice(_events(cfg), limit)))
+    # islice stops at most at sys.maxsize; no run has that many events.
+    stop = None if limit is None else min(limit, sys.maxsize)
+    return list(starmap(SimEvent, islice(_events(cfg), stop)))
 
 
 class SweepRow(NamedTuple):
