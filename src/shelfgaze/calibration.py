@@ -5,6 +5,10 @@ looks at each target cell. Training targets come in nested set sizes, and
 four held-out cells serve as a validation set regardless of which training
 set size is used. Frame selection within a cell is a seeded shuffle, so a
 plan is reproducible from its seed.
+
+``emit_ground_truth`` labels each planned frame, and ``ground_truth_jsonl``
+writes those records as JSON lines. ``plan_jsonl`` writes the same text
+straight from the plan; it is what ``shelfgaze calib-plan`` prints.
 """
 
 from __future__ import annotations
@@ -187,3 +191,30 @@ _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 def ground_truth_jsonl(records: list[GroundTruthRecord]) -> str:
     """One compact JSON object per record, its fields in order, each line ended."""
     return "".join(_encode_compact(rec._asdict()) + "\n" for rec in records)
+
+
+def plan_jsonl(cal_plan: CalibrationPlan, cfg: ShelfConfig) -> str:
+    """The text of ``ground_truth_jsonl(emit_ground_truth(cal_plan, cfg))``,
+    written from the plan: the fields a cell's lines share are encoded once
+    per cell, and each frame's line adds only its number."""
+    frame_key, *shared_keys, split_key = GroundTruthRecord._fields
+    head = "{" + _encode_compact(frame_key) + ":"
+    # ',"split":"train"}\n': the split field, the end of the object and the line.
+    ends = ["," + _encode_compact({split_key: split})[1:] + "\n" for split in ("train", "val")]
+    shared = []
+    for entry in cal_plan.entries:
+        cam = to_camera_coords(cfg, entry.target)
+        shelf, camera = (entry.target.x_cm, entry.target.y_cm), (cam.x_cm, cam.y_cm)
+        shared.append(dict(zip(shared_keys, (entry.cell, shelf, camera))))
+    # One encoder pass for every cell: an object of numbers and arrays holds
+    # no braces, so "},{" parts the cells' objects exactly.
+    bodies = _encode_compact(shared)[2:-2].split("},{")
+    del shared  # not needed past its text, so the lines are written without it
+    blocks = []
+    for entry, body in zip(cal_plan.entries, bodies):
+        for end, frames in zip(ends, (entry.train_frames, entry.val_frames)):
+            if frames:
+                tail = "," + body + end
+                # The frames are plain ints from plan's shuffle, which str writes as the encoder does.
+                blocks.append(head + (tail + head).join(map(str, frames)) + tail)
+    return "".join(blocks)

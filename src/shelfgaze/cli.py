@@ -1,7 +1,7 @@
 """Command-line frontend, and the only module that parses command-line text
 or prints. Every subcommand prints JSON lines (compact, never NaN or Infinity;
-calib-plan's from ``ground_truth_jsonl``) or CSV to stdout and diagnostics to
-stderr. A flag that sets a dataclass field is named by it (``dest``) and
+calib-plan's from ``calibration.plan_jsonl``) or CSV to stdout and diagnostics
+to stderr. A flag that sets a dataclass field is named by it (``dest``) and
 declared by ``_field_flag``.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
@@ -16,6 +16,8 @@ A call that names a subcommand builds that subcommand's parser alone and
 parses the rest of argv once; only argv that starts with an option (--help)
 builds the top-level parser with all nine. A missing or unknown subcommand, and
 what its parser leaves over, are reported by a bare parser with the fixed usage.
+A value that starts with a negative number is joined to its flag first
+(``_joined_values``), so it reads as in the ``--flag=value`` form.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from typing import NamedTuple
 
-from .calibration import TRAINING_SETS, CalibrationSpec, emit_ground_truth, ground_truth_jsonl, plan, validate_spec
+from .calibration import TRAINING_SETS, CalibrationSpec, plan, plan_jsonl, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
 from .errors import ShelfGazeError, check_value, field_range, require_finite
 from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
@@ -329,7 +331,7 @@ def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
 def _cmd_calib_plan(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     spec = _calibration_spec_from_args(args)
     session = plan(spec, args.size, cfg)
-    print(ground_truth_jsonl(emit_ground_truth(session, cfg)), end="")
+    print(plan_jsonl(session, cfg), end="")
     return 0
 
 
@@ -507,8 +509,38 @@ def build_parser(name: str | None = None) -> _Parser:
     return parser
 
 
+def _negative_value(token: str) -> bool:
+    """Whether ``token`` starts with one "-" and its first comma-separated item is a number."""
+    if not token.startswith("-") or token.startswith("--"):
+        return False
+    try:
+        float(token.partition(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_values(argv: list[str]) -> list[str]:
+    """``argv`` with each negative value joined to the option before it, so
+    that ``--target -4.2,20.4`` reads as ``--target=-4.2,20.4``: argparse takes
+    a token that starts with "-" for an option unless it is one plain number.
+    An option already given a value, the help flag and its abbreviations are
+    not joined, and what follows "--" is left as it is."""
+    joined: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return joined + argv[i:]
+        option = joined[-1] if joined else ""
+        if (_negative_value(token) and option.startswith("-") and "=" not in option and not _negative_value(option)
+                and option != "-h" and not "--help".startswith(option)):
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _joined_values(sys.argv[1:] if argv is None else argv)
     name = argv[0] if argv else ""
     try:
         if name.startswith("-"):  # help, or an option before the subcommand

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shelfgaze.calibration import (
     TRAINING_SETS,
@@ -12,6 +14,7 @@ from shelfgaze.calibration import (
     emit_ground_truth,
     ground_truth_jsonl,
     plan,
+    plan_jsonl,
     validate_spec,
 )
 from shelfgaze.errors import UnknownSetSizeError
@@ -161,3 +164,35 @@ def test_ground_truth_jsonl_bytes():
     assert list(first) == ["frame", "cell", "shelf", "camera", "split"]
     assert out.endswith("\n")
     assert ground_truth_jsonl([]) == ""
+
+
+@st.composite
+def shelves_and_specs(draw):
+    """A shelf with drawn panel, camera and grid, and a spec whose frame
+    counts, training sets and validation cells lie inside that grid."""
+    width = draw(st.floats(1.0, 1_000.0))
+    height = draw(st.floats(1.0, 181.0))
+    cfg = ShelfConfig(panel_width_cm=width, panel_height_cm=height, camera_x_cm=draw(st.floats(0.0, width)),
+                      camera_drop_cm=draw(st.floats(0.0, height)), grid_rows=draw(st.integers(1, 8)),
+                      grid_cols=draw(st.integers(1, 8)))
+    cells = st.lists(st.integers(1, cfg.cell_count), max_size=10, unique=True)
+    frames = draw(st.integers(1, 40))
+    train = draw(st.integers(1, frames))
+    spec = CalibrationSpec(
+        frames_per_point=frames,
+        train_frames_per_point=train,
+        val_frames_per_point=draw(st.integers(0, frames - train)),
+        validation_cells=draw(cells),
+        training_sets=draw(st.dictionaries(st.integers(1, 64), cells, min_size=1, max_size=4)),
+        seed=draw(st.integers(0, 2**128 - 1)),
+    )
+    return cfg, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(shelves_and_specs())
+def test_plan_jsonl_is_the_ground_truth_of_every_set_size(case):
+    cfg, spec = case
+    for size in spec.training_sets:
+        session = plan(spec, size, cfg)
+        assert plan_jsonl(session, cfg) == ground_truth_jsonl(emit_ground_truth(session, cfg))

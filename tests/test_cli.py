@@ -219,7 +219,7 @@ def test_gaze_target_and_direction_agree(capsys):
     assert code == 0
     assert out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
     # An unnormalized direction vector is accepted and scaled internally;
-    # values starting with a dash need the = form.
+    # a value starting with a dash may be given in the = form.
     code, out2, _ = run(capsys, "gaze", "--eye", "51,55.5,100", "--direction=-85,50,-200")
     assert code == 0
     assert json.loads(out2)["cell"] == 19
@@ -251,6 +251,35 @@ def test_gaze_errors(capsys):
 )
 def test_gaze_norm_of_extreme_components(capsys, argv, expected):
     assert run(capsys, "gaze", *argv) == expected
+
+
+# A command line with a value that starts with a negative number, the same
+# line with that value joined to its flag, and the exit code of both.
+NEGATIVE_VALUES = [
+    (["gaze", "--eye", "70,29,180", "--target", "-4.2,20.4"],
+     ["gaze", "--eye", "70,29,180", "--target=-4.2,20.4"], 2),
+    (["gaze", "--eye", "-1,2,3", "--target", "8.5,80.5"], ["gaze", "--eye=-1,2,3", "--target", "8.5,80.5"], 0),
+    (["gaze", "--eye", "51,55.5,100", "--direction", "-0.01,-0.58,-0.75"],
+     ["gaze", "--eye", "51,55.5,100", "--direction=-0.01,-0.58,-0.75"], 2),
+    (["distance-table", "--statures", "-5,150"], ["distance-table", "--statures=-5,150"], 1),
+    (["simulate", "--sweep", "-1,20"], ["simulate", "--sweep=-1,20"], 1),
+    (["cell", "--x", "-1e3", "--y", "5"], ["cell", "--x=-1e3", "--y", "5"], 2),
+    # Help takes no value, so it is printed as without the number.
+    (["gaze", "-h", "-4.2,20.4"], ["gaze", "-h"], 0),
+    (["--help", "-1,2"], ["--help"], 0),
+]
+
+
+@pytest.mark.parametrize(("argv", "joined", "code"), NEGATIVE_VALUES, ids=[" ".join(c[0]) for c in NEGATIVE_VALUES])
+def test_a_negative_value_reads_as_its_joined_form(capsys, argv, joined, code):
+    # argparse alone takes a token that starts with "-" for an option unless
+    # it is one plain number, so "--target -4.2,20.4" exited 1 with
+    # "expected one argument".
+    got = run(capsys, *argv)
+    assert got == run(capsys, *joined)
+    assert got[0] == code
+    if argv[-2:] == ["--target", "-4.2,20.4"]:
+        assert got[2] == "error: point (-4.200000000000003, 20.4) outside panel [0, 102.0] x [0, 138.0]\n"
 
 
 def test_distance_table_default(capsys):

@@ -18,7 +18,10 @@ k of a trace of n events, so the fold's error paths are compared too), and
 through ``shelfgaze.cli.main``, for a subcommand that loads no numpy: a valid
 call, or one with an abbreviated option, an ``--opt=value`` pair, a leftover
 argument, an option before the subcommand or ``-h`` at a drawn position, drawn
-from its own generator so that the configs stay those of earlier versions.
+from its own generator so that the configs stay those of earlier versions. A
+``calib-plan`` line also draws the panel width and the camera's place, and
+sometimes a ``--config`` file with grid rows and columns and a ``--spec`` file
+with frame counts, written into the worker's temporary working directory.
 Then it replays every case of this checkout's ``tests/golden.json`` the same
 way. A command line's output is its exit code, stdout digest and stderr; an
 exception is an output too: its type and message. Each ``--change-env``
@@ -93,7 +96,8 @@ def _draw_cli(rng: random.Random) -> dict:
     """A replay case for a subcommand that loads no numpy: a valid call, or
     that call with one option abbreviated, one given as --opt=value, a
     leftover argument, an option before the subcommand, or -h at a drawn
-    position."""
+    position. A calib-plan call takes shelf flags, and may take settings
+    files, which the case's ``files`` hold."""
     def num(lo: float, hi: float) -> str:
         return f"{rng.uniform(lo, hi):.6g}"
 
@@ -115,6 +119,19 @@ def _draw_cli(rng: random.Random) -> dict:
     eyes = "".join(",".join(num(-5, 5) for _ in range(12)) + "\n" for _ in range(rng.randint(1, 3)))
     name = rng.choice(sorted(calls))
     options = calls[name]
+    files = {}
+    if name == "calib-plan":  # drawn after the name, so the other subcommands' lines stay as they were
+        width = rng.uniform(10, 300)
+        options += [("--panel-width", f"{width:.6g}"), ("--camera-x", num(0, width)), ("--camera-drop", num(0, 138))]
+        if rng.random() < 0.5:  # a grid of 16 to 81 cells: the default protocol's 36 fit in some of them
+            files["shelf.json"] = json.dumps({"grid_rows": rng.randint(4, 9), "grid_cols": rng.randint(4, 9)})
+            options.append(("--config", "shelf.json"))
+        if rng.random() < 0.5:
+            frames = rng.randint(1, 40)
+            spec = {"frames_per_point": frames, "train_frames_per_point": rng.randint(1, frames),
+                    "val_frames_per_point": rng.randint(0, 5)}  # sometimes over the budget
+            files["spec.json"] = json.dumps(spec)
+            options.append(("--spec", "spec.json"))
     i = rng.randrange(len(options))
     flag, value = options[i]
     form = rng.randrange(6)
@@ -131,7 +148,7 @@ def _draw_cli(rng: random.Random) -> dict:
         argv.insert(0, rng.choice(["--bogus", "-q", flag]))
     elif form == 5:
         argv.insert(rng.randint(0, len(argv)), "-h")
-    return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": {}}
+    return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": files}
 
 
 def _cli_outcome(code: int, out: str, err: str) -> str:
@@ -184,22 +201,22 @@ def _outputs(configs: int, seed: int):
             yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(*got)
 
     cases = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for case, got in run_cases(cases):
-            yield f"golden {json.dumps(case['argv'])}", _cli_outcome(*got)
+    for case, got in run_cases(cases):
+        yield f"golden {json.dumps(case['argv'])}", _cli_outcome(*got)
 
 
 def worker(src: str, configs: int, seed: int) -> int:
     """Print the outputs of the shelfgaze under src, one line each."""
-    sys.path.insert(0, src)
+    sys.path.insert(0, os.path.abspath(src))
     import shelfgaze
 
     if Path(shelfgaze.__file__).resolve().parent != Path(src).resolve() / "shelfgaze":
         print(f"error: imported shelfgaze from {shelfgaze.__file__}, not {src}", file=sys.stderr)
         return 2
-    for label, output in _outputs(configs, seed):
-        print(f"{label}: {output}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the command lines write their files here
+        for label, output in _outputs(configs, seed):
+            print(f"{label}: {output}", flush=True)
     return 0
 
 
