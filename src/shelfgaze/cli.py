@@ -1,8 +1,9 @@
 """Command-line frontend, and the only module that parses command-line text
 or prints. Every subcommand prints JSON lines (compact, never NaN or Infinity;
 calib-plan's from ``calibration.plan_jsonl``) or CSV to stdout and diagnostics
-to stderr. A flag that sets a dataclass field is named by it (``dest``) and
-declared by ``_field_flag``.
+to stderr. Each option is declared once, as an option row: a flag and the
+keyword arguments ``add_argument`` takes. A flag that sets a dataclass field is
+named by it (``dest``), and ``_field_flag`` builds its row.
 
 Exit codes: 0 success, 1 input or usage error, 2 domain error (geometry or
 planning cannot produce a result for valid-looking input).
@@ -12,17 +13,19 @@ default, then a JSON settings file (--config for the shelf, --spec for the
 calibration protocol), then the flags actually given. Only subcommands that
 read the shelf, as ``_SUBCOMMANDS`` marks them, accept the shelf flags.
 
-A call that names a subcommand builds that subcommand's parser alone and
-parses the rest of argv once; only argv that starts with an option (--help)
+A value that starts with a negative number is first joined to its flag
+(``_joined_values``), so it reads as in the ``--flag=value`` form. A call that
+names a subcommand and gives only its options in full, each with a value that
+converts, is read from the option rows (``_table_parse``), and builds no
+parser. argparse reads every other argv, and is imported only then: it writes
+every help page and usage error. Then a call that names a subcommand builds
+that subcommand's parser alone; only argv that starts with an option (--help)
 builds the top-level parser with all nine. A missing or unknown subcommand, and
 what its parser leaves over, are reported by a bare parser with the fixed usage.
-A value that starts with a negative number is joined to its flag first
-(``_joined_values``), so it reads as in the ``--flag=value`` form.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -30,16 +33,20 @@ from collections.abc import Callable
 from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .calibration import TRAINING_SETS, CalibrationSpec, plan, plan_jsonl, validate_spec
-from .ear import OPEN_THRESHOLD, EyeLandmarks, classify, ear
+from .ear import OPEN_THRESHOLD, EyeLandmarks, check_threshold, classify, ear
 from .errors import ShelfGazeError, check_value, field_range, require_finite
 from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
 from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
 from .pipeline import simulate, sweep_processing_time, trace
 from .placement import STATUS_OK, PopulationSpec, distance_table, optimize_camera_drop
+
+if TYPE_CHECKING:
+    import argparse
 
 MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
@@ -78,31 +85,23 @@ def _read_fields(path: str, cls: type, label: str) -> dict:
     return data
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; here that code is reserved for
-    domain errors, so usage problems exit 1 instead."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _field_flag(p, cls: type, flag: str, field: str, help_text: str, metavar: str | None = None) -> None:
-    """``flag`` sets ``field`` of ``cls``. With no argparse default, a flag left
-    out reads None; the ``{}`` in ``help_text`` shows the dataclass default."""
+def _field_flag(cls: type, flag: str, field: str, help_text: str, metavar: str | None = None) -> tuple[str, dict]:
+    """The option row of ``flag``, which sets ``field`` of ``cls``. With no
+    default, a flag left out reads None; the ``{}`` in ``help_text`` shows the
+    dataclass default."""
     default = getattr(cls, field)
     metavar = metavar or flag[2:].upper().replace("-", "_")
-    p.add_argument(flag, dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
+    return flag, dict(dest=field, type=type(default), metavar=metavar, help=help_text.format(default))
 
 
-def _from_args(cls: type, args: argparse.Namespace, settings: dict | None = None):
+def _from_args(cls: type, args: SimpleNamespace, settings: dict | None = None):
     """``cls`` from its defaults, overridden by ``settings``, overridden by
     every flag whose dest is one of its fields and whose value is not None."""
     given = {f.name: getattr(args, f.name) for f in dataclass_fields(cls) if getattr(args, f.name, None) is not None}
     return cls(**{**(settings or {}), **given})
 
 
-def _shelf_from_args(args: argparse.Namespace) -> ShelfConfig:
+def _shelf_from_args(args: SimpleNamespace) -> ShelfConfig:
     settings = None if args.config is None else _read_fields(args.config, ShelfConfig, "config")
     return _from_args(ShelfConfig, args, settings)
 
@@ -184,13 +183,13 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     return eyes
 
 
-def _cmd_optimize(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_optimize(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     pop = _from_args(PopulationSpec, args)
     _print_json(optimize_camera_drop(cfg, pop)._asdict())
     return 0
 
 
-def _cmd_distance_table(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_distance_table(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     rows = distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
     table = []  # in millimeters, the reporting unit of the printed table
     for row in rows:
@@ -203,7 +202,7 @@ def _cmd_distance_table(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_sweep(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     stature = PopulationSpec.height_mean_cm if args.stature is None else args.stature
     person = PersonSample.from_stature(stature, args.distance, cfg)
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
@@ -224,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0
 
 
-def _cmd_cell(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_cell(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     by_index = args.index is not None
     by_point = args.x is not None or args.y is not None
     if by_index == by_point:
@@ -240,7 +239,7 @@ def _cmd_cell(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0
 
 
-def _cmd_gaze(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_gaze(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     eye = _parse_floats(args.eye, "--eye", 3)
     if (args.direction is None) == (args.target is None):
         raise ValueError("give exactly one of --direction or --target")
@@ -260,7 +259,8 @@ def _cmd_gaze(args: argparse.Namespace, cfg: ShelfConfig) -> int:
     return 0
 
 
-def _cmd_ear(args: argparse.Namespace) -> int:
+def _cmd_ear(args: SimpleNamespace) -> int:
+    check_threshold(args.threshold)  # before any eye is read, so its exit code does not depend on the data
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -275,7 +275,7 @@ def _cmd_ear(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     if args.trace is not None and args.sweep is not None:
         raise ValueError("--trace and --sweep cannot be given together")
     if args.trace is not None and args.trace < 0:
@@ -316,7 +316,7 @@ def _json_set_size(key: str) -> int:
     raise ValueError(f"training_sets key {key!r} is not a set size")
 
 
-def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
+def _calibration_spec_from_args(args: SimpleNamespace) -> CalibrationSpec:
     data = {} if args.spec is None else _read_fields(args.spec, CalibrationSpec, "calibration spec")
     if "validation_cells" in data:
         data["validation_cells"] = _json_cells(data["validation_cells"], "validation_cells")
@@ -328,103 +328,94 @@ def _calibration_spec_from_args(args: argparse.Namespace) -> CalibrationSpec:
     return _from_args(CalibrationSpec, args, data)
 
 
-def _cmd_calib_plan(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_calib_plan(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     spec = _calibration_spec_from_args(args)
     session = plan(spec, args.size, cfg)
     print(plan_jsonl(session, cfg), end="")
     return 0
 
 
-def _cmd_validate_calib(args: argparse.Namespace, cfg: ShelfConfig) -> int:
+def _cmd_validate_calib(args: SimpleNamespace, cfg: ShelfConfig) -> int:
     violations = validate_spec(_calibration_spec_from_args(args), cfg)
     _print_json([v._asdict() for v in violations])
     return 0 if not violations else 2
 
 
-def _optimize_options(p: _Parser) -> None:
-    samples_help = f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"
-    _field_flag(p, PopulationSpec, "--samples", "sample_count", samples_help)
-    _field_flag(p, PopulationSpec, "--seed", "seed", "random seed (default {})")
-    _field_flag(p, PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})")
-    _field_flag(p, PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})")
-    _field_flag(p, PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})")
-    _field_flag(p, PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})")
-
-
-def _distance_table_options(p: _Parser) -> None:
-    p.add_argument(
-        "--statures",
-        default="150,155,160,165,170,175,180",
-        help="comma-separated statures in cm (default %(default)s)",
-    )
-
-
-def _sweep_options(p: _Parser) -> None:
-    p.add_argument("--stature", type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")
-    p.add_argument("--distance", type=float, required=True, help="viewing distance in cm")
-    p.add_argument("--start", type=float, default=0.0, help="first drop in cm (default %(default)s)")
-    p.add_argument("--stop", type=float, help="last drop in cm (default: panel height)")
-    step_help = f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows"
-    p.add_argument("--step", type=float, default=1.0, help=step_help)
-
-
-def _cell_options(p: _Parser) -> None:
-    p.add_argument("--index", type=int, help="cell index 1..rows*cols, row-major from top-left")
-    p.add_argument("--x", type=float, help="point x in cm")
-    p.add_argument("--y", type=float, help="point y in cm")
-
-
-def _gaze_options(p: _Parser) -> None:
-    p.add_argument("--eye", required=True, metavar="X,Y,Z", help="eye position in cm")
-    p.add_argument("--direction", metavar="DX,DY,DZ", help="gaze direction (any length)")
-    p.add_argument("--target", metavar="X,Y", help="panel point to aim at")
-
-
-def _ear_options(p: _Parser) -> None:
-    p.add_argument("--input", required=True, help="landmarks file, or - for stdin")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="input format (default %(default)s)")
-    p.add_argument(
-        "--threshold", type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)"
-    )
-
-
-def _simulate_options(p: _Parser) -> None:
-    p.add_argument(
-        "--proc",
-        default="fixed:83.33",
-        help="processing time distribution: fixed:T, uniform:LO,HI, normal:MEAN,STD in ms "
-        "(default %(default)s)",
-    )
-    _field_flag(p, SimConfig, "--fps", "capture_fps", "capture rate (default {})")
-    duration_help = f"run length in seconds (default {{}}); at most {MAX_CAPTURE_EVENTS} capture events, "
-    _field_flag(p, SimConfig, "--duration", "duration_s", duration_help + "fps * duration summed over --sweep runs")
-    _field_flag(p, SimConfig, "--seed", "seed", "random seed (default {})")
-    p.add_argument("--jitter", help="optional capture-time jitter distribution")
-    p.add_argument("--trace", type=int, metavar="N", help="print the first N events as CSV")
-    p.add_argument(
-        "--sweep",
-        metavar="T1,T2,...",
-        help="sweep fixed processing times (ms) and print fps/skips per row",
-    )
-
-
-def _calib_plan_options(p: _Parser) -> None:
-    *smaller, largest = TRAINING_SETS
-    sizes = f"{', '.join(map(str, smaller))}, or {largest}"
-    p.add_argument("--size", type=int, required=True, help=f"training set size ({sizes})")
-    _field_flag(p, CalibrationSpec, "--seed", "seed", "shuffle seed (default {})")
-    p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
-
-
-def _validate_calib_options(p: _Parser) -> None:
-    _field_flag(p, CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks")
-    p.add_argument("--spec", metavar="PATH", help="JSON overrides for the session protocol")
+_SHELF_OPTIONS = (
+    ("--config", dict(metavar="PATH", help="JSON file of shelf settings; explicit flags override it")),
+    *(_field_flag(ShelfConfig, flag, field, label + " (default {:g})", "CM") for flag, field, label in (
+        ("--shelf-height", "shelf_height_cm", "shelf top height"),
+        ("--panel-height", "panel_height_cm", "front panel height"),
+        ("--panel-width", "panel_width_cm", "front panel width"),
+        ("--camera-x", "camera_x_cm", "camera horizontal position"),
+        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
+        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
+    )),
+)
+_OPTIMIZE_OPTIONS = (
+    _field_flag(PopulationSpec, "--samples", "sample_count",
+                f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"),
+    _field_flag(PopulationSpec, "--seed", "seed", "random seed (default {})"),
+    _field_flag(PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})"),
+    _field_flag(PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})"),
+    _field_flag(PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})"),
+    _field_flag(PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})"),
+)
+_DISTANCE_TABLE_OPTIONS = (
+    ("--statures", dict(default="150,155,160,165,170,175,180",
+                        help="comma-separated statures in cm (default %(default)s)")),
+)
+_SWEEP_OPTIONS = (
+    ("--stature", dict(type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")),
+    ("--distance", dict(type=float, required=True, help="viewing distance in cm")),
+    ("--start", dict(type=float, default=0.0, help="first drop in cm (default %(default)s)")),
+    ("--stop", dict(type=float, help="last drop in cm (default: panel height)")),
+    ("--step", dict(type=float, default=1.0,
+                    help=f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows")),
+)
+_CELL_OPTIONS = (
+    ("--index", dict(type=int, help="cell index 1..rows*cols, row-major from top-left")),
+    ("--x", dict(type=float, help="point x in cm")),
+    ("--y", dict(type=float, help="point y in cm")),
+)
+_GAZE_OPTIONS = (
+    ("--eye", dict(required=True, metavar="X,Y,Z", help="eye position in cm")),
+    ("--direction", dict(metavar="DX,DY,DZ", help="gaze direction (any length)")),
+    ("--target", dict(metavar="X,Y", help="panel point to aim at")),
+)
+_EAR_OPTIONS = (
+    ("--input", dict(required=True, help="landmarks file, or - for stdin")),
+    ("--format", dict(choices=("csv", "json"), default="csv", help="input format (default %(default)s)")),
+    ("--threshold", dict(type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)")),
+)
+_SIMULATE_OPTIONS = (
+    ("--proc", dict(default="fixed:83.33", help="processing time distribution: fixed:T, uniform:LO,HI, "
+                    "normal:MEAN,STD in ms (default %(default)s)")),
+    _field_flag(SimConfig, "--fps", "capture_fps", "capture rate (default {})"),
+    _field_flag(SimConfig, "--duration", "duration_s", f"run length in seconds (default {{}}); at most "
+                f"{MAX_CAPTURE_EVENTS} capture events, fps * duration summed over --sweep runs"),
+    _field_flag(SimConfig, "--seed", "seed", "random seed (default {})"),
+    ("--jitter", dict(help="optional capture-time jitter distribution")),
+    ("--trace", dict(type=int, metavar="N", help="print the first N events as CSV")),
+    ("--sweep", dict(metavar="T1,T2,...", help="sweep fixed processing times (ms) and print fps/skips per row")),
+)
+_SPEC_OPTION = ("--spec", dict(metavar="PATH", help="JSON overrides for the session protocol"))
+_CALIB_PLAN_OPTIONS = (
+    ("--size", dict(type=int, required=True, help="training set size ({}, or {})".format(
+        *", ".join(map(str, TRAINING_SETS)).rsplit(", ", 1)))),
+    _field_flag(CalibrationSpec, "--seed", "seed", "shuffle seed (default {})"),
+    _SPEC_OPTION,
+)
+_VALIDATE_CALIB_OPTIONS = (
+    _field_flag(CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks"),
+    _SPEC_OPTION,
+)
 
 
 class _Subcommand(NamedTuple):
     help: str  # its line in the top-level help
     description: str  # the text under its own usage
-    options: Callable[[_Parser], None]  # declares its options on a parser
+    options: tuple[tuple[str, dict], ...]  # option rows: a flag, and the keyword arguments add_argument takes
     command: Callable[..., int]
     reads_shelf: bool  # then it takes the shelf flags, and ``command`` takes ``cfg``
 
@@ -434,37 +425,37 @@ _SUBCOMMANDS = {
     "optimize": _Subcommand("Monte Carlo camera drop placement over a shopper population",
         "Sample a shopper population and report camera drop statistics (mean/median/std of the per-person "
         "bisector drop, plus the drop minimizing the mean squared angular imbalance).",
-        _optimize_options, _cmd_optimize, True),
+        _OPTIMIZE_OPTIONS, _cmd_optimize, True),
     "distance-table": _Subcommand("recommended viewing distance per stature (CSV, millimeters)",
         "For each stature, the distance at which the configured camera drop sits exactly on the person's "
         "bisector. Rows with no valid distance are marked.",
-        _distance_table_options, _cmd_distance_table, True),
+        _DISTANCE_TABLE_OPTIONS, _cmd_distance_table, True),
     "sweep": _Subcommand("angular imbalance vs camera drop for one person (CSV)",
         "Signed angular imbalance (upper minus lower viewing half-angle) across candidate camera drops; "
         "the zero crossing is the bisector drop.",
-        _sweep_options, _cmd_sweep, True),
+        _SWEEP_OPTIONS, _cmd_sweep, True),
     "cell": _Subcommand("grid cell lookup: center of an index, or cell owning a point",
         "With --index, print that cell's center. With --x/--y, print the cell owning the point. "
         "Coordinates are panel cm, origin top-left, y down.",
-        _cell_options, _cmd_cell, True),
+        _CELL_OPTIONS, _cmd_cell, True),
     "gaze": _Subcommand("intersect a gaze ray with the panel and report the cell",
         "Eye position is x,y,z in panel coordinates (z toward the viewer, cm). Aim with a direction vector "
         "(normalized internally) or a target point on the panel.",
-        _gaze_options, _cmd_gaze, True),
+        _GAZE_OPTIONS, _cmd_gaze, True),
     "ear": _Subcommand("eye aspect ratio readings from a landmarks file",
         "Read six-point eye landmarks and print one JSON reading per eye with open/closed classification.",
-        _ear_options, _cmd_ear, False),
+        _EAR_OPTIONS, _cmd_ear, False),
     "simulate": _Subcommand("discrete-event run of the capture/processing pipeline",
         "Single-slot latest-frame queue between a fixed-rate camera and a consumer with the given "
         "processing-time distribution. Prints metrics JSON, or an event trace / processing-time sweep as CSV.",
-        _simulate_options, _cmd_simulate, False),
+        _SIMULATE_OPTIONS, _cmd_simulate, False),
     "calib-plan": _Subcommand("per-frame calibration ground truth for a training set size (JSONL)",
         "Plan a calibration session: training cells for the chosen set size plus the four validation cells, "
         "three training frames and one validation frame per cell, selected by seeded shuffle.",
-        _calib_plan_options, _cmd_calib_plan, True),
+        _CALIB_PLAN_OPTIONS, _cmd_calib_plan, True),
     "validate-calib": _Subcommand("check a calibration protocol for overlap/symmetry/budget problems",
         "Print a JSON array of violations (empty when the protocol is consistent). Exits 2 when violations are found.",
-        _validate_calib_options, _cmd_validate_calib, True),
+        _VALIDATE_CALIB_OPTIONS, _cmd_validate_calib, True),
 }
 
 
@@ -474,36 +465,45 @@ _SUBCOMMANDS = {
 _TOP_USAGE = "shelfgaze [-h]\n{0}{{{1}}}\n{0}...".format(" " * len("usage: shelfgaze "), ",".join(_SUBCOMMANDS))
 
 
-def _with_options(p: _Parser, name: str) -> _Parser:
-    """``p`` with subcommand ``name``'s options: the shelf flags first when its command reads the shelf."""
-    if _SUBCOMMANDS[name].reads_shelf:
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    """An argparse parser whose usage errors exit 1: argparse exits 2, which
+    here is reserved for domain errors. argparse (and with it gettext) is
+    imported here, so a call that the option table reads loads neither."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    return Parser(**kwargs)
+
+
+def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``p`` with subcommand ``name``'s option rows: the shelf rows first, in
+    their own group, when its command reads the shelf."""
+    row = _SUBCOMMANDS[name]
+    if row.reads_shelf:
         group = p.add_argument_group("shelf configuration")
-        group.add_argument("--config", metavar="PATH", help="JSON file of shelf settings; explicit flags override it")
-        for flag, field, label in (
-            ("--shelf-height", "shelf_height_cm", "shelf top height"),
-            ("--panel-height", "panel_height_cm", "front panel height"),
-            ("--panel-width", "panel_width_cm", "front panel width"),
-            ("--camera-x", "camera_x_cm", "camera horizontal position"),
-            ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
-            ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
-        ):
-            _field_flag(group, ShelfConfig, flag, field, label + " (default {:g})", "CM")
-    _SUBCOMMANDS[name].options(p)
+        for flag, kwargs in _SHELF_OPTIONS:
+            group.add_argument(flag, **kwargs)
+    for flag, kwargs in row.options:
+        p.add_argument(flag, **kwargs)
     return p
 
 
-def build_parser(name: str | None = None) -> _Parser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     """Subcommand ``name``'s parser, built alone to read the arguments after the
     name; with no name, the top-level parser with every subcommand."""
     if name is not None:
-        return _with_options(_Parser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description), name)
-    parser = _Parser(
+        return _with_options(_parser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description), name)
+    parser = _parser(
         prog="shelfgaze",
         usage=_TOP_USAGE,
         description="Planning and simulation tools for shelf-mounted gaze capture.",
     )
     # The subcommands' progs would otherwise start with the whole usage text.
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser, prog="shelfgaze")
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=type(parser), prog="shelfgaze")
     for name, row in _SUBCOMMANDS.items():
         _with_options(sub.add_parser(name, help=row.help, description=row.description), name)
     return parser
@@ -539,14 +539,49 @@ def _joined_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _table_parse(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """What subcommand ``name``'s parser reads from ``argv``, read from its
+    option rows: every dest, set to its last value or to its default. Only
+    ``FLAG VALUE`` and ``FLAG=VALUE`` items are read, where FLAG is one of the
+    option strings in full, a separate VALUE is "-" or does not start with "-",
+    no VALUE is "--", each value converts with the row's type and lies in its
+    choices, and every required option is given. For any other ``argv``, and a name that is not a
+    subcommand, None: argparse reads it, and writes its help or usage error."""
+    row = _SUBCOMMANDS.get(name)
+    if row is None:
+        return None
+    rows = dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "--")  # a flag at the end has no value
+        kwargs = rows.get(flag)
+        # argparse before 3.13 drops a value of "--", even in ``FLAG=--``
+        if kwargs is None or value == "--" or (not eq and value.startswith("-") and value != "-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if any(kwargs.get("required") and flag not in values for flag, kwargs in rows.items()):
+        return None
+    return SimpleNamespace(**{kwargs.get("dest", flag[2:].replace("-", "_")): values.get(flag, kwargs.get("default"))
+                              for flag, kwargs in rows.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _joined_values(sys.argv[1:] if argv is None else argv)
     name = argv[0] if argv else ""
+    args = _table_parse(name, argv[1:])
     try:
-        if name.startswith("-"):  # help, or an option before the subcommand
+        if args is None and name.startswith("-"):  # help, or an option before the subcommand
             args = build_parser().parse_args(argv)
             name = args.subcommand
-        else:
+        elif args is None:
             # Errors of the whole command, worded as the top-level parser words
             # them but for 3.13's choices without quotes.
             message = "the following arguments are required: subcommand"
@@ -557,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
                 choices = ", ".join(map(repr, _SUBCOMMANDS))
                 message = f"argument subcommand: invalid choice: {name!r} (choose from {choices})"
             if message:
-                _Parser(prog="shelfgaze", usage=_TOP_USAGE).error(message)
+                _parser(prog="shelfgaze", usage=_TOP_USAGE).error(message)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1

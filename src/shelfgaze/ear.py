@@ -49,12 +49,18 @@ def ear(l: EyeLandmarks) -> float:
     return value
 
 
+def check_threshold(threshold: float) -> None:
+    """An open/closed threshold must be positive and finite: else a ValueError."""
+    if not 0 < threshold < math.inf:  # NaN included
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+
+
 def classify(value: float, threshold: float = OPEN_THRESHOLD) -> bool:
-    """True when the eye reads as open: value strictly above the threshold."""
+    """True when the eye reads as open: value strictly above the threshold.
+    The value is checked first, then the threshold."""
     if not -math.inf < value < math.inf:  # NaN included
         raise ValueError(f"value must be finite, got {value}")
-    if not 0 < threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    check_threshold(threshold)
     return value > threshold
 
 

@@ -15,11 +15,11 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.calibration import CalibrationSpec
-from shelfgaze.cli import _SUBCOMMANDS, build_parser, main
+from shelfgaze.cli import _SHELF_OPTIONS, _SUBCOMMANDS, _joined_values, _table_parse, build_parser, main
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
 
@@ -40,6 +40,7 @@ OUTPUTS = [case for case in CASES if case not in HELP_PAGES + ERRORS + DIGESTS]
 # optimize is the one subcommand that loads numpy (test_import_does_not_load_numpy).
 NUMPY = [case for case in OUTPUTS + DIGESTS if case["argv"][0] == "optimize"]
 EYES_CSV = "0,0,1,1,3,1,4,0,3,-1,1,-1\n0,0,1,0.1,2,0.1,3,0,2,-0.1,1,-0.1\n"
+DEGENERATE_CSV = "0,0,1,1,3,1,0,0,3,-1,1,-1\n" + EYES_CSV  # its corners p1 and p4 coincide
 
 
 def each_case(cases: list, name=" ".join):
@@ -161,11 +162,12 @@ def _record_builds(monkeypatch) -> dict:
 
 
 def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
+    # A valid call is read from the option table: no parser is built and argparse parses nothing.
     seen = _record_builds(monkeypatch)
     monkeypatch.setattr("sys.argv", ["shelfgaze", "cell", "--index", "19"])
     assert main() == 0
     assert capsys.readouterr().out == '{"x_cm":8.5,"y_cm":80.5,"cell":19}\n'
-    assert seen == {"built": ["shelfgaze cell"], "add_parser": 0, "parses": 1}
+    assert seen == {"built": [], "add_parser": 0, "parses": 0}
 
 
 def test_usage_errors_build_no_subparser_and_parse_argv_once(capsys, monkeypatch):
@@ -186,6 +188,114 @@ def test_usage_errors_build_no_subparser_and_parse_argv_once(capsys, monkeypatch
         seen.update(built=[], add_parser=0)
         main(argv)
         assert (seen["built"], seen["add_parser"]) == (["shelfgaze"], len(_SUBCOMMANDS)), argv
+
+
+# Each reason the table parse hands argv to argparse: (subcommand, argv handed
+# over, the same argv with that one reason taken away, which the table reads).
+HAND_OVERS = {
+    "help": ("cell", ["--index", "3", "-h"], ["--index", "3"]),
+    "abbreviation": ("cell", ["--ind", "3"], ["--index", "3"]),
+    "leftover": ("cell", ["--index", "3", "extra"], ["--index", "3"]),
+    "--": ("cell", ["--", "--index", "3"], ["--index", "3"]),
+    "-- as a value": ("ear", ["--input=--"], ["--input=-"]),  # argparse reads [] before 3.13, "--" on 3.13
+    "missing value": ("cell", ["--x", "1", "--index"], ["--x", "1", "--index", "3"]),
+    "value that starts with -": ("gaze", ["--eye", "-q"], ["--eye", "q"]),
+    "failed conversion": ("cell", ["--index", "3.5"], ["--index", "3"]),
+    "bad choice": ("ear", ["--input", "-", "--format", "xml"], ["--input", "-", "--format", "json"]),
+    "missing required option": ("sweep", ["--start", "2"], ["--start", "2", "--distance", "100"]),
+    "unknown subcommand": ("cel", ["--index", "3"], None),
+}
+
+
+def test_each_hand_over_reason_is_reached():
+    for reason, (name, handed, read) in HAND_OVERS.items():
+        assert _table_parse(name, handed) is None, reason
+        assert read is None or _table_parse(name, read) is not None, reason
+
+
+# Values that each row type converts (and "-3", which a separate VALUE may not
+# start with), and values of every kind for any flag.
+CONVERTS = {
+    int: ["7", "0", "1_0", " 2", "-3"], float: ["1.5", "nan", "1e400", "-0.25"], None: ["fixed:8", "-", "", "a=b"],
+}
+ANY_VALUE = ["7", "-3", "1.5", "nan", "1_0", "", "-", "abc", "a=b", "csv", "json", "xml", "--", "-h"]
+
+
+def _table_argvs(name: str):
+    """argv for subcommand ``name`` drawn from its option rows: its flags with
+    values that convert, and sometimes another item (an abbreviation or other
+    token, a bare flag, any value); every required option first, or not. Each
+    item is ``FLAG VALUE``, ``FLAG=VALUE`` or a bare flag."""
+    row = _SUBCOMMANDS[name]
+    rows = dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
+    required = [token for flag, kwargs in rows.items() if kwargs.get("required") for token in (flag, "7")]
+
+    def tokens(flag, value, form):
+        return [f"{flag}={value}"] if form == "=" else [flag, value] if form else [flag]
+
+    def read(flag):
+        values = rows[flag].get("choices") or CONVERTS[rows[flag].get("type")]
+        return st.builds(tokens, st.just(flag), st.sampled_from(values), st.sampled_from([" ", "="]))
+
+    def call(with_required, items, others, at):
+        items = items[:at] + others + items[at:]
+        return name, (required if with_required else []) + [token for item in items for token in item]
+
+    flags = st.sampled_from(sorted(rows))
+    other = st.builds(
+        tokens,
+        st.one_of(flags, flags.flatmap(lambda f: st.integers(2, len(f) - 1).map(lambda k: f[:k])),
+                  st.sampled_from(["-h", "--help", "--", "-", "extra", "--bogus"])),
+        st.sampled_from(ANY_VALUE),
+        st.sampled_from([" ", "=", ""]),
+    )
+    return st.builds(call, st.booleans(), st.lists(flags.flatmap(read), max_size=5), st.lists(other, max_size=2),
+                     st.integers(0, 5))
+
+
+def _readings(args) -> dict:
+    """Each dest's value as its repr, so that NaN equals NaN and 0.0 differs from -0.0 and 0."""
+    return {dest: repr(value) for dest, value in vars(args).items()}
+
+
+def _hand_over_examples(test):
+    """``test`` with each handed-over argv of a subcommand in ``HAND_OVERS`` as an example."""
+    for name, handed, _ in HAND_OVERS.values():
+        test = example((name, handed))(test) if name in _SUBCOMMANDS else test
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(_SUBCOMMANDS)).flatmap(_table_argvs))
+@_hand_over_examples
+@example(("cell", ["--index", "3", "--index", "4"]))  # a repeated option keeps its last value
+@example(("ear", ["--input=-", "--format", "json", "--threshold=-1"]))
+@example(("distance-table", ["--statures", ""]))
+@example(("optimize", ["--samples", "1_0", "--camera-drop=-5"]))
+def test_table_parse_reads_as_argparse_or_hands_over(call):
+    name, argv = call
+    args = _table_parse(name, argv)
+    if args is not None:
+        parsed, extra = build_parser(name).parse_known_args(argv)
+        assert (_readings(args), extra) == (_readings(parsed), [])
+
+
+def test_table_parse_reads_every_golden_call():
+    # Every valid frozen call is read by the table, as its subcommand's parser reads it.
+    for case in OUTPUTS + DIGESTS:
+        name, *argv = case["argv"]
+        args = _table_parse(name, _joined_values(argv))
+        assert _readings(args) == _readings(build_parser(name).parse_args(_joined_values(argv))), case["argv"]
+
+
+def test_a_valid_call_loads_no_argparse():
+    # In a fresh interpreter, argparse (and gettext, which it imports) load only for help and usage errors.
+    probe = ("import sys; from shelfgaze.cli import main; main(sys.argv[1:]); "
+             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv, loaded in ((["cell", "--index", "19"], []), (["cell", "--help"], ["argparse", "gettext"])):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == repr(loaded), argv
 
 
 def test_module_entry_point_reads_sys_argv():
@@ -687,6 +797,10 @@ def test_shelf_options_only_where_the_shelf_is_read(capsys, monkeypatch):
         # Six lists of twelve numbers in all, but not six pairs.
         (["ear", "--input", "-", "--format", "json"], "[[[],[0,0,1,1],[3,1],[4,0],[3,-1],[1,-1]]]",
          "eye 1 coordinates must be numbers, got [[], [0, 0, 1, 1], [3, 1], [4, 0], [3, -1], [1, -1]]"),
+        # The threshold is checked before any eye is read, so a degenerate first eye does not decide the exit.
+        (["ear", "--input", "-", "--threshold", "0"], DEGENERATE_CSV, "threshold must be positive and finite, got 0.0"),
+        (["ear", "--input", "-", "--threshold", "nan"], DEGENERATE_CSV, "threshold must be positive and finite, got nan"),
+        (["ear", "--input", "-", "--threshold", "-1"], DEGENERATE_CSV, "threshold must be positive and finite, got -1.0"),
     ],
 )
 def test_invalid_input_exits_one_with_a_reason(capsys, monkeypatch, tmp_path, argv, stdin, reason):

@@ -16,9 +16,12 @@ of that trace with event ``k % n`` deleted and with it duplicated (for config
 k of a trace of n events, so the fold's error paths are compared too), and
 ``sweep_processing_time`` on a drawn pipeline run; and one command line
 through ``shelfgaze.cli.main``, for a subcommand that loads no numpy: a valid
-call, or one with an abbreviated option, an ``--opt=value`` pair, a leftover
-argument, an option before the subcommand or ``-h`` at a drawn position, drawn
-from its own generator so that the configs stay those of earlier versions. A
+call, or one with an abbreviated option, an ``--opt=value`` pair, a repeated
+option, a value that may not convert, an empty ``--opt=``, a leftover argument,
+an option before the subcommand, ``-h`` at a drawn position, a bad
+``--format``, its required option left out or a flag with no value at the end,
+drawn from its own generator so that the configs stay those of earlier
+versions. A
 ``calib-plan`` line also draws the panel width and the camera's place, and
 sometimes a ``--config`` file with grid rows and columns and a ``--spec`` file
 with frame counts, written into the worker's temporary working directory.
@@ -94,10 +97,13 @@ def _draw_pipeline(rng: random.Random):
 
 def _draw_cli(rng: random.Random) -> dict:
     """A replay case for a subcommand that loads no numpy: a valid call, or
-    that call with one option abbreviated, one given as --opt=value, a
-    leftover argument, an option before the subcommand, or -h at a drawn
-    position. A calib-plan call takes shelf flags, and may take settings
-    files, which the case's ``files`` hold."""
+    that call with one option abbreviated, given as --opt=value, repeated,
+    given a value that may not convert or an empty --opt=, a leftover
+    argument, an option before the subcommand, -h at a drawn position, a
+    --format that is not csv or json, its first option (the required one,
+    where it has one) left out, or a flag with no value at the end. A
+    calib-plan call takes shelf flags, and may take settings files, which the
+    case's ``files`` hold."""
     def num(lo: float, hi: float) -> str:
         return f"{rng.uniform(lo, hi):.6g}"
 
@@ -134,11 +140,21 @@ def _draw_cli(rng: random.Random) -> dict:
             options.append(("--spec", "spec.json"))
     i = rng.randrange(len(options))
     flag, value = options[i]
-    form = rng.randrange(6)
+    form = rng.randrange(12)
     if form == 1:
         options[i] = (flag[:rng.randint(3, len(flag))], value)
     elif form == 2:
         options[i] = (f"{flag}={value}",)
+    elif form == 6:  # the last of a repeated option counts
+        options.insert(rng.randint(0, len(options)), (flag, rng.choice([value, "7", "0.25"])))
+    elif form == 7:
+        options[i] = (flag, rng.choice(["abc", "1.5", "1_0", "0x10", ""]))
+    elif form == 8:
+        options[i] = (f"{flag}=",)
+    elif form == 9:
+        options.append(("--format", rng.choice(["xml", "CSV", "json "])))
+    elif form == 10:  # the first option is the required one, where a subcommand has one
+        del options[0]
     argv = [name]
     for option in options:  # a value that starts with "-" reads as an option unless joined to its flag
         argv += ["=".join(option)] if option[-1].startswith("-") else option
@@ -148,6 +164,8 @@ def _draw_cli(rng: random.Random) -> dict:
         argv.insert(0, rng.choice(["--bogus", "-q", flag]))
     elif form == 5:
         argv.insert(rng.randint(0, len(argv)), "-h")
+    elif form == 11:
+        argv.append(flag)
     return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": files}
 
 
