@@ -13,15 +13,12 @@ default, then a JSON settings file (--config for the shelf, --spec for the
 calibration protocol), then the flags actually given. Only subcommands that
 read the shelf, as ``_SUBCOMMANDS`` marks them, accept the shelf flags.
 
-A value that starts with a negative number is first joined to its flag
-(``_joined_values``), so it reads as in the ``--flag=value`` form. A call that
-names a subcommand and gives only its options in full, each with a value that
-converts, is read from the option rows (``_table_parse``), and builds no
-parser. argparse reads every other argv, and is imported only then: it writes
-every help page and usage error. Then a call that names a subcommand builds
-that subcommand's parser alone; only argv that starts with an option (--help)
-builds the top-level parser with all nine. A missing or unknown subcommand, and
-what its parser leaves over, are reported by a bare parser with the fixed usage.
+The option rows are the one reader of argv after a subcommand name
+(``_table_parse``): ``FLAG VALUE`` or ``FLAG=VALUE`` items, where a "--" FLAG
+may be a unique prefix, a separate VALUE may start with a negative number,
+and ``FLAG=--`` reads the value "--". argparse only writes help and usage
+text, from the same rows: a call that names a subcommand builds that
+subcommand's parser alone; only --help before it builds the top-level one.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import asdict
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .calibration import TRAINING_SETS, CalibrationSpec, plan, plan_jsonl, validate_spec
 from .ear import OPEN_THRESHOLD, EyeLandmarks, check_threshold, classify, ear
@@ -465,20 +462,6 @@ _SUBCOMMANDS = {
 _TOP_USAGE = "shelfgaze [-h]\n{0}{{{1}}}\n{0}...".format(" " * len("usage: shelfgaze "), ",".join(_SUBCOMMANDS))
 
 
-def _parser(**kwargs) -> argparse.ArgumentParser:
-    """An argparse parser whose usage errors exit 1: argparse exits 2, which
-    here is reserved for domain errors. argparse (and with it gettext) is
-    imported here, so a call that the option table reads loads neither."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> None:  # type: ignore[override]
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
-    return Parser(**kwargs)
-
-
 def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """``p`` with subcommand ``name``'s option rows: the shelf rows first, in
     their own group, when its command reads the shelf."""
@@ -493,109 +476,126 @@ def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPar
 
 
 def build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """Subcommand ``name``'s parser, built alone to read the arguments after the
-    name; with no name, the top-level parser with every subcommand."""
+    """Subcommand ``name``'s parser, built alone; with no name, the top-level
+    parser with every subcommand. They only write help and usage text:
+    ``_table_parse`` reads argv. argparse (and with it gettext) is imported
+    here, so a valid call loads neither."""
+    import argparse
+
     if name is not None:
-        return _with_options(_parser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description), name)
-    parser = _parser(
+        parser = argparse.ArgumentParser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description)
+        return _with_options(parser, name)
+    parser = argparse.ArgumentParser(
         prog="shelfgaze",
         usage=_TOP_USAGE,
         description="Planning and simulation tools for shelf-mounted gaze capture.",
     )
     # The subcommands' progs would otherwise start with the whole usage text.
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=type(parser), prog="shelfgaze")
+    sub = parser.add_subparsers(dest="subcommand", required=True, prog="shelfgaze")
     for name, row in _SUBCOMMANDS.items():
         _with_options(sub.add_parser(name, help=row.help, description=row.description), name)
     return parser
 
 
-def _negative_value(token: str) -> bool:
-    """Whether ``token`` starts with one "-" and its first comma-separated item is a number."""
-    if not token.startswith("-") or token.startswith("--"):
+def _usage_error(name: str | None, message: str) -> NoReturn:
+    """Exit 1 with ``message`` under the usage of subcommand ``name``, or under
+    the fixed top-level usage, as argparse writes a usage error; argparse exits
+    2, which here is reserved for domain errors."""
+    usage = f"usage: {_TOP_USAGE}\n" if name is None else build_parser(name).format_usage()
+    sys.stderr.write(f"{usage}shelfgaze{'' if name is None else ' ' + name}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _names_option(token: str) -> bool:
+    """Whether ``token`` names an option: it starts with "-", and is neither
+    "-" nor a negative value (one "-" and a number before any comma)."""
+    if not token.startswith("-") or token == "-":
         return False
     try:
         float(token.partition(",")[0])
     except ValueError:
-        return False
-    return True
+        return True
+    return False
 
 
-def _joined_values(argv: list[str]) -> list[str]:
-    """``argv`` with each negative value joined to the option before it, so
-    that ``--target -4.2,20.4`` reads as ``--target=-4.2,20.4``: argparse takes
-    a token that starts with "-" for an option unless it is one plain number.
-    An option already given a value, the help flag and its abbreviations are
-    not joined, and what follows "--" is left as it is."""
-    joined: list[str] = []
-    for i, token in enumerate(argv):
-        if token == "--":
-            return joined + argv[i:]
-        option = joined[-1] if joined else ""
-        if (_negative_value(token) and option.startswith("-") and "=" not in option and not _negative_value(option)
-                and option != "-h" and not "--help".startswith(option)):
-            joined[-1] = f"{option}={token}"
-        else:
-            joined.append(token)
-    return joined
+def _option(name: str | None, token: str, rows: dict) -> str | None:
+    """The option string of ``rows`` or the help flags that ``token``'s part
+    before any "=" names: that part itself, or the one a "--" part is a unique
+    prefix of; None if it names none. A help flag prints the help of
+    subcommand ``name`` (with no name, the top-level help) and exits 0."""
+    text = token.partition("=")[0]
+    matches = [text] if text in rows or text in ("-h", "--help") else [
+        flag for flag in ("--help", *rows) if text.startswith("--") and flag.startswith(text)]
+    if len(matches) > 1:
+        _usage_error(name, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches and matches[0] in ("-h", "--help"):
+        build_parser(name).print_help()
+        raise SystemExit(0)
+    return matches[0] if matches else None
 
 
-def _table_parse(name: str, argv: list[str]) -> SimpleNamespace | None:
-    """What subcommand ``name``'s parser reads from ``argv``, read from its
-    option rows: every dest, set to its last value or to its default. Only
-    ``FLAG VALUE`` and ``FLAG=VALUE`` items are read, where FLAG is one of the
-    option strings in full, a separate VALUE is "-" or does not start with "-",
-    no VALUE is "--", each value converts with the row's type and lies in its
-    choices, and every required option is given. For any other ``argv``, and a name that is not a
-    subcommand, None: argparse reads it, and writes its help or usage error."""
-    row = _SUBCOMMANDS.get(name)
-    if row is None:
-        return None
+def _table_parse(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """Subcommand ``name``'s arguments read from ``argv`` by its option rows:
+    every dest, set to its last value or to its default; and the tokens left
+    over. An item is ``FLAG VALUE`` or ``FLAG=VALUE``, with FLAG as
+    ``_option`` reads it. A separate VALUE may not name an option or be "--",
+    which ends the options: it and every token after it are left over. Each
+    value must convert with the row's type and lie in its choices, and every
+    required option must be given; else a usage error exits 1."""
+    row = _SUBCOMMANDS[name]
     rows = dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
-    values = {}
+    values, extra = {}, []
     tokens = iter(argv)
     for token in tokens:
-        flag, eq, value = token.partition("=")
+        if token == "--":
+            extra += [token, *tokens]
+            break
+        flag = _option(name, token, rows)
+        if flag is None:
+            extra.append(token)
+            continue
+        _, eq, value = token.partition("=")
         value = value if eq else next(tokens, "--")  # a flag at the end has no value
-        kwargs = rows.get(flag)
-        # argparse before 3.13 drops a value of "--", even in ``FLAG=--``
-        if kwargs is None or value == "--" or (not eq and value.startswith("-") and value != "-"):
-            return None
+        if not eq and _names_option(value):
+            _usage_error(name, f"argument {flag}: expected one argument")
+        kwargs = rows[flag]
+        convert = kwargs.get("type", str)
         try:
-            value = kwargs.get("type", str)(value)
-        except (TypeError, ValueError):
-            return None
+            value = convert(value)
+        except ValueError:
+            _usage_error(name, f"argument {flag}: invalid {convert.__name__} value: {value!r}")
         if value not in kwargs.get("choices", (value,)):
-            return None
+            choices = ", ".join(map(repr, kwargs["choices"]))
+            _usage_error(name, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
         values[flag] = value
-    if any(kwargs.get("required") and flag not in values for flag, kwargs in rows.items()):
-        return None
+    missing = [flag for flag, kwargs in rows.items() if kwargs.get("required") and flag not in values]
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(**{kwargs.get("dest", flag[2:].replace("-", "_")): values.get(flag, kwargs.get("default"))
-                              for flag, kwargs in rows.items()})
+                              for flag, kwargs in rows.items()}), extra
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _joined_values(sys.argv[1:] if argv is None else argv)
-    name = argv[0] if argv else ""
-    args = _table_parse(name, argv[1:])
+    argv = sys.argv[1:] if argv is None else argv
+    lead = []  # options before the subcommand: help exits, and any other is left over
     try:
-        if args is None and name.startswith("-"):  # help, or an option before the subcommand
-            args = build_parser().parse_args(argv)
-            name = args.subcommand
-        elif args is None:
-            # Errors of the whole command, worded as the top-level parser words
-            # them but for 3.13's choices without quotes.
-            message = "the following arguments are required: subcommand"
-            if name in _SUBCOMMANDS:
-                args, extra = build_parser(name).parse_known_args(argv[1:])
-                message = extra and f"unrecognized arguments: {' '.join(extra)}"
-            elif argv:
-                choices = ", ".join(map(repr, _SUBCOMMANDS))
-                message = f"argument subcommand: invalid choice: {name!r} (choose from {choices})"
-            if message:
-                _parser(prog="shelfgaze", usage=_TOP_USAGE).error(message)
+        for token in argv:
+            if token == "--" or not _names_option(token):
+                break
+            _option(None, token, {})
+            lead.append(token)
+        name, *rest = argv[len(lead):] or [None]
+        if name in _SUBCOMMANDS:
+            args, extra = _table_parse(name, rest)
+            if lead + extra:
+                _usage_error(None, f"unrecognized arguments: {' '.join(lead + extra)}")
+        elif name is not None:  # worded as argparse 3.11 words it: 3.13 drops the quotes
+            choices = ", ".join(map(repr, _SUBCOMMANDS))
+            _usage_error(None, f"argument subcommand: invalid choice: {name!r} (choose from {choices})")
+        else:
+            _usage_error(None, "the following arguments are required: subcommand")
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        return exc.code
     row = _SUBCOMMANDS[name]
     try:
         return row.command(args, _shelf_from_args(args)) if row.reads_shelf else row.command(args)

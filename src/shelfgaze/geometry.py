@@ -173,9 +173,3 @@ def imbalance_sweep(cfg: ShelfConfig, p: PersonSample, drops: Iterable[float]) -
             validate_person(cfg, p)
         sweep.append((drop, alpha1 - alpha2))
     return sweep
-
-
-def angular_imbalance(cfg: ShelfConfig, p: PersonSample, camera_drop_cm: float) -> float:
-    """Signed residual alpha1 - alpha2 for a camera at the given drop: the
-    one-drop ``imbalance_sweep``."""
-    return imbalance_sweep(cfg, p, (camera_drop_cm,))[0][1]

@@ -17,8 +17,8 @@ from shelfgaze.ear import EyeLandmarks, classify, ear
 from shelfgaze.geometry import (
     PersonSample,
     ShelfConfig,
-    angular_imbalance,
     bisector_split,
+    imbalance_sweep,
 )
 from shelfgaze.grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
 from shelfgaze.pipeline import FixedTime, SimConfig, UniformTime, simulate
@@ -58,7 +58,7 @@ def test_criterion_2_closed_form_matches_root_finder(capsys):
                 rng.uniform(44.0, 240.0), rng.uniform(20.0, 300.0), CFG
             )
             root = bisect(
-                lambda drop: angular_imbalance(CFG, p, drop), 0.0, 138.0, xtol=1e-12
+                lambda drop: imbalance_sweep(CFG, p, (drop,))[0][1], 0.0, 138.0, xtol=1e-12
             )
             assert abs(root - bisector_split(CFG, p).db_cm) < 1e-9
 
@@ -69,9 +69,9 @@ def test_criterion_2_closed_form_matches_root_finder(capsys):
         split = bisector_split(CFG, p)
         top, bottom = split.ab_cm, split.ac_cm
         swapped = CFG.panel_height_cm * bottom / (top + bottom)
-        true_root = bisect(lambda d: angular_imbalance(CFG, p, d), 0.0, 138.0, xtol=1e-12)
+        true_root = bisect(lambda d: imbalance_sweep(CFG, p, (d,))[0][1], 0.0, 138.0, xtol=1e-12)
         assert abs(swapped - true_root) > 20.0
-        assert abs(angular_imbalance(CFG, p, swapped)) > 0.1
+        assert abs(imbalance_sweep(CFG, p, (swapped,))[0][1]) > 0.1
 
 
 def test_criterion_3_distance_table(capsys):
@@ -89,7 +89,7 @@ def test_criterion_3_distance_table(capsys):
 def test_criterion_4_imbalance_smaller_at_recommended_drop(capsys):
     with _criterion(capsys, 4, "mean person: |imbalance| at drop 55.5 < at drop 24.5"):
         p = PersonSample.from_eye_height(160.2, 112.5, CFG)
-        assert abs(angular_imbalance(CFG, p, 55.5)) < abs(angular_imbalance(CFG, p, 24.5))
+        assert abs(imbalance_sweep(CFG, p, (55.5,))[0][1]) < abs(imbalance_sweep(CFG, p, (24.5,))[0][1])
 
 
 def test_criterion_5_pipeline_rates(capsys):

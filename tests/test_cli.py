@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.calibration import CalibrationSpec
-from shelfgaze.cli import _SHELF_OPTIONS, _SUBCOMMANDS, _joined_values, _table_parse, build_parser, main
+from shelfgaze.cli import _SHELF_OPTIONS, _SUBCOMMANDS, _table_parse, build_parser, main
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
 
@@ -171,54 +171,76 @@ def test_main_builds_the_parser_from_sys_argv(capsys, monkeypatch):
 
 
 def test_usage_errors_build_no_subparser_and_parse_argv_once(capsys, monkeypatch):
-    # The top-level usage is fixed text, so these errors print it without
-    # building the nine subparsers or parsing argv again.
+    # The option table reads every argv, so argparse parses none: it only
+    # writes help and usage text. An error after a subcommand builds that
+    # subcommand's parser alone, the top-level usage is fixed text, and only
+    # help before any subcommand builds the top-level parser, with every subparser.
     seen = _record_builds(monkeypatch)
-    for argv, built, parses in (
-        (["cell", "--index", "19", "extra"], ["shelfgaze cell"], 1),  # what the subcommand leaves over
-        ([], [], 0),  # no subcommand
-        (["no-such-command"], [], 0),
+    for argv, built in (
+        (["cell", "--index", "19", "extra"], []),  # what the subcommand leaves over
+        ([], []),  # no subcommand
+        (["no-such-command"], []),
+        (["--bogus", "cell"], []),
+        (["cell", "--index", "x"], ["shelfgaze cell"]),
+        (["cell", "--ind", "19", "-h"], ["shelfgaze cell"]),
+        (["--help"], ["shelfgaze"]),
+        (["-h", "cell"], ["shelfgaze"]),
     ):
         seen.update(built=[], add_parser=0, parses=0)
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("usage: shelfgaze [-h]\n")
-        assert seen == {"built": built, "add_parser": 0, "parses": parses}, argv
-    # Only argv that starts with an option builds the top-level parser, with every subparser.
-    for argv in (["--help"], ["-h", "cell"], ["--bogus", "cell"]):
-        seen.update(built=[], add_parser=0)
         main(argv)
-        assert (seen["built"], seen["add_parser"]) == (["shelfgaze"], len(_SUBCOMMANDS)), argv
+        capsys.readouterr()
+        subparsers = len(_SUBCOMMANDS) if built == ["shelfgaze"] else 0
+        assert seen == {"built": built, "add_parser": subparsers, "parses": 0}, argv
 
 
-# Each reason the table parse hands argv to argparse: (subcommand, argv handed
-# over, the same argv with that one reason taken away, which the table reads).
+# Each call that a reader of full option strings alone could not read, with
+# what main gives for it: the call whose outcome it shares, or the last line
+# of stderr after exit 1, under the usage of the prog that line names if any.
 HAND_OVERS = {
-    "help": ("cell", ["--index", "3", "-h"], ["--index", "3"]),
-    "abbreviation": ("cell", ["--ind", "3"], ["--index", "3"]),
-    "leftover": ("cell", ["--index", "3", "extra"], ["--index", "3"]),
-    "--": ("cell", ["--", "--index", "3"], ["--index", "3"]),
-    "-- as a value": ("ear", ["--input=--"], ["--input=-"]),  # argparse reads [] before 3.13, "--" on 3.13
-    "missing value": ("cell", ["--x", "1", "--index"], ["--x", "1", "--index", "3"]),
-    "value that starts with -": ("gaze", ["--eye", "-q"], ["--eye", "q"]),
-    "failed conversion": ("cell", ["--index", "3.5"], ["--index", "3"]),
-    "bad choice": ("ear", ["--input", "-", "--format", "xml"], ["--input", "-", "--format", "json"]),
-    "missing required option": ("sweep", ["--start", "2"], ["--start", "2", "--distance", "100"]),
-    "unknown subcommand": ("cel", ["--index", "3"], None),
+    "help": (["cell", "--index", "3", "-h"], ["cell", "--help"]),
+    "abbreviation": (["cell", "--ind", "3"], ["cell", "--index", "3"]),
+    "leftover": (["cell", "--index", "3", "extra"], "shelfgaze: error: unrecognized arguments: extra"),
+    "--": (["cell", "--", "--index", "3"], "shelfgaze: error: unrecognized arguments: -- --index 3"),
+    "-- as a value": (["ear", "--input=--"], "error: [Errno 2] No such file or directory: '--'"),
+    "missing value": (["cell", "--x", "1", "--index"], "shelfgaze cell: error: argument --index: expected one argument"),
+    "value that starts with -": (["gaze", "--eye", "-q"], "shelfgaze gaze: error: argument --eye: expected one argument"),
+    "failed conversion": (["cell", "--index", "3.5"], "shelfgaze cell: error: argument --index: invalid int value: '3.5'"),
+    "bad choice": (["ear", "--input", "-", "--format", "xml"],
+                   "shelfgaze ear: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    "missing required option": (["sweep", "--start", "2"],
+                                "shelfgaze sweep: error: the following arguments are required: --distance"),
+    "ambiguous abbreviation": (["optimize", "--s", "5"],
+                               "shelfgaze optimize: error: ambiguous option: --s could match --shelf-height, --samples, --seed"),
+    "unknown subcommand": (["cel", "--index", "3"], "shelfgaze: error: argument subcommand: invalid choice: 'cel' (choose "
+                           "from 'optimize', 'distance-table', 'sweep', 'cell', 'gaze', 'ear', 'simulate', 'calib-plan', "
+                           "'validate-calib')"),
 }
 
 
-def test_each_hand_over_reason_is_reached():
-    for reason, (name, handed, read) in HAND_OVERS.items():
-        assert _table_parse(name, handed) is None, reason
-        assert read is None or _table_parse(name, read) is not None, reason
+def test_each_hand_over_reason_is_reached(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(EYES_CSV))
+    for reason, (argv, expected) in HAND_OVERS.items():
+        code, out, err = run(capsys, *argv)
+        if isinstance(expected, list):
+            assert (code, out, err) == run(capsys, *expected), reason
+            continue
+        assert (code, out, err.splitlines()[-1]) == (1, "", expected), reason
+        usage = f"usage: {expected.partition(': error: ')[0]} [-h]"
+        assert err.startswith(usage if expected.startswith("shelfgaze") else expected), reason
 
 
-# Values that each row type converts (and "-3", which a separate VALUE may not
+def _rows(name: str) -> dict:
+    """Subcommand ``name``'s option rows by flag, the shelf rows first where it reads the shelf."""
+    row = _SUBCOMMANDS[name]
+    return dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
+
+
+# Values that each row type converts (and "-3", which a separate VALUE may
 # start with), and values of every kind for any flag.
 CONVERTS = {
     int: ["7", "0", "1_0", " 2", "-3"], float: ["1.5", "nan", "1e400", "-0.25"], None: ["fixed:8", "-", "", "a=b"],
 }
-ANY_VALUE = ["7", "-3", "1.5", "nan", "1_0", "", "-", "abc", "a=b", "csv", "json", "xml", "--", "-h"]
+ANY_VALUE = ["7", "-3", "1.5", "nan", "1_0", "", "-", "abc", "a=b", "csv", "json", "xml", "--", "-h", "-4.2,20.4"]
 
 
 def _table_argvs(name: str):
@@ -226,8 +248,7 @@ def _table_argvs(name: str):
     values that convert, and sometimes another item (an abbreviation or other
     token, a bare flag, any value); every required option first, or not. Each
     item is ``FLAG VALUE``, ``FLAG=VALUE`` or a bare flag."""
-    row = _SUBCOMMANDS[name]
-    rows = dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
+    rows = _rows(name)
     required = [token for flag, kwargs in rows.items() if kwargs.get("required") for token in (flag, "7")]
 
     def tokens(flag, value, form):
@@ -245,7 +266,7 @@ def _table_argvs(name: str):
     other = st.builds(
         tokens,
         st.one_of(flags, flags.flatmap(lambda f: st.integers(2, len(f) - 1).map(lambda k: f[:k])),
-                  st.sampled_from(["-h", "--help", "--", "-", "extra", "--bogus"])),
+                  st.sampled_from(["-h", "--help", "--he", "--", "-", "extra", "--bogus"])),
         st.sampled_from(ANY_VALUE),
         st.sampled_from([" ", "=", ""]),
     )
@@ -258,10 +279,54 @@ def _readings(args) -> dict:
     return {dest: repr(value) for dest, value in vars(args).items()}
 
 
+def _negative_value(token: str) -> bool:
+    try:
+        float(token.partition(",")[0])
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _joined(name: str, argv: list[str]) -> list[str]:
+    """``argv`` as argparse must be given it to read it as the table does: each
+    negative value joined to the option before it that takes it, for argparse
+    takes a token that starts with "-" for an option unless it is one plain
+    number. What follows "--" is left as it is."""
+    rows, joined = _rows(name), []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return joined + argv[i:]
+        option = joined[-1] if joined else ""
+        matches = [flag for flag in ("--help", *rows) if option.startswith("--") and flag.startswith(option)]
+        takes = option in rows or len(matches) == 1 and matches[0] != "--help"
+        if _negative_value(token) and "=" not in option and takes:
+            joined[-1] = f"{option}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def _exit_or_return(call) -> tuple:
+    """What ``call()`` returns, or the code it exits with; then its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            got = call()
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def _plain_choices(text: str) -> str:
+    """``text`` without the quotes in each "(choose from ...)" list: later
+    argparse releases print the choices without them."""
+    return re.sub(r"\(choose from [^)]*\)", lambda m: m.group().replace("'", ""), text)
+
+
 def _hand_over_examples(test):
-    """``test`` with each handed-over argv of a subcommand in ``HAND_OVERS`` as an example."""
-    for name, handed, _ in HAND_OVERS.values():
-        test = example((name, handed))(test) if name in _SUBCOMMANDS else test
+    """``test`` with each argv of a subcommand in ``HAND_OVERS`` as an example."""
+    for argv, _ in HAND_OVERS.values():
+        test = example((argv[0], argv[1:]))(test) if argv[0] in _SUBCOMMANDS else test
     return test
 
 
@@ -272,20 +337,39 @@ def _hand_over_examples(test):
 @example(("ear", ["--input=-", "--format", "json", "--threshold=-1"]))
 @example(("distance-table", ["--statures", ""]))
 @example(("optimize", ["--samples", "1_0", "--camera-drop=-5"]))
+@example(("gaze", ["--eye", "-1,2,3", "--bogus", "-4.2,20.4", "--tar", "-4.2,20.4"]))
 def test_table_parse_reads_as_argparse_or_hands_over(call):
+    # argparse is the oracle: where the subcommand's parser reads the joined
+    # argv, the table gives the same readings and leftovers; where the parser
+    # prints help or rejects argv, the table does the same but exits 1, not 2.
     name, argv = call
-    args = _table_parse(name, argv)
-    if args is not None:
-        parsed, extra = build_parser(name).parse_known_args(argv)
-        assert (_readings(args), extra) == (_readings(parsed), [])
+    got = _exit_or_return(lambda: _table_parse(name, argv))
+    oracle = _exit_or_return(lambda: build_parser(name).parse_known_args(_joined(name, argv)))
+    # The deliberate deviations. FLAG=-- reads the value "--", which argparse
+    # before 3.13 drops. -h=X and --help=X print help, and -hX is an unknown
+    # option, where argparse reports "ignored explicit argument" (3.13 prints
+    # help for -hX).
+    if any(token.partition("=")[1:] == ("=", "--") or token.startswith("-h") and token != "-h" for token in argv):
+        return
+    if "ignored explicit argument" in oracle[2]:
+        return
+    # argparse reports an ambiguous abbreviation before it reads anything,
+    # even after -h; the table reports it only when it reaches it.
+    if "ambiguous option" in oracle[2]:
+        assert got[0] in (0, 1)
+        return
+    if isinstance(oracle[0], tuple):
+        assert ((_readings(got[0][0]), got[0][1]), *got[1:]) == ((_readings(oracle[0][0]), oracle[0][1]), *oracle[1:])
+    else:
+        assert (got[0], got[1], _plain_choices(got[2])) == (min(oracle[0], 1), oracle[1], _plain_choices(oracle[2]))
 
 
 def test_table_parse_reads_every_golden_call():
     # Every valid frozen call is read by the table, as its subcommand's parser reads it.
     for case in OUTPUTS + DIGESTS:
         name, *argv = case["argv"]
-        args = _table_parse(name, _joined_values(argv))
-        assert _readings(args) == _readings(build_parser(name).parse_args(_joined_values(argv))), case["argv"]
+        args, extra = _table_parse(name, argv)
+        assert (_readings(args), extra) == (_readings(build_parser(name).parse_args(argv)), []), case["argv"]
 
 
 def test_a_valid_call_loads_no_argparse():
@@ -875,26 +959,64 @@ INVOCATIONS = st.one_of(
 
 
 def _main_output(argv: list, stdin: str = "") -> tuple:
-    """Exit code and stdout of ``main(argv)`` with ``stdin`` as its input."""
-    out, saved = io.StringIO(), sys.stdin
+    """Exit code, stdout and stderr of ``main(argv)`` with ``stdin`` as its input."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(INVOCATIONS)
 def test_any_float_input_gives_a_valid_exit_and_output(invocation):
-    code, out = _main_output(*invocation)
+    code, out, _ = _main_output(*invocation)
     assert code in (0, 1, 2)
     assert "NaN" not in out and "Infinity" not in out
     # An error may follow some output (distance-table with no valid row, a
     # later eye that fails); what was printed stays well formed.
     assert _json_lines_or_csv(out)
+
+
+# Strings that a command line may hold where a value or an option goes.
+STRING_TOKENS = ["--", "-", "", "nan", "1e400", "1_0", "0x10", "-4.2,20.4", "-h", "-q", "--bogus"]
+# What each subcommand is given before the drawn items: its required options,
+# an aim for gaze, and a population small enough to optimize at once.
+BASE_CALLS = {"optimize": ["--samples", "50"], "sweep": ["--distance", "100"], "cell": ["--index", "7"],
+              "gaze": ["--eye", "51,55.5,100", "--target", "8.5,80.5"], "ear": ["--input", "-"],
+              "calib-plan": ["--size", "2"]}
+
+
+def _string_calls(name: str):
+    """``name`` and its base call, then one to four items, each one of its
+    flags in full or abbreviated with a drawn string, separate or after "="."""
+    flags = st.sampled_from(sorted(_rows(name))).flatmap(lambda f: st.integers(3, len(f)).map(lambda k: f[:k]))
+    item = st.builds(lambda flag, value, joined: [f"{flag}={value}"] if joined else [flag, value],
+                     flags, st.sampled_from(STRING_TOKENS), st.booleans())
+    items = st.lists(item, min_size=1, max_size=4)
+    return items.map(lambda drawn: [name, *BASE_CALLS.get(name, []), *(token for i in drawn for token in i)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_SUBCOMMANDS)).flatmap(_string_calls))
+@example(["cell", "--index", "1", "--config=--"])
+@example(["ear", "--input", "-", "--threshold=--"])
+@example(["simulate", "--proc=--"])
+def test_any_string_token_gives_a_valid_exit_and_a_reason(argv):
+    # The files a value names are looked for in an empty directory.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            code, _, err = _main_output(argv, EYES_CSV)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.fullmatch(r"(shelfgaze( [a-z-]+)?: )?error: .+\n", err.splitlines(keepends=True)[-1])
 
 
 
@@ -935,11 +1057,11 @@ JSON_INPUTS = st.one_of(
 def test_any_json_setting_or_landmarks_give_a_valid_exit_and_output(case):
     argv, flag, field, value = case
     if flag is None:
-        code, out = _main_output(argv, json.dumps(value))
+        code, out, _ = _main_output(argv, json.dumps(value))
     else:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "settings.json"
             path.write_text(json.dumps({field.name: value}))
-            code, out = _main_output([*argv, flag, str(path)])
+            code, out, _ = _main_output([*argv, flag, str(path)])
     assert code in (0, 1, 2)
     assert _json_lines_or_csv(out)

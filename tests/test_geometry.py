@@ -11,8 +11,8 @@ from shelfgaze.geometry import (
     MAX_EYE_HEIGHT_CM,
     PersonSample,
     ShelfConfig,
-    angular_imbalance,
     bisector_split,
+    imbalance_sweep,
     validate_person,
 )
 
@@ -128,14 +128,14 @@ def test_bisector_split_zero_imbalance():
     # The returned drop is the zero of the signed imbalance by definition.
     for eye, d in ((150.0, 80.0), (160.2, 112.5), (175.0, 140.0), (50.0, 100.0)):
         r = bisector_split(CFG, person(eye, d))
-        assert abs(angular_imbalance(CFG, person(eye, d), r.db_cm)) < 1e-12
+        assert abs(imbalance_sweep(CFG, person(eye, d), (r.db_cm,))[0][1]) < 1e-12
 
 
 def test_split_alphas_at_configured_camera():
     # alpha1/alpha2 describe the configured camera drop, not the ideal one.
     p = person(160.2, 112.5)
     r = bisector_split(CFG, p)
-    assert r.alpha1_rad - r.alpha2_rad == pytest.approx(angular_imbalance(CFG, p, 55.5))
+    assert r.alpha1_rad - r.alpha2_rad == pytest.approx(imbalance_sweep(CFG, p, (55.5,))[0][1])
     assert r.alpha1_rad + r.alpha2_rad > 0  # the sum is the full top-to-bottom cone angle
 
 
@@ -149,20 +149,20 @@ def test_transposed_numerator_variant_is_not_a_bisector():
     # The two variants mirror each other about the panel midline.
     assert swapped + r.db_cm == pytest.approx(CFG.panel_height_cm)
     # A camera at the swapped drop visibly fails to split the cone evenly.
-    assert abs(angular_imbalance(CFG, p, swapped)) > 0.1
+    assert abs(imbalance_sweep(CFG, p, (swapped,))[0][1]) > 0.1
 
 
 def test_eye_below_panel_rejected():
     with pytest.raises(EyeBelowPanelBottomError):
         bisector_split(CFG, person(42.0, 100.0))
     with pytest.raises(EyeBelowPanelBottomError):
-        angular_imbalance(CFG, person(42.0, 100.0), 55.5)
+        imbalance_sweep(CFG, person(42.0, 100.0), (55.5,))
 
 
 def test_imbalance_frozen_signs():
     p = person(160.2, 112.5)
-    high = angular_imbalance(CFG, p, 24.5)
-    near = angular_imbalance(CFG, p, 55.5)
+    high = imbalance_sweep(CFG, p, (24.5,))[0][1]
+    near = imbalance_sweep(CFG, p, (55.5,))[0][1]
     # Camera above the bisector sees alpha1 < alpha2, so the signed value is
     # negative; magnitude shrinks as the drop approaches the bisector.
     assert high == pytest.approx(-0.5572783737840685, rel=1e-12)
@@ -173,7 +173,7 @@ def test_imbalance_frozen_signs():
 def test_imbalance_monotone_in_drop():
     p = person(160.2, 112.5)
     drops = [i * 1.38 for i in range(101)]
-    values = [angular_imbalance(CFG, p, d) for d in drops]
+    values = [imbalance_sweep(CFG, p, (d,))[0][1] for d in drops]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[0] < 0 < values[-1]
 
@@ -181,9 +181,9 @@ def test_imbalance_monotone_in_drop():
 def test_imbalance_rejects_drop_outside_panel():
     p = person(160.2, 112.5)
     with pytest.raises(ValueError):
-        angular_imbalance(CFG, p, -0.1)
+        imbalance_sweep(CFG, p, (-0.1,))
     with pytest.raises(ValueError):
-        angular_imbalance(CFG, p, 138.1)
+        imbalance_sweep(CFG, p, (138.1,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,5 +193,5 @@ def test_closed_form_matches_bisection_root(eye_height_cm, distance_cm):
     from scipy.optimize import bisect
 
     p = person(eye_height_cm, distance_cm)
-    root = bisect(lambda drop: angular_imbalance(CFG, p, drop), 0.0, CFG.panel_height_cm, xtol=1e-12)
+    root = bisect(lambda drop: imbalance_sweep(CFG, p, (drop,))[0][1], 0.0, CFG.panel_height_cm, xtol=1e-12)
     assert abs(root - bisector_split(CFG, p).db_cm) < 1e-9

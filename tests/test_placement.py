@@ -25,7 +25,6 @@ from shelfgaze.geometry import (
     MAX_EYE_HEIGHT_CM,
     PersonSample,
     ShelfConfig,
-    angular_imbalance,
     imbalance_sweep,
     require_on_panel,
     validate_person,
@@ -421,7 +420,7 @@ def test_recommended_distance_puts_camera_on_bisector():
     for stature in (150.0, 165.0, 174.8, 180.0):
         d = recommended_distance(CFG, stature)
         p = PersonSample.from_stature(stature, d, CFG)
-        assert abs(angular_imbalance(CFG, p, CFG.camera_drop_cm)) < 1e-12
+        assert abs(imbalance_sweep(CFG, p, (CFG.camera_drop_cm,))[0][1]) < 1e-12
 
 
 def test_recommended_distance_failures():
@@ -567,6 +566,6 @@ def _sweep_outcome(call):
 def test_sweep_equals_the_scalar_imbalance_per_drop(eye_height_cm, distance_cm, drops):
     p = PersonSample.from_eye_height(eye_height_cm, distance_cm, CFG)
     got = _sweep_outcome(lambda: imbalance_sweep(CFG, p, drops))
-    assert got == _sweep_outcome(lambda: [(d, angular_imbalance(CFG, p, d)) for d in drops])
+    assert got == _sweep_outcome(lambda: [(d, imbalance_sweep(CFG, p, (d,))[0][1]) for d in drops])
     assert got == _sweep_outcome(lambda: [(d, _scalar_imbalance(CFG, p, d)) for d in drops])
 

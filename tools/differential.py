@@ -19,12 +19,13 @@ through ``shelfgaze.cli.main``, for a subcommand that loads no numpy: a valid
 call, or one with an abbreviated option, an ``--opt=value`` pair, a repeated
 option, a value that may not convert, an empty ``--opt=``, a leftover argument,
 an option before the subcommand, ``-h`` at a drawn position, a bad
-``--format``, its required option left out or a flag with no value at the end,
-drawn from its own generator so that the configs stay those of earlier
-versions. A
-``calib-plan`` line also draws the panel width and the camera's place, and
-sometimes a ``--config`` file with grid rows and columns and a ``--spec`` file
-with frame counts, written into the worker's temporary working directory.
+``--format``, its required option left out or a flag with no value at the end;
+then, in a third of the lines, a flag given ``=--``, ``--``, ``-`` or a negative
+list as a separate token. Each line is drawn from its own generator, so that
+the configs stay those of earlier versions. A ``calib-plan`` line also draws
+the panel width and the camera's place, and sometimes a ``--config`` file with
+grid rows and columns and a ``--spec`` file with frame counts, written into the
+worker's temporary working directory.
 Then it replays every case of this checkout's ``tests/golden.json`` the same
 way. A command line's output is its exit code, stdout digest and stderr; an
 exception is an output too: its type and message. Each ``--change-env``
@@ -49,6 +50,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from replay_cli import run_cases  # the standard library only: it imports shelfgaze when a case runs
 
 
 def _draw_placement(rng: random.Random):
@@ -101,9 +104,11 @@ def _draw_cli(rng: random.Random) -> dict:
     given a value that may not convert or an empty --opt=, a leftover
     argument, an option before the subcommand, -h at a drawn position, a
     --format that is not csv or json, its first option (the required one,
-    where it has one) left out, or a flag with no value at the end. A
-    calib-plan call takes shelf flags, and may take settings files, which the
-    case's ``files`` hold."""
+    where it has one) left out, or a flag with no value at the end; then, in
+    a third of the lines, that flag once more, given "--" after "=" or as a
+    separate token, "-", or a negative list. A value that starts with a
+    negative number is its own token. A calib-plan call takes shelf flags,
+    and may take settings files, which the case's ``files`` hold."""
     def num(lo: float, hi: float) -> str:
         return f"{rng.uniform(lo, hi):.6g}"
 
@@ -155,9 +160,7 @@ def _draw_cli(rng: random.Random) -> dict:
         options.append(("--format", rng.choice(["xml", "CSV", "json "])))
     elif form == 10:  # the first option is the required one, where a subcommand has one
         del options[0]
-    argv = [name]
-    for option in options:  # a value that starts with "-" reads as an option unless joined to its flag
-        argv += ["=".join(option)] if option[-1].startswith("-") else option
+    argv = [name, *(token for option in options for token in option)]
     if form == 3:
         argv.insert(rng.randint(1, len(argv)), rng.choice(["extra", "7", "-q", "--", "--bogus=1"]))
     elif form == 4:
@@ -166,10 +169,17 @@ def _draw_cli(rng: random.Random) -> dict:
         argv.insert(rng.randint(0, len(argv)), "-h")
     elif form == 11:
         argv.append(flag)
+    late = rng.randrange(12)  # drawn after the forms above, so that their lines stay as they were
+    if late < 4:  # the last of a repeated option counts
+        argv += [[f"{flag}=--"], [flag, "--"], [flag, "-"], [flag, f"-{num(0, 5)},{num(0, 50)}"]][late]
     return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": files}
 
 
-def _cli_outcome(code: int, out: str, err: str) -> str:
+def _cli_outcome(case: dict) -> str:
+    try:
+        ((_, (code, out, err)),) = run_cases([case])
+    except Exception as exc:  # the raised error is the output being compared
+        return f"raised {type(exc).__name__}: {exc}"
     stdout = f"{out.count(chr(10))} lines, sha256 {hashlib.sha256(out.encode()).hexdigest()}"
     return f"exit {code}, stdout {stdout}, stderr {err!r}"
 
@@ -198,9 +208,6 @@ def _outputs(configs: int, seed: int):
     from shelfgaze.pipeline import replay_metrics, simulate, sweep_processing_time, trace
     from shelfgaze.placement import distance_table, optimize_camera_drop, sample_population
 
-    sys.path.insert(0, str(ROOT / "tests"))
-    from replay_cli import run_cases
-
     rng = random.Random(seed)
     for k in range(configs):
         cfg, pop, statures = _draw_placement(rng)
@@ -215,12 +222,11 @@ def _outputs(configs: int, seed: int):
             yield (f"{k} replay_metrics(trace, event k % n {damage})",
                    _outcome(lambda: replay_metrics(_damaged(trace(sim), k, copies), sim)))
         yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
-        for case, got in run_cases([_draw_cli(random.Random(f"cli {seed} {k}"))]):
-            yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(*got)
+        case = _draw_cli(random.Random(f"cli {seed} {k}"))
+        yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(case)
 
-    cases = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
-    for case, got in run_cases(cases):
-        yield f"golden {json.dumps(case['argv'])}", _cli_outcome(*got)
+    for case in json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8")):
+        yield f"golden {json.dumps(case['argv'])}", _cli_outcome(case)
 
 
 def worker(src: str, configs: int, seed: int) -> int:
