@@ -11,11 +11,7 @@ plus the domain errors; everything else is imported from its submodule.
 Each export loads its submodule the first time it is read.
 """
 
-# Loading a submodule binds it as a package attribute of the same name, and
-# __getattr__ runs only for missing attributes: were the function `ear` not
-# bound here, `shelfgaze.ear` would read as the module once any name of
-# `shelfgaze.ear` had been read.
-from .ear import ear
+import sys
 
 __version__ = "0.1.0"
 
@@ -38,6 +34,21 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
+
+
+class _Package(type(sys)):
+    """The package's module type. Loading a submodule binds it as a package
+    attribute of its name; where that name is an export (``ear``), the export
+    is bound instead, so ``shelfgaze.ear`` is the function however the module
+    was first loaded."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _MODULE_OF and isinstance(value, type(sys)):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):

@@ -19,6 +19,7 @@ may be a unique prefix, a separate VALUE may start with a negative number,
 and ``FLAG=--`` reads the value "--". argparse only writes help and usage
 text, from the same rows: a call that names a subcommand builds that
 subcommand's parser alone; only --help before it builds the top-level one.
+A subcommand's rows are built, and each package module imported, on first use.
 """
 
 from __future__ import annotations
@@ -27,26 +28,30 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
-from dataclasses import fields as dataclass_fields
+from functools import cache
+from importlib import import_module
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
-from .calibration import TRAINING_SETS, CalibrationSpec, plan, plan_jsonl, validate_spec
-from .ear import OPEN_THRESHOLD, EyeLandmarks, check_threshold, classify, ear
 from .errors import ShelfGazeError, check_value, field_range, require_finite
-from .geometry import PersonSample, ShelfConfig, imbalance_sweep, require_on_panel
-from .grid import GazeRay, PlanePoint, cell_center, point_to_cell, ray_to_cell
-from .pipeline import Distribution, FixedTime, NormalTime, SimConfig, UniformTime
-from .pipeline import simulate, sweep_processing_time, trace
-from .placement import STATUS_OK, PopulationSpec, distance_table, optimize_camera_drop
-
-if TYPE_CHECKING:
-    import argparse
 
 MAX_SWEEP_ROWS = 100_000  # the default 138 cm panel allows a 0.0014 cm step
 MAX_CAPTURE_EVENTS = 1_000_000  # fps * duration over all runs; the default run has 1,800
+
+
+class _Lazy(SimpleNamespace):
+    """Stands in for the package module ``name``: the first attribute read imports it and binds it here instead."""
+    def __getattr__(self, attr: str):
+        module = globals()[self.name] = import_module(f"{__package__}.{self.name}")
+        return getattr(module, attr)
+
+
+if TYPE_CHECKING:
+    import argparse
+    from . import calibration, ear, geometry, grid, pipeline, placement
+else:
+    globals().update((n, _Lazy(name=n)) for n in ("calibration", "ear", "geometry", "grid", "pipeline", "placement"))
 
 
 # One encoder for every line; ``json.dumps`` with ``separators`` builds one per call.
@@ -63,8 +68,8 @@ def _print_csv(header: str, rows) -> None:
     print("\n".join([header, *(",".join(map(str, row)) for row in rows)]))
 
 
-def _print_point_cell(p: PlanePoint, cell: int) -> None:
-    _print_json({**asdict(p), "cell": cell})
+def _print_point_cell(p: grid.PlanePoint, cell: int) -> None:
+    _print_json({"x_cm": p.x_cm, "y_cm": p.y_cm, "cell": cell})
 
 
 def _read_fields(path: str, cls: type, label: str) -> dict:
@@ -76,7 +81,7 @@ def _read_fields(path: str, cls: type, label: str) -> dict:
             raise ValueError(f"{label} file nests JSON too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{label} file must hold a JSON object")
-    unknown = sorted(set(data) - {f.name for f in dataclass_fields(cls)})
+    unknown = sorted(set(data) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown {label} keys: {unknown}")
     return data
@@ -94,13 +99,13 @@ def _field_flag(cls: type, flag: str, field: str, help_text: str, metavar: str |
 def _from_args(cls: type, args: SimpleNamespace, settings: dict | None = None):
     """``cls`` from its defaults, overridden by ``settings``, overridden by
     every flag whose dest is one of its fields and whose value is not None."""
-    given = {f.name: getattr(args, f.name) for f in dataclass_fields(cls) if getattr(args, f.name, None) is not None}
+    given = {name: getattr(args, name) for name in cls.__dataclass_fields__ if getattr(args, name, None) is not None}
     return cls(**{**(settings or {}), **given})
 
 
-def _shelf_from_args(args: SimpleNamespace) -> ShelfConfig:
-    settings = None if args.config is None else _read_fields(args.config, ShelfConfig, "config")
-    return _from_args(ShelfConfig, args, settings)
+def _shelf_from_args(args: SimpleNamespace) -> geometry.ShelfConfig:
+    settings = None if args.config is None else _read_fields(args.config, geometry.ShelfConfig, "config")
+    return _from_args(geometry.ShelfConfig, args, settings)
 
 
 def _parse_floats(text: str, label: str, count: int | None = None) -> tuple[float, ...]:
@@ -119,7 +124,7 @@ def _parse_floats(text: str, label: str, count: int | None = None) -> tuple[floa
     return values
 
 
-def parse_distribution(text: str) -> Distribution:
+def parse_distribution(text: str) -> pipeline.Distribution:
     """Parse CLI notation: fixed:T, uniform:LO,HI, or normal:MEAN,STD."""
     kind, sep, rest = text.partition(":")
     if not sep:
@@ -128,22 +133,22 @@ def parse_distribution(text: str) -> Distribution:
         params = [float(p) for p in rest.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad distribution parameters in {text!r}") from exc
-    cls = {"fixed": FixedTime, "uniform": UniformTime, "normal": NormalTime}.get(kind)
-    if cls is None or len(params) != len(dataclass_fields(cls)):
+    cls = {"fixed": pipeline.FixedTime, "uniform": pipeline.UniformTime, "normal": pipeline.NormalTime}.get(kind)
+    if cls is None or len(params) != len(cls.__dataclass_fields__):
         raise ValueError(f"unknown distribution {text!r}")
     return cls(*params)
 
 
-def _parsed_eye(values: list) -> EyeLandmarks:
+def _parsed_eye(values: list) -> ear.EyeLandmarks:
     """``EyeLandmarks.from_flat`` for numbers read from text, where NaN and
     infinity are input errors."""
     coords = [float(v) for v in values]
     for c in coords:
         check_value("coordinates", c, -math.inf, math.inf)
-    return EyeLandmarks.from_flat(coords)
+    return ear.EyeLandmarks.from_flat(coords)
 
 
-def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
+def landmarks_from_csv(text: str) -> list[ear.EyeLandmarks]:
     """One eye per line: x1,y1,...,x6,y6. Blank lines are skipped."""
     eyes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -157,7 +162,7 @@ def landmarks_from_csv(text: str) -> list[EyeLandmarks]:
     return eyes
 
 
-def landmarks_from_json(text: str) -> list[EyeLandmarks]:
+def landmarks_from_json(text: str) -> list[ear.EyeLandmarks]:
     """JSON array of eyes, each either 12 flat numbers or six [x, y] pairs."""
     try:
         data = json.loads(text)
@@ -180,32 +185,31 @@ def landmarks_from_json(text: str) -> list[EyeLandmarks]:
     return eyes
 
 
-def _cmd_optimize(args: SimpleNamespace, cfg: ShelfConfig) -> int:
-    pop = _from_args(PopulationSpec, args)
-    _print_json(optimize_camera_drop(cfg, pop)._asdict())
+def _cmd_optimize(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
+    _print_json(placement.optimize_camera_drop(cfg, _from_args(placement.PopulationSpec, args))._asdict())
     return 0
 
 
-def _cmd_distance_table(args: SimpleNamespace, cfg: ShelfConfig) -> int:
-    rows = distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
+def _cmd_distance_table(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
+    rows = placement.distance_table(cfg, list(_parse_floats(args.statures, "--statures")))
     table = []  # in millimeters, the reporting unit of the printed table
     for row in rows:
         distance_mm = "" if row.distance_cm is None else f"{row.distance_cm * 10.0:.3f}"
         table.append((f"{row.stature_cm * 10.0:g}", distance_mm, row.status))
     _print_csv("stature_mm,distance_mm,status", table)
-    if all(row.status != STATUS_OK for row in rows):
+    if all(row.status != placement.STATUS_OK for row in rows):
         print("error: no stature admits a valid distance", file=sys.stderr)
         return 2
     return 0
 
 
-def _cmd_sweep(args: SimpleNamespace, cfg: ShelfConfig) -> int:
-    stature = PopulationSpec.height_mean_cm if args.stature is None else args.stature
-    person = PersonSample.from_stature(stature, args.distance, cfg)
+def _cmd_sweep(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
+    stature = placement.PopulationSpec.height_mean_cm if args.stature is None else args.stature
+    person = geometry.PersonSample.from_stature(stature, args.distance, cfg)
     args.stop = cfg.panel_height_cm if args.stop is None else args.stop
     require_finite(args, "start", "stop", "step")
     for name in ("start", "stop"):
-        require_on_panel(name, getattr(args, name), cfg.panel_height_cm)
+        geometry.require_on_panel(name, getattr(args, name), cfg.panel_height_cm)
     if args.step <= 0:
         raise ValueError(f"step must be positive, got {args.step}")
     if args.stop < args.start:
@@ -216,27 +220,27 @@ def _cmd_sweep(args: SimpleNamespace, cfg: ShelfConfig) -> int:
         raise ValueError(f"--step {args.step} gives more than {MAX_SWEEP_ROWS} rows")
     # Rounding can carry the last drop past --stop (0.3 + 1377 * 0.1 > 138).
     drops = [min(args.start + i * args.step, args.stop) for i in range(int(steps) + 1)]
-    _print_csv("drop_cm,residual_rad", imbalance_sweep(cfg, person, drops))
+    _print_csv("drop_cm,residual_rad", geometry.imbalance_sweep(cfg, person, drops))
     return 0
 
 
-def _cmd_cell(args: SimpleNamespace, cfg: ShelfConfig) -> int:
+def _cmd_cell(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
     by_index = args.index is not None
     by_point = args.x is not None or args.y is not None
     if by_index == by_point:
         raise ValueError("give either --index or both --x and --y")
     if by_index:
-        _print_point_cell(cell_center(cfg, args.index), args.index)
+        _print_point_cell(grid.cell_center(cfg, args.index), args.index)
         return 0
     if args.x is None or args.y is None:
         raise ValueError("point lookup needs both --x and --y")
     require_finite(args, "x", "y")
-    point = PlanePoint(args.x, args.y)
-    _print_point_cell(point, point_to_cell(cfg, point))
+    point = grid.PlanePoint(args.x, args.y)
+    _print_point_cell(point, grid.point_to_cell(cfg, point))
     return 0
 
 
-def _cmd_gaze(args: SimpleNamespace, cfg: ShelfConfig) -> int:
+def _cmd_gaze(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
     eye = _parse_floats(args.eye, "--eye", 3)
     if (args.direction is None) == (args.target is None):
         raise ValueError("give exactly one of --direction or --target")
@@ -248,16 +252,16 @@ def _cmd_gaze(args: SimpleNamespace, cfg: ShelfConfig) -> int:
             norm = math.hypot(*d)
         if norm == 0:
             raise ValueError("--direction must be nonzero")
-        ray = GazeRay(eye, (d[0] / norm, d[1] / norm, d[2] / norm))
+        ray = grid.GazeRay(eye, (d[0] / norm, d[1] / norm, d[2] / norm))
     else:
         tx, ty = _parse_floats(args.target, "--target", 2)
-        ray = GazeRay.aimed_at(eye, PlanePoint(tx, ty))
-    _print_point_cell(*ray_to_cell(cfg, ray))
+        ray = grid.GazeRay.aimed_at(eye, grid.PlanePoint(tx, ty))
+    _print_point_cell(*grid.ray_to_cell(cfg, ray))
     return 0
 
 
 def _cmd_ear(args: SimpleNamespace) -> int:
-    check_threshold(args.threshold)  # before any eye is read, so its exit code does not depend on the data
+    ear.check_threshold(args.threshold)  # before any eye is read, so its exit code does not depend on the data
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -267,8 +271,8 @@ def _cmd_ear(args: SimpleNamespace) -> int:
     if not eyes:
         raise ValueError("no landmarks in input")
     for eye in eyes:
-        value = ear(eye)
-        _print_json({"value": value, "open": classify(value, args.threshold), "threshold": args.threshold})
+        value = ear.ear(eye)
+        _print_json({"value": value, "open": ear.classify(value, args.threshold), "threshold": args.threshold})
     return 0
 
 
@@ -279,21 +283,19 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         raise ValueError(f"--trace must be nonnegative, got {args.trace}")
     proc = parse_distribution(args.proc)
     jitter = None if args.jitter is None else parse_distribution(args.jitter)
-    cfg = _from_args(SimConfig, args, {"processing_time": proc, "capture_jitter": jitter})
+    cfg = _from_args(pipeline.SimConfig, args, {"processing_time": proc, "capture_jitter": jitter})
     times = None if args.sweep is None else _parse_floats(args.sweep, "--sweep")
     runs = 1 if times is None else len(times)
     if cfg.capture_fps * cfg.duration_s * runs > MAX_CAPTURE_EVENTS:
         sweep = "" if times is None else f" times {runs} --sweep values"
-        raise ValueError(
-            f"--fps {cfg.capture_fps} times --duration {cfg.duration_s}{sweep} "
-            f"gives more than {MAX_CAPTURE_EVENTS} capture events"
-        )
+        raise ValueError(f"--fps {cfg.capture_fps} times --duration {cfg.duration_s}{sweep} "
+                         f"gives more than {MAX_CAPTURE_EVENTS} capture events")
     if args.trace is not None:
-        _print_csv("t_ms,event,frame_id", map(attrgetter("t_ms", "kind", "frame_id"), trace(cfg, args.trace)))
+        _print_csv("t_ms,event,frame_id", map(attrgetter("t_ms", "kind", "frame_id"), pipeline.trace(cfg, args.trace)))
     elif times is not None:
-        _print_csv("time_ms,effective_fps,mean_skips", sweep_processing_time(cfg, list(times)))
+        _print_csv("time_ms,effective_fps,mean_skips", pipeline.sweep_processing_time(cfg, list(times)))
     else:
-        _print_json(simulate(cfg)._asdict())
+        _print_json(pipeline.simulate(cfg)._asdict())
     return 0
 
 
@@ -313,8 +315,8 @@ def _json_set_size(key: str) -> int:
     raise ValueError(f"training_sets key {key!r} is not a set size")
 
 
-def _calibration_spec_from_args(args: SimpleNamespace) -> CalibrationSpec:
-    data = {} if args.spec is None else _read_fields(args.spec, CalibrationSpec, "calibration spec")
+def _calibration_spec_from_args(args: SimpleNamespace) -> calibration.CalibrationSpec:
+    data = {} if args.spec is None else _read_fields(args.spec, calibration.CalibrationSpec, "calibration spec")
     if "validation_cells" in data:
         data["validation_cells"] = _json_cells(data["validation_cells"], "validation_cells")
     if "training_sets" in data:
@@ -322,138 +324,143 @@ def _calibration_spec_from_args(args: SimpleNamespace) -> CalibrationSpec:
         if not isinstance(sets, dict):
             raise ValueError(f"training_sets must be a JSON object of set sizes, got {sets!r}")
         data["training_sets"] = {_json_set_size(k): _json_cells(v, f"training_sets[{k!r}]") for k, v in sets.items()}
-    return _from_args(CalibrationSpec, args, data)
+    return _from_args(calibration.CalibrationSpec, args, data)
 
 
-def _cmd_calib_plan(args: SimpleNamespace, cfg: ShelfConfig) -> int:
-    spec = _calibration_spec_from_args(args)
-    session = plan(spec, args.size, cfg)
-    print(plan_jsonl(session, cfg), end="")
+def _cmd_calib_plan(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
+    session = calibration.plan(_calibration_spec_from_args(args), args.size, cfg)
+    print(calibration.plan_jsonl(session, cfg), end="")
     return 0
 
 
-def _cmd_validate_calib(args: SimpleNamespace, cfg: ShelfConfig) -> int:
-    violations = validate_spec(_calibration_spec_from_args(args), cfg)
+def _cmd_validate_calib(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
+    violations = calibration.validate_spec(_calibration_spec_from_args(args), cfg)
     _print_json([v._asdict() for v in violations])
     return 0 if not violations else 2
 
 
-_SHELF_OPTIONS = (
-    ("--config", dict(metavar="PATH", help="JSON file of shelf settings; explicit flags override it")),
-    *(_field_flag(ShelfConfig, flag, field, label + " (default {:g})", "CM") for flag, field, label in (
-        ("--shelf-height", "shelf_height_cm", "shelf top height"),
-        ("--panel-height", "panel_height_cm", "front panel height"),
-        ("--panel-width", "panel_width_cm", "front panel width"),
-        ("--camera-x", "camera_x_cm", "camera horizontal position"),
-        ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
-        ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
-    )),
-)
-_OPTIMIZE_OPTIONS = (
-    _field_flag(PopulationSpec, "--samples", "sample_count",
-                f"population size (default {{}}); at most {field_range(PopulationSpec, 'sample_count')[1]}"),
-    _field_flag(PopulationSpec, "--seed", "seed", "random seed (default {})"),
-    _field_flag(PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})"),
-    _field_flag(PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})"),
-    _field_flag(PopulationSpec, "--dist-min", "distance_min_cm", "min viewing distance in cm (default {})"),
-    _field_flag(PopulationSpec, "--dist-max", "distance_max_cm", "max viewing distance in cm (default {})"),
-)
-_DISTANCE_TABLE_OPTIONS = (
-    ("--statures", dict(default="150,155,160,165,170,175,180",
-                        help="comma-separated statures in cm (default %(default)s)")),
-)
-_SWEEP_OPTIONS = (
-    ("--stature", dict(type=float, help=f"stature in cm (default {PopulationSpec.height_mean_cm})")),
-    ("--distance", dict(type=float, required=True, help="viewing distance in cm")),
-    ("--start", dict(type=float, default=0.0, help="first drop in cm (default %(default)s)")),
-    ("--stop", dict(type=float, help="last drop in cm (default: panel height)")),
-    ("--step", dict(type=float, default=1.0,
-                    help=f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows")),
-)
-_CELL_OPTIONS = (
-    ("--index", dict(type=int, help="cell index 1..rows*cols, row-major from top-left")),
-    ("--x", dict(type=float, help="point x in cm")),
-    ("--y", dict(type=float, help="point y in cm")),
-)
-_GAZE_OPTIONS = (
-    ("--eye", dict(required=True, metavar="X,Y,Z", help="eye position in cm")),
-    ("--direction", dict(metavar="DX,DY,DZ", help="gaze direction (any length)")),
-    ("--target", dict(metavar="X,Y", help="panel point to aim at")),
-)
-_EAR_OPTIONS = (
-    ("--input", dict(required=True, help="landmarks file, or - for stdin")),
-    ("--format", dict(choices=("csv", "json"), default="csv", help="input format (default %(default)s)")),
-    ("--threshold", dict(type=float, default=OPEN_THRESHOLD, help="open/closed threshold (default %(default)s)")),
-)
-_SIMULATE_OPTIONS = (
-    ("--proc", dict(default="fixed:83.33", help="processing time distribution: fixed:T, uniform:LO,HI, "
-                    "normal:MEAN,STD in ms (default %(default)s)")),
-    _field_flag(SimConfig, "--fps", "capture_fps", "capture rate (default {})"),
-    _field_flag(SimConfig, "--duration", "duration_s", f"run length in seconds (default {{}}); at most "
-                f"{MAX_CAPTURE_EVENTS} capture events, fps * duration summed over --sweep runs"),
-    _field_flag(SimConfig, "--seed", "seed", "random seed (default {})"),
-    ("--jitter", dict(help="optional capture-time jitter distribution")),
-    ("--trace", dict(type=int, metavar="N", help="print the first N events as CSV")),
-    ("--sweep", dict(metavar="T1,T2,...", help="sweep fixed processing times (ms) and print fps/skips per row")),
-)
-_SPEC_OPTION = ("--spec", dict(metavar="PATH", help="JSON overrides for the session protocol"))
-_CALIB_PLAN_OPTIONS = (
-    ("--size", dict(type=int, required=True, help="training set size ({}, or {})".format(
-        *", ".join(map(str, TRAINING_SETS)).rsplit(", ", 1)))),
-    _field_flag(CalibrationSpec, "--seed", "seed", "shuffle seed (default {})"),
-    _SPEC_OPTION,
-)
-_VALIDATE_CALIB_OPTIONS = (
-    _field_flag(CalibrationSpec, "--seed", "seed", "recorded in the protocol; does not affect checks"),
-    _SPEC_OPTION,
-)
+@cache
+def _shelf_options() -> tuple:
+    return (
+        ("--config", dict(metavar="PATH", help="JSON file of shelf settings; explicit flags override it")),
+        *(_field_flag(geometry.ShelfConfig, flag, field, label + " (default {:g})", "CM") for flag, field, label in (
+            ("--shelf-height", "shelf_height_cm", "shelf top height"),
+            ("--panel-height", "panel_height_cm", "front panel height"),
+            ("--panel-width", "panel_width_cm", "front panel width"),
+            ("--camera-x", "camera_x_cm", "camera horizontal position"),
+            ("--camera-drop", "camera_drop_cm", "camera drop below the shelf top"),
+            ("--eye-offset", "eye_crown_offset_cm", "crown-to-eye vertical offset"),
+        )),
+    )
 
 
 class _Subcommand(NamedTuple):
     help: str  # its line in the top-level help
     description: str  # the text under its own usage
-    options: tuple[tuple[str, dict], ...]  # option rows: a flag, and the keyword arguments add_argument takes
+    modules: tuple[str, ...]  # the package modules a call loads: those its options and command read, and theirs
     command: Callable[..., int]
     reads_shelf: bool  # then it takes the shelf flags, and ``command`` takes ``cfg``
+    options: Callable[[], tuple]  # its option rows: each a flag, and the keyword arguments add_argument takes
 
 
+_SPEC_OPTION = ("--spec", dict(metavar="PATH", help="JSON overrides for the session protocol"))
 # Every subcommand, in --help order.
 _SUBCOMMANDS = {
     "optimize": _Subcommand("Monte Carlo camera drop placement over a shopper population",
         "Sample a shopper population and report camera drop statistics (mean/median/std of the per-person "
         "bisector drop, plus the drop minimizing the mean squared angular imbalance).",
-        _OPTIMIZE_OPTIONS, _cmd_optimize, True),
+        ("geometry", "placement"), _cmd_optimize, True, lambda: (
+            _field_flag(placement.PopulationSpec, "--samples", "sample_count", "population size (default {}); at "
+                        f"most {field_range(placement.PopulationSpec, 'sample_count')[1]}"),
+            _field_flag(placement.PopulationSpec, "--seed", "seed", "random seed (default {})"),
+            _field_flag(placement.PopulationSpec, "--height-mean", "height_mean_cm", "mean stature in cm (default {})"),
+            _field_flag(placement.PopulationSpec, "--height-std", "height_std_cm", "stature std in cm (default {})"),
+            _field_flag(placement.PopulationSpec, "--dist-min", "distance_min_cm",
+                        "min viewing distance in cm (default {})"),
+            _field_flag(placement.PopulationSpec, "--dist-max", "distance_max_cm",
+                        "max viewing distance in cm (default {})"),
+        )),
     "distance-table": _Subcommand("recommended viewing distance per stature (CSV, millimeters)",
         "For each stature, the distance at which the configured camera drop sits exactly on the person's "
         "bisector. Rows with no valid distance are marked.",
-        _DISTANCE_TABLE_OPTIONS, _cmd_distance_table, True),
+        ("geometry", "placement"), _cmd_distance_table, True, lambda: (
+            ("--statures", dict(default="150,155,160,165,170,175,180",
+                                help="comma-separated statures in cm (default %(default)s)")),
+        )),
     "sweep": _Subcommand("angular imbalance vs camera drop for one person (CSV)",
         "Signed angular imbalance (upper minus lower viewing half-angle) across candidate camera drops; "
         "the zero crossing is the bisector drop.",
-        _SWEEP_OPTIONS, _cmd_sweep, True),
+        ("geometry", "placement"), _cmd_sweep, True, lambda: (
+            ("--stature", dict(type=float, help=f"stature in cm (default {placement.PopulationSpec.height_mean_cm})")),
+            ("--distance", dict(type=float, required=True, help="viewing distance in cm")),
+            ("--start", dict(type=float, default=0.0, help="first drop in cm (default %(default)s)")),
+            ("--stop", dict(type=float, help="last drop in cm (default: panel height)")),
+            ("--step", dict(type=float, default=1.0,
+                            help=f"drop increment in cm (default %(default)s); at most {MAX_SWEEP_ROWS} rows")),
+        )),
     "cell": _Subcommand("grid cell lookup: center of an index, or cell owning a point",
         "With --index, print that cell's center. With --x/--y, print the cell owning the point. "
         "Coordinates are panel cm, origin top-left, y down.",
-        _CELL_OPTIONS, _cmd_cell, True),
+        ("geometry", "grid"), _cmd_cell, True, lambda: (
+            ("--index", dict(type=int, help="cell index 1..rows*cols, row-major from top-left")),
+            ("--x", dict(type=float, help="point x in cm")),
+            ("--y", dict(type=float, help="point y in cm")),
+        )),
     "gaze": _Subcommand("intersect a gaze ray with the panel and report the cell",
         "Eye position is x,y,z in panel coordinates (z toward the viewer, cm). Aim with a direction vector "
         "(normalized internally) or a target point on the panel.",
-        _GAZE_OPTIONS, _cmd_gaze, True),
+        ("geometry", "grid"), _cmd_gaze, True, lambda: (
+            ("--eye", dict(required=True, metavar="X,Y,Z", help="eye position in cm")),
+            ("--direction", dict(metavar="DX,DY,DZ", help="gaze direction (any length)")),
+            ("--target", dict(metavar="X,Y", help="panel point to aim at")),
+        )),
     "ear": _Subcommand("eye aspect ratio readings from a landmarks file",
         "Read six-point eye landmarks and print one JSON reading per eye with open/closed classification.",
-        _EAR_OPTIONS, _cmd_ear, False),
+        ("ear",), _cmd_ear, False, lambda: (
+            ("--input", dict(required=True, help="landmarks file, or - for stdin")),
+            ("--format", dict(choices=("csv", "json"), default="csv", help="input format (default %(default)s)")),
+            ("--threshold", dict(type=float, default=ear.OPEN_THRESHOLD,
+                                 help="open/closed threshold (default %(default)s)")),
+        )),
     "simulate": _Subcommand("discrete-event run of the capture/processing pipeline",
         "Single-slot latest-frame queue between a fixed-rate camera and a consumer with the given "
         "processing-time distribution. Prints metrics JSON, or an event trace / processing-time sweep as CSV.",
-        _SIMULATE_OPTIONS, _cmd_simulate, False),
+        ("pipeline",), _cmd_simulate, False, lambda: (
+            ("--proc", dict(default="fixed:83.33", help="processing time distribution: fixed:T, uniform:LO,HI, "
+                            "normal:MEAN,STD in ms (default %(default)s)")),
+            _field_flag(pipeline.SimConfig, "--fps", "capture_fps", "capture rate (default {})"),
+            _field_flag(pipeline.SimConfig, "--duration", "duration_s", f"run length in seconds (default {{}}); at "
+                        f"most {MAX_CAPTURE_EVENTS} capture events, fps * duration summed over --sweep runs"),
+            _field_flag(pipeline.SimConfig, "--seed", "seed", "random seed (default {})"),
+            ("--jitter", dict(help="optional capture-time jitter distribution")),
+            ("--trace", dict(type=int, metavar="N", help="print the first N events as CSV")),
+            ("--sweep", dict(metavar="T1,T2,...",
+                             help="sweep fixed processing times (ms) and print fps/skips per row")),
+        )),
     "calib-plan": _Subcommand("per-frame calibration ground truth for a training set size (JSONL)",
         "Plan a calibration session: training cells for the chosen set size plus the four validation cells, "
         "three training frames and one validation frame per cell, selected by seeded shuffle.",
-        _CALIB_PLAN_OPTIONS, _cmd_calib_plan, True),
+        ("geometry", "grid", "calibration"), _cmd_calib_plan, True, lambda: (
+            ("--size", dict(type=int, required=True, help="training set size ({}, or {})".format(
+                *", ".join(map(str, calibration.TRAINING_SETS)).rsplit(", ", 1)))),
+            _field_flag(calibration.CalibrationSpec, "--seed", "seed", "shuffle seed (default {})"),
+            _SPEC_OPTION,
+        )),
     "validate-calib": _Subcommand("check a calibration protocol for overlap/symmetry/budget problems",
         "Print a JSON array of violations (empty when the protocol is consistent). Exits 2 when violations are found.",
-        _VALIDATE_CALIB_OPTIONS, _cmd_validate_calib, True),
+        ("geometry", "grid", "calibration"), _cmd_validate_calib, True, lambda: (
+            _field_flag(calibration.CalibrationSpec, "--seed", "seed",
+                        "recorded in the protocol; does not affect checks"),
+            _SPEC_OPTION,
+        )),
 }
+
+
+@cache
+def _rows(name: str) -> dict:
+    """Subcommand ``name``'s option rows by flag, the shelf rows first where it reads the shelf."""
+    row = _SUBCOMMANDS[name]
+    return dict((*_shelf_options(), *row.options()) if row.reads_shelf else row.options())
 
 
 # The top-level usage in the three lines argparse 3.11 prints at 80 columns,
@@ -464,36 +471,30 @@ _TOP_USAGE = "shelfgaze [-h]\n{0}{{{1}}}\n{0}...".format(" " * len("usage: shelf
 
 def _with_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """``p`` with subcommand ``name``'s option rows: the shelf rows first, in
-    their own group, when its command reads the shelf."""
-    row = _SUBCOMMANDS[name]
-    if row.reads_shelf:
-        group = p.add_argument_group("shelf configuration")
-        for flag, kwargs in _SHELF_OPTIONS:
-            group.add_argument(flag, **kwargs)
-    for flag, kwargs in row.options:
-        p.add_argument(flag, **kwargs)
+    their own group, which the help leaves out when it is empty."""
+    group = p.add_argument_group("shelf configuration")
+    shelf = dict(_shelf_options()) if _SUBCOMMANDS[name].reads_shelf else {}
+    for flag, kwargs in _rows(name).items():
+        (group if flag in shelf else p).add_argument(flag, **kwargs)
     return p
 
 
 def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     """Subcommand ``name``'s parser, built alone; with no name, the top-level
-    parser with every subcommand. They only write help and usage text:
-    ``_table_parse`` reads argv. argparse (and with it gettext) is imported
-    here, so a valid call loads neither."""
+    parser, whose subcommands carry only their help lines. They only write
+    help and usage text: ``_table_parse`` reads argv. argparse (and with it
+    gettext) is imported here, so a valid call loads neither."""
     import argparse
 
     if name is not None:
         parser = argparse.ArgumentParser(prog=f"shelfgaze {name}", description=_SUBCOMMANDS[name].description)
         return _with_options(parser, name)
-    parser = argparse.ArgumentParser(
-        prog="shelfgaze",
-        usage=_TOP_USAGE,
-        description="Planning and simulation tools for shelf-mounted gaze capture.",
-    )
+    parser = argparse.ArgumentParser(prog="shelfgaze", usage=_TOP_USAGE,
+                                     description="Planning and simulation tools for shelf-mounted gaze capture.")
     # The subcommands' progs would otherwise start with the whole usage text.
     sub = parser.add_subparsers(dest="subcommand", required=True, prog="shelfgaze")
     for name, row in _SUBCOMMANDS.items():
-        _with_options(sub.add_parser(name, help=row.help, description=row.description), name)
+        sub.add_parser(name, help=row.help)
     return parser
 
 
@@ -542,8 +543,7 @@ def _table_parse(name: str, argv: list[str]) -> tuple[SimpleNamespace, list[str]
     which ends the options: it and every token after it are left over. Each
     value must convert with the row's type and lie in its choices, and every
     required option must be given; else a usage error exits 1."""
-    row = _SUBCOMMANDS[name]
-    rows = dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
+    rows = _rows(name)
     values, extra = {}, []
     tokens = iter(argv)
     for token in tokens:

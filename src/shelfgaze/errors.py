@@ -15,13 +15,15 @@ input errors to exit code 1.
 """
 
 import math
-from dataclasses import MISSING, field, fields
 
 
-def in_range(lo: float, hi: float, default: object = MISSING):
+def in_range(lo: float, hi: float, **default: object):
     """A dataclass field holding a number in [lo, hi], an integer when ``lo``
-    is an int, with an optional ``default``."""
-    return field(default=default, metadata={"range": (lo, hi)})
+    is an int, with an optional ``default=``. It runs only while a settings
+    dataclass is defined, so importing this module loads no ``dataclasses``."""
+    from dataclasses import field
+
+    return field(**default, metadata={"range": (lo, hi)})
 
 
 def field_range(cls: type, name: str) -> tuple:
@@ -51,9 +53,9 @@ def check_value(name: str, value: object, lo: float, hi: float) -> None:
 def check_ranges(obj: object) -> None:
     """``check_value`` on each field of the dataclass ``obj`` that declares a
     range, in field order."""
-    for f in fields(obj):
+    for name, f in type(obj).__dataclass_fields__.items():
         if "range" in f.metadata:
-            check_value(f.name, getattr(obj, f.name), *f.metadata["range"])
+            check_value(name, getattr(obj, name), *f.metadata["range"])
 
 
 def require_finite(obj: object, *names: str) -> None:

@@ -189,10 +189,15 @@ def shelves_and_specs(draw):
     return cfg, spec
 
 
+def _jsonl(records) -> str:
+    """The records as compact JSON lines, each record's fields in order, encoded by plain ``json``."""
+    return "".join(json.dumps(record._asdict(), separators=(",", ":")) + "\n" for record in records)
+
+
 @settings(max_examples=200, deadline=None)
 @given(shelves_and_specs())
 def test_plan_jsonl_is_the_ground_truth_of_every_set_size(case):
     cfg, spec = case
     for size in spec.training_sets:
         session = plan(spec, size, cfg)
-        assert plan_jsonl(session, cfg) == ground_truth_jsonl(emit_ground_truth(session, cfg))
+        assert plan_jsonl(session, cfg) == _jsonl(emit_ground_truth(session, cfg))

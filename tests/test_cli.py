@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.calibration import CalibrationSpec
-from shelfgaze.cli import _SHELF_OPTIONS, _SUBCOMMANDS, _table_parse, build_parser, main
+from shelfgaze.cli import _SUBCOMMANDS, _rows, _table_parse, build_parser, main
 from shelfgaze.geometry import ShelfConfig
 from shelfgaze.placement import PopulationSpec
 
@@ -123,20 +123,6 @@ def test_parser_builds_only_the_named_subcommand():
     assert [p.prog for p in sub.choices.values()] == [f"shelfgaze {name}" for name in everything]
 
 
-def test_subcommand_parser_reads_as_under_the_top_level_parser():
-    # main reads a named subcommand's arguments with that subcommand's own
-    # parser; the top-level parser, handing them on, must read the same.
-    calls = [case["argv"] for case in OUTPUTS + DIGESTS] + [
-        ["cell", "--ind", "19"],
-        ["sweep", "--distance=112.5", "--start", "-0.0"],
-        ["simulate", "--fps", "24", "--jitter", "normal:2,1", "--duration", "2"],
-        ["optimize", "--samples", "300", "--seed", "5", "--camera-drop", "40"],
-    ]
-    for argv in calls:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-        assert ({"subcommand": argv[0], **vars(args)}, extra) == (vars(build_parser().parse_args(argv)), [])
-
-
 def _record_builds(monkeypatch) -> dict:
     """The progs of the parsers main builds, and the counts of subparsers
     added and of parses, recorded from here on."""
@@ -227,12 +213,6 @@ def test_each_hand_over_reason_is_reached(capsys, monkeypatch):
         assert (code, out, err.splitlines()[-1]) == (1, "", expected), reason
         usage = f"usage: {expected.partition(': error: ')[0]} [-h]"
         assert err.startswith(usage if expected.startswith("shelfgaze") else expected), reason
-
-
-def _rows(name: str) -> dict:
-    """Subcommand ``name``'s option rows by flag, the shelf rows first where it reads the shelf."""
-    row = _SUBCOMMANDS[name]
-    return dict(_SHELF_OPTIONS + row.options if row.reads_shelf else row.options)
 
 
 # Values that each row type converts (and "-3", which a separate VALUE may
@@ -380,6 +360,45 @@ def test_a_valid_call_loads_no_argparse():
     for argv, loaded in ((["cell", "--index", "19"], []), (["cell", "--help"], ["argparse", "gettext"])):
         proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == repr(loaded), argv
+
+
+# A valid call of each subcommand, and the probe that makes it in a fresh
+# interpreter and prints the package modules and the stdlib modules of note loaded.
+VALID_CALLS = {
+    "optimize": ["--samples", "10"],
+    "distance-table": [],
+    "sweep": ["--distance", "100", "--step", "10"],
+    "cell": ["--index", "19"],
+    "gaze": ["--eye", "51,55.5,100", "--target", "8.5,80.5"],
+    "ear": ["--input", "-"],
+    "simulate": ["--duration", "1"],
+    "calib-plan": ["--size", "2"],
+    "validate-calib": [],
+}
+LOAD_PROBE = ("import sys; from shelfgaze.cli import main; assert main(sys.argv[1:]) in (0, 2); "
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'shelfgaze' or m in ('dataclasses', 'inspect')))")
+
+
+@pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+def test_a_valid_call_loads_only_the_modules_its_row_names(name):
+    # Besides the package, the CLI and errors, a fresh call loads only the
+    # modules its row names: cell and gaze load no pipeline, placement,
+    # calibration or ear, and ear loads no geometry and no dataclasses.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, name, *VALID_CALLS[name]], env=env, input=EYES_CSV,
+                          capture_output=True, text=True, check=True)
+    modules = {"shelfgaze", "shelfgaze.cli", "shelfgaze.errors", *(f"shelfgaze.{m}" for m in _SUBCOMMANDS[name].modules)}
+    # Every package module but ear defines a dataclass, and dataclasses imports inspect.
+    stdlib = [] if _SUBCOMMANDS[name].modules == ("ear",) else ["dataclasses", "inspect"]
+    assert proc.stdout.splitlines()[-1] == repr(sorted([*modules, *stdlib])), name
+
+
+def test_top_level_help_loads_no_subcommand_module():
+    # The top-level help reads each row's help line only.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, "--help"], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == repr(["shelfgaze", "shelfgaze.cli", "shelfgaze.errors"])
 
 
 def test_module_entry_point_reads_sys_argv():

@@ -37,6 +37,15 @@ def test_a_tree_matches_itself_without_avx512_kernels():
     assert run.stdout.startswith(EQUAL)
 
 
+def test_change_python_compares_what_needs_no_numpy():
+    # Under --change-python both workers leave out sample_population,
+    # optimize_camera_drop and the optimize golden cases, which need numpy.
+    run = _differential(SRC, SRC, "--change-python", sys.executable)
+    assert run.returncode == 0, run.stdout + run.stderr
+    golden = [case for case in CASES if case["argv"][:1] != ["optimize"]]
+    assert run.stdout.startswith(f"{20 * 7 + len(golden)} equal outputs")
+
+
 def _copy_with_tolerance(tmp_path: Path, value: str) -> Path:
     """A copy of src whose RESIDUAL_REFINE_TOL_CM line reads ``= value``."""
     change = tmp_path / "src"

@@ -40,8 +40,8 @@ def _run_fresh(probe, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-# A submodule sharing an export's name (`ear`) is bound as a package attribute
-# when it loads, so the first access decides what a later read sees.
+# A submodule sharing an export's name (`ear`) would be bound as a package
+# attribute when it loads; the export must be read however the module loaded.
 IDENTITY_PROBE = """
 import sys
 exec(sys.argv[1], {})
@@ -55,7 +55,8 @@ for name in shelfgaze.__all__:
 
 
 @pytest.mark.parametrize(
-    "first_access", ["import shelfgaze.cli", "from shelfgaze import EyeLandmarks", "from shelfgaze import *"]
+    "first_access",
+    ["import shelfgaze.cli", "from shelfgaze import EyeLandmarks", "from shelfgaze import *", "import shelfgaze.ear"],
 )
 def test_every_export_is_its_submodules_object(first_access):
     _run_fresh(IDENTITY_PROBE, first_access)
@@ -67,8 +68,14 @@ import sys
 def loaded():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "shelfgaze")
 
+def stdlib():
+    return sorted({"dataclasses", "inspect"} & set(sys.modules))
+
 import shelfgaze
-assert loaded() == ["shelfgaze", "shelfgaze.ear", "shelfgaze.errors"], loaded()
+assert (loaded(), stdlib()) == (["shelfgaze"], []), (loaded(), stdlib())
+from shelfgaze import ear, EyeLandmarks, batch_stats
+assert (loaded(), stdlib()) == (["shelfgaze", "shelfgaze.ear", "shelfgaze.errors"], []), (loaded(), stdlib())
+assert shelfgaze.ear is ear is sys.modules["shelfgaze.ear"].ear
 from shelfgaze import ray_to_cell
 assert loaded() == ["shelfgaze", "shelfgaze.ear", "shelfgaze.errors", "shelfgaze.geometry", "shelfgaze.grid"], loaded()
 namespace = {}

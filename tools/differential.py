@@ -4,7 +4,7 @@ compared output by output.
 Usage, from the root of a checkout:
 
     python3 tools/differential.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
-        [--change-env NAME=VALUE ...]
+        [--change-env NAME=VALUE ...] [--change-python EXE]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a ``shelfgaze`` package,
 such as the ``src`` of two archive copies. Each tree runs in its own
@@ -31,7 +31,12 @@ way. A command line's output is its exit code, stdout digest and stderr; an
 exception is an output too: its type and message. Each ``--change-env``
 sets a variable in the change tree's interpreter only, so ``src src
 --change-env NPY_DISABLE_CPU_FEATURES=...`` compares one tree under two sets
-of numpy CPU kernels. The exit status is 0 when
+of numpy CPU kernels. ``--change-python EXE`` runs the change tree's worker
+under the interpreter EXE, which need not have numpy: both workers then leave
+out every output that needs it (``sample_population``,
+``optimize_camera_drop`` and the ``optimize`` golden cases), so ``src src
+--change-python python3.13`` compares the readings of two Pythons. The exit
+status is 0 when
 every line matches, 1 at the first line that differs, which is printed as
 both trees gave it, and 2 when a tree cannot run.
 """
@@ -203,17 +208,19 @@ def _damaged(events: list, k: int, copies: int) -> list:
     return events
 
 
-def _outputs(configs: int, seed: int):
-    """(label, output) of every compared call, in a fixed order."""
+def _outputs(configs: int, seed: int, numpy: bool):
+    """(label, output) of every compared call, in a fixed order; without
+    ``numpy``, only those of the calls that need no numpy."""
     from shelfgaze.pipeline import replay_metrics, simulate, sweep_processing_time, trace
     from shelfgaze.placement import distance_table, optimize_camera_drop, sample_population
 
     rng = random.Random(seed)
     for k in range(configs):
         cfg, pop, statures = _draw_placement(rng)
-        eye, distance, rejected = sample_population(cfg, pop)
-        yield f"{k} sample_population", f"{_digest(eye)} {_digest(distance)} rejected={rejected}"
-        yield f"{k} optimize_camera_drop", _outcome(lambda: optimize_camera_drop(cfg, pop))
+        if numpy:
+            eye, distance, rejected = sample_population(cfg, pop)
+            yield f"{k} sample_population", f"{_digest(eye)} {_digest(distance)} rejected={rejected}"
+            yield f"{k} optimize_camera_drop", _outcome(lambda: optimize_camera_drop(cfg, pop))
         yield f"{k} distance_table", _outcome(lambda: distance_table(cfg, statures))
         sim, times = _draw_pipeline(rng)
         yield f"{k} simulate", _outcome(lambda: simulate(sim))
@@ -226,11 +233,13 @@ def _outputs(configs: int, seed: int):
         yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(case)
 
     for case in json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8")):
-        yield f"golden {json.dumps(case['argv'])}", _cli_outcome(case)
+        if numpy or case["argv"][:1] != ["optimize"]:
+            yield f"golden {json.dumps(case['argv'])}", _cli_outcome(case)
 
 
-def worker(src: str, configs: int, seed: int) -> int:
-    """Print the outputs of the shelfgaze under src, one line each."""
+def worker(src: str, configs: int, seed: int, numpy: bool) -> int:
+    """Print the outputs of the shelfgaze under src, one line each: without
+    ``numpy``, those of the calls that need no numpy."""
     sys.path.insert(0, os.path.abspath(src))
     import shelfgaze
 
@@ -239,18 +248,21 @@ def worker(src: str, configs: int, seed: int) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # the command lines write their files here
-        for label, output in _outputs(configs, seed):
+        for label, output in _outputs(configs, seed, numpy):
             print(f"{label}: {output}", flush=True)
     return 0
 
 
-def compare(parent: str, change: str, configs: int, seed: int, change_env: dict[str, str]) -> int:
+def compare(parent: str, change: str, configs: int, seed: int, change_env: dict[str, str],
+            change_python: str | None) -> int:
     """Run both trees side by side, the change's worker with change_env added
-    to its environment, and compare their lines in order."""
+    to its environment and under change_python if given, and compare their
+    lines in order. With change_python, both leave out what needs numpy."""
+    worker_args = ["--configs", str(configs), "--seed", str(seed), *(["--without-numpy"] if change_python else [])]
     procs = [
-        subprocess.Popen([sys.executable, __file__, "--worker", src, "--configs", str(configs), "--seed", str(seed)],
-                         stdout=subprocess.PIPE, text=True, env=env)
-        for src, env in ((parent, None), (change, {**os.environ, **change_env}))
+        subprocess.Popen([python, __file__, "--worker", src, *worker_args], stdout=subprocess.PIPE, text=True, env=env)
+        for python, src, env in ((sys.executable, parent, None),
+                                 (change_python or sys.executable, change, {**os.environ, **change_env}))
     ]
     equal = 0
     try:
@@ -289,15 +301,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the drawn configs (default 0)")
     parser.add_argument("--change-env", metavar="NAME=VALUE", type=_assignment, action="append", default=[],
                         help="set a variable in the change tree's worker only (repeatable)")
+    parser.add_argument("--change-python", metavar="EXE",
+                        help="run the change tree's worker under EXE, both leaving out what needs numpy")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--without-numpy", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.configs < 0 or args.seed < 0:
         parser.error("--configs and --seed must be nonnegative")
     if args.worker:
-        return worker(args.worker, args.configs, args.seed)
+        return worker(args.worker, args.configs, args.seed, not args.without_numpy)
     if not (args.parent and args.change):
         parser.error("PARENT_SRC and CHANGE_SRC are required")
-    return compare(args.parent, args.change, args.configs, args.seed, dict(args.change_env))
+    return compare(args.parent, args.change, args.configs, args.seed, dict(args.change_env), args.change_python)
 
 
 if __name__ == "__main__":
