@@ -2,7 +2,7 @@
 
 Covers the pre-deployment questions of a shelf gaze setup: where to mount
 the camera (geometry, placement), how gaze points map to product cells
-(grid), whether an eye is usably open (ear), what frame rate the capture
+(grid), whether an eye is usably open (blink), what frame rate the capture
 pipeline sustains (pipeline), and which calibration targets to record
 (calibration). Everything is seeded and deterministic.
 
@@ -11,13 +11,11 @@ plus the domain errors; everything else is imported from its submodule.
 Each export loads its submodule the first time it is read.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "blink": ("EyeLandmarks", "batch_stats", "ear"),
     "calibration": ("CalibrationSpec", "emit_ground_truth", "ground_truth_jsonl", "plan", "validate_spec"),
-    "ear": ("EyeLandmarks", "batch_stats", "ear"),
     "errors": (
         "AllSamplesRejectedError", "DegenerateEyeError", "EmptyBatchError", "EyeBelowPanelBottomError",
         "IndexOutOfRangeError", "NoIntersectionError", "NoValidDistanceError", "OutOfPanelError",
@@ -34,21 +32,6 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
-
-
-class _Package(type(sys)):
-    """The package's module type. Loading a submodule binds it as a package
-    attribute of its name; where that name is an export (``ear``), the export
-    is bound instead, so ``shelfgaze.ear`` is the function however the module
-    was first loaded."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name in _MODULE_OF and isinstance(value, type(sys)):
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):

@@ -37,16 +37,30 @@ class EyeLandmarks(NamedTuple):
 
 
 def ear(l: EyeLandmarks) -> float:
-    """Summed vertical lid gaps over twice the horizontal eye width. A
-    width or ratio that is NaN or infinite is a ValueError."""
+    """Summed vertical lid gaps over twice the horizontal eye width; a ratio
+    that is NaN or infinite even at 2**-3 scale is a ValueError."""
     (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6) = l
     width = math.hypot(x1 - x4, y1 - y4)
     if width == 0:
         raise DegenerateEyeError("eye corners coincide; aspect ratio undefined")
-    value = (math.hypot(x2 - x6, y2 - y6) + math.hypot(x3 - x5, y3 - y5)) / (2.0 * width)
-    if not (width < math.inf and value < math.inf):  # NaN included
-        raise ValueError(f"eye width {width} and aspect ratio {value} must be finite")
-    return value
+    double = 2.0 * width
+    value = (math.hypot(x2 - x6, y2 - y6) + math.hypot(x3 - x5, y3 - y5)) / double
+    if double < math.inf and value < math.inf:  # NaN fails
+        return value
+    return _ear_at_an_eighth(l, width, value)
+
+
+def _ear_at_an_eighth(l: EyeLandmarks, width: float, value: float) -> float:
+    """``ear`` where the doubled width or ratio is not finite. A finite eye
+    0.5 wide or more fits at 2**-3 scale, where the unit-free ratio is taken
+    again; a narrower one's ratio overflows at any scale."""
+    if width >= 0.5:
+        (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6) = ((x * 0.125, y * 0.125) for x, y in l)
+        double = 2.0 * math.hypot(x1 - x4, y1 - y4)
+        scaled = (math.hypot(x2 - x6, y2 - y6) + math.hypot(x3 - x5, y3 - y5)) / double
+        if double < math.inf and scaled < math.inf:  # NaN fails
+            return scaled
+    raise ValueError(f"eye width {width} and aspect ratio {value} must be finite")
 
 
 def check_threshold(threshold: float) -> None:

@@ -30,7 +30,6 @@ import sys
 from collections.abc import Callable
 from functools import cache
 from importlib import import_module
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
@@ -49,9 +48,9 @@ class _Lazy(SimpleNamespace):
 
 if TYPE_CHECKING:
     import argparse
-    from . import calibration, ear, geometry, grid, pipeline, placement
+    from . import blink, calibration, geometry, grid, pipeline, placement
 else:
-    globals().update((n, _Lazy(name=n)) for n in ("calibration", "ear", "geometry", "grid", "pipeline", "placement"))
+    globals().update((n, _Lazy(name=n)) for n in ("blink", "calibration", "geometry", "grid", "pipeline", "placement"))
 
 
 # One encoder for every line; ``json.dumps`` with ``separators`` builds one per call.
@@ -139,16 +138,16 @@ def parse_distribution(text: str) -> pipeline.Distribution:
     return cls(*params)
 
 
-def _parsed_eye(values: list) -> ear.EyeLandmarks:
+def _parsed_eye(values: list) -> blink.EyeLandmarks:
     """``EyeLandmarks.from_flat`` for numbers read from text, where NaN and
     infinity are input errors."""
     coords = [float(v) for v in values]
     for c in coords:
         check_value("coordinates", c, -math.inf, math.inf)
-    return ear.EyeLandmarks.from_flat(coords)
+    return blink.EyeLandmarks.from_flat(coords)
 
 
-def landmarks_from_csv(text: str) -> list[ear.EyeLandmarks]:
+def landmarks_from_csv(text: str) -> list[blink.EyeLandmarks]:
     """One eye per line: x1,y1,...,x6,y6. Blank lines are skipped."""
     eyes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -162,7 +161,7 @@ def landmarks_from_csv(text: str) -> list[ear.EyeLandmarks]:
     return eyes
 
 
-def landmarks_from_json(text: str) -> list[ear.EyeLandmarks]:
+def landmarks_from_json(text: str) -> list[blink.EyeLandmarks]:
     """JSON array of eyes, each either 12 flat numbers or six [x, y] pairs."""
     try:
         data = json.loads(text)
@@ -261,7 +260,7 @@ def _cmd_gaze(args: SimpleNamespace, cfg: geometry.ShelfConfig) -> int:
 
 
 def _cmd_ear(args: SimpleNamespace) -> int:
-    ear.check_threshold(args.threshold)  # before any eye is read, so its exit code does not depend on the data
+    blink.check_threshold(args.threshold)  # before any eye is read, so its exit code does not depend on the data
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -271,8 +270,8 @@ def _cmd_ear(args: SimpleNamespace) -> int:
     if not eyes:
         raise ValueError("no landmarks in input")
     for eye in eyes:
-        value = ear.ear(eye)
-        _print_json({"value": value, "open": ear.classify(value, args.threshold), "threshold": args.threshold})
+        value = blink.ear(eye)
+        _print_json({"value": value, "open": blink.classify(value, args.threshold), "threshold": args.threshold})
     return 0
 
 
@@ -291,7 +290,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         raise ValueError(f"--fps {cfg.capture_fps} times --duration {cfg.duration_s}{sweep} "
                          f"gives more than {MAX_CAPTURE_EVENTS} capture events")
     if args.trace is not None:
-        _print_csv("t_ms,event,frame_id", map(attrgetter("t_ms", "kind", "frame_id"), pipeline.trace(cfg, args.trace)))
+        _print_csv("t_ms,event,frame_id", pipeline.trace_rows(cfg, args.trace))
     elif times is not None:
         _print_csv("time_ms,effective_fps,mean_skips", pipeline.sweep_processing_time(cfg, list(times)))
     else:
@@ -416,10 +415,10 @@ _SUBCOMMANDS = {
         )),
     "ear": _Subcommand("eye aspect ratio readings from a landmarks file",
         "Read six-point eye landmarks and print one JSON reading per eye with open/closed classification.",
-        ("ear",), _cmd_ear, False, lambda: (
+        ("blink",), _cmd_ear, False, lambda: (
             ("--input", dict(required=True, help="landmarks file, or - for stdin")),
             ("--format", dict(choices=("csv", "json"), default="csv", help="input format (default %(default)s)")),
-            ("--threshold", dict(type=float, default=ear.OPEN_THRESHOLD,
+            ("--threshold", dict(type=float, default=blink.OPEN_THRESHOLD,
                                  help="open/closed threshold (default %(default)s)")),
         )),
     "simulate": _Subcommand("discrete-event run of the capture/processing pipeline",

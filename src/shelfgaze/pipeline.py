@@ -8,7 +8,7 @@ Times are milliseconds. When a capture tick coincides with a completion,
 the capture is applied first, so the consumer always picks up the newest
 possible frame.
 
-One loop, `_events`, states these rules. `trace` runs it for its events;
+One loop, `_events`, states these rules. `trace_rows` runs it for its events;
 `simulate` runs it in tally mode, taking its frame counts from frame
 conservation. `replay_metrics` folds recorded events (int frame ids, times
 that never fall and stay in [0, end of run]) following the consumer's state.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial, wraps
 from itertools import islice, starmap
 from operator import sub
-from typing import Generator, Iterable, NamedTuple, Union
+from typing import Generator, Iterable, Iterator, NamedTuple, Union
 
 from .errors import check_ranges, check_value, field_range, in_range
 
@@ -130,7 +130,7 @@ class SimMetrics(NamedTuple):
 
 def _events(cfg: SimConfig, tally: bool = False) -> Generator[tuple[float, str, int], None, SimMetrics | None]:
     """Chronological event stream of one run, as plain `(t_ms, kind,
-    frame_id)` tuples; `trace` builds the `SimEvent`s.
+    frame_id)` tuples; `trace` builds them into `SimEvent`s.
 
     The run alternates two phases. While the consumer is idle the slot is
     empty, and a capture is taken at once. While it is busy, each capture
@@ -329,14 +329,17 @@ def simulate(cfg: SimConfig) -> SimMetrics:
         return end.value
 
 
-def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
-    """First `limit` events of the run (all of them by default),
-    chronologically ordered."""
+def trace_rows(cfg: SimConfig, limit: int | None = None) -> Iterator[tuple[float, str, int]]:
+    """First `limit` events of the run (all by default), in order, as `(t_ms, kind, frame_id)` tuples."""
     if limit is not None:
         check_value("limit", limit, 0, math.inf)
     # islice stops at most at sys.maxsize; no run has that many events.
-    stop = None if limit is None else min(limit, sys.maxsize)
-    return list(starmap(SimEvent, islice(_events(cfg), stop)))
+    return islice(_events(cfg), None if limit is None else min(limit, sys.maxsize))
+
+
+def trace(cfg: SimConfig, limit: int | None = None) -> list[SimEvent]:
+    """`trace_rows` as `SimEvent`s."""
+    return list(starmap(SimEvent, trace_rows(cfg, limit)))
 
 
 class SweepRow(NamedTuple):

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import bisect
 
 from shelfgaze.calibration import TRAINING_SETS, VALIDATION_CELLS, CalibrationSpec, plan
-from shelfgaze.ear import EyeLandmarks, classify, ear
+from shelfgaze.blink import EyeLandmarks, classify, ear
 from shelfgaze.geometry import (
     PersonSample,
     ShelfConfig,

@@ -383,13 +383,13 @@ LOAD_PROBE = ("import sys; from shelfgaze.cli import main; assert main(sys.argv[
 def test_a_valid_call_loads_only_the_modules_its_row_names(name):
     # Besides the package, the CLI and errors, a fresh call loads only the
     # modules its row names: cell and gaze load no pipeline, placement,
-    # calibration or ear, and ear loads no geometry and no dataclasses.
+    # calibration or blink, and ear loads no geometry and no dataclasses.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, name, *VALID_CALLS[name]], env=env, input=EYES_CSV,
                           capture_output=True, text=True, check=True)
     modules = {"shelfgaze", "shelfgaze.cli", "shelfgaze.errors", *(f"shelfgaze.{m}" for m in _SUBCOMMANDS[name].modules)}
-    # Every package module but ear defines a dataclass, and dataclasses imports inspect.
-    stdlib = [] if _SUBCOMMANDS[name].modules == ("ear",) else ["dataclasses", "inspect"]
+    # Every package module but blink defines a dataclass, and dataclasses imports inspect.
+    stdlib = [] if _SUBCOMMANDS[name].modules == ("blink",) else ["dataclasses", "inspect"]
     assert proc.stdout.splitlines()[-1] == repr(sorted([*modules, *stdlib])), name
 
 

@@ -12,7 +12,7 @@ SRC = ROOT / "src"
 
 
 CASES = json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8"))
-EQUAL = f"{20 * 9 + len(CASES)} equal outputs"  # 9 outputs a config, then the golden cases
+EQUAL = f"{20 * 10 + len(CASES)} equal outputs"  # 10 outputs a config, then the golden cases
 
 
 def _differential(parent: Path, change: Path, *options: str) -> subprocess.CompletedProcess:
@@ -43,7 +43,7 @@ def test_change_python_compares_what_needs_no_numpy():
     run = _differential(SRC, SRC, "--change-python", sys.executable)
     assert run.returncode == 0, run.stdout + run.stderr
     golden = [case for case in CASES if case["argv"][:1] != ["optimize"]]
-    assert run.stdout.startswith(f"{20 * 7 + len(golden)} equal outputs")
+    assert run.stdout.startswith(f"{20 * 8 + len(golden)} equal outputs")
 
 
 def _copy_with_tolerance(tmp_path: Path, value: str) -> Path:

@@ -8,11 +8,11 @@ from fractions import Fraction
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shelfgaze.cli import landmarks_from_csv, landmarks_from_json, main
-from shelfgaze.ear import OPEN_THRESHOLD, EyeLandmarks, batch_stats, classify, ear
+from shelfgaze.blink import OPEN_THRESHOLD, EyeLandmarks, batch_stats, classify, ear
 from shelfgaze.errors import DegenerateEyeError, EmptyBatchError
 
 # Comfortable open eye: width 4, both vertical gaps 2 -> EAR 0.5.
@@ -84,13 +84,34 @@ def test_ear_rejects_non_finite_landmarks():
     finite = [0.0, 0.0, 1.0, 1.0, 3.0, 1.0, 4.0, 0.0, 3.0, -1.0, 1.0, -1.0]
     nan_lid = finite[:11] + [math.nan]
     inf_corner = [math.inf] + finite[1:]
-    # A width and gaps past the float range overflow to inf; finite corners
-    # that coincide stay a DegenerateEyeError.
-    huge = [-1e308, 0.0, 0.0, 1e308, 0.0, 1e308, 1e308, 0.0, 0.0, -1e308, 0.0, -1e308]
-    for coords in (nan_lid, inf_corner, huge):
+    # Finite landmarks whose ratio overflows at any scale: gaps of 1e308 over
+    # a width of 1e-300.
+    narrow = [0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0, 0.0, 0.0]
+    for coords in (nan_lid, inf_corner, narrow):
         with pytest.raises(ValueError, match="^eye width .* and aspect ratio .* must be finite$"):
             ear(EyeLandmarks.from_flat(coords))
     assert ear(EyeLandmarks.from_flat(finite)) == 0.5
+
+
+@pytest.mark.parametrize("coords, value", [
+    # 2 * width overflows, and the gaps over it read 0.0.
+    ([1e308, 0, -1e308, 1, 3, 1, 4, 0, 3, -1, 1, -1], 0.5),
+    # 2 * width and the gap sum overflow, and their ratio reads NaN.
+    ([-8e307, 0, 0, 5e307, 1, 5e307, 8e307, 0, 1, -5e307, 0, -5e307], 0.625),
+    # The width and each gap overflow: coordinate differences reach 2e308.
+    ([-1e308, 0, 0, 1e308, 0, 1e308, 1e308, 0, 0, -1e308, 0, -1e308], 1.0),
+    # Corners near opposite ends of the float range: at 2**-2 scale, 2 * width still overflows.
+    ([-1.7e308, -1.7e308, 0, 1.7e308, 1, 1.7e308, 1.7e308, 1.7e308, 1, -1.7e308, 0, -1.7e308], 0.5 ** 0.5),
+    # Only the gap sum overflows, over a width of 0.75: the ratio is near the top of the float range.
+    ([0, 0, 0, 5e307, 1, 5e307, 0.75, 0, 1, -5e307, 0, -5e307], 1e308 / 0.75),
+])
+def test_an_eye_too_wide_for_its_own_scale_is_measured_at_an_eighth(coords, value, capsys, monkeypatch):
+    eye = EyeLandmarks.from_flat(coords)
+    assert ear(eye) == pytest.approx(value, rel=1e-15)
+    assert ear(eye) == ear(EyeLandmarks(*((x / 8, y / 8) for x, y in eye)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(repr, map(float, coords))) + "\n"))
+    assert main(["ear", "--input", "-"]) == 0
+    assert capsys.readouterr().out == f'{{"value":{ear(eye)!r},"open":true,"threshold":0.2}}\n'
 
 
 def test_from_flat_length_check():
@@ -136,6 +157,17 @@ def _outcome(call, *args):
 ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308]))
 
 
+def _reference_overflows(points):
+    """Whether the reference's doubled width or gap sum overflows on finite
+    landmarks, where it reads 0.0 or NaN: ``ear`` measures such an eye at
+    2**-3 of its scale, which ``test_ear_is_scale_invariant`` checks."""
+    p1, p2, p3, p4, p5, p6 = points
+    if not all(math.isfinite(c) for p in points for c in p):
+        return False
+    gaps = math.hypot(p2[0] - p6[0], p2[1] - p6[1]) + math.hypot(p3[0] - p5[0], p3[1] - p5[1])
+    return not (2.0 * math.hypot(p1[0] - p4[0], p1[1] - p4[1]) < math.inf and gaps < math.inf)
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(ANY_FLOAT, min_size=12, max_size=12), same_corners=st.booleans())
 def test_ear_matches_reference_bit_for_bit(values, same_corners):
@@ -143,7 +175,49 @@ def test_ear_matches_reference_bit_for_bit(values, same_corners):
         values[6:8] = values[0:2]
     eye = EyeLandmarks.from_flat(values)
     assert [c.hex() for p in eye for c in p] == [c.hex() for p in _reference_from_flat(values) for c in p]
-    assert _outcome(ear, eye) == _outcome(_reference_ear, _reference_from_flat(values))
+    if not _reference_overflows(_reference_from_flat(values)):
+        assert _outcome(ear, eye) == _outcome(_reference_ear, _reference_from_flat(values))
+
+
+# Zero, or a normal float whose exponent is at least -960: a nonzero
+# difference of two is then normal, at 2**-3 of their scale too.
+NORMAL_EXPONENT = -960
+
+
+@st.composite
+def _scaled_pair(draw):
+    """Twelve coordinates and a power of two that keeps each nonzero one at
+    an exponent from NORMAL_EXPONENT to the largest finite."""
+    coords = draw(st.lists(st.one_of(st.just(0.0), st.builds(
+        lambda sign, mantissa, exponent: math.copysign(math.ldexp(mantissa, exponent), sign),
+        st.sampled_from([1.0, -1.0]), st.floats(0.5, 1.0, exclude_max=True), st.integers(NORMAL_EXPONENT + 1, 1024),
+    )), min_size=12, max_size=12))
+    if draw(st.booleans()):  # p4 = p1: a degenerate eye
+        coords[6:8] = coords[0:2]
+    exponents = [math.frexp(c)[1] for c in coords if c]
+    power = draw(st.integers(NORMAL_EXPONENT + 1 - min(exponents, default=0), 1024 - max(exponents, default=0)))
+    return coords, power
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_scaled_pair())
+@example(pair=([1e308, 0, -1e308, 1, 3, 1, 4, 0, 3, -1, 1, -1], -3))
+@example(pair=([-8e307, 0, 0, 5e307, 1, 5e307, 8e307, 0, 1, -5e307, 0, -5e307], -3))
+@example(pair=([-1.7e308, -1.7e308, 0, 1.7e308, 1, 1.7e308, 1.7e308, 1.7e308, 1, -1.7e308, 0, -1.7e308], -1))
+@example(pair=([0, 0, 0, 5e307, 1, 5e307, 0.75, 0, 1, -5e307, 0, -5e307], -10))
+# The ratio overflows at both scales; scaled, the gap sum overflows too, over a width of 0.5.
+@example(pair=([0, 0, math.ldexp(3, 64), 0, math.ldexp(3, 64), 0, math.ldexp(1, -959), 0, 0, 0, 0, 0], 958))
+def test_ear_is_scale_invariant(pair):
+    # The ratio is unit-free: scaling every landmark by a power of two that
+    # keeps them normal and finite gives the same bits, or the same error.
+    coords, power = pair
+    eye = EyeLandmarks.from_flat(coords)
+    scaled = EyeLandmarks.from_flat([math.ldexp(c, power) for c in coords])
+    outcome, scaled_outcome = _outcome(ear, eye), _outcome(ear, scaled)
+    if isinstance(outcome, tuple):
+        assert isinstance(scaled_outcome, tuple) and scaled_outcome[0] is outcome[0]
+    else:
+        assert scaled_outcome == outcome
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ Each name resolves, on first read, to the object its submodule defines."""
 
 import ast
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +41,15 @@ def _run_fresh(probe, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-# A submodule sharing an export's name (`ear`) would be bound as a package
-# attribute when it loads; the export must be read however the module loaded.
+def test_no_module_is_named_like_an_export():
+    # Loading a submodule binds it as the package attribute of its name, over
+    # an export of that name.
+    modules = {module.name for module in pkgutil.iter_modules([str(SRC / "shelfgaze")])}
+    assert "blink" in modules
+    assert sorted(modules & {*shelfgaze.__all__, "__version__"}) == []
+
+
+# Each export must be its submodule's object, whatever was loaded first.
 IDENTITY_PROBE = """
 import sys
 exec(sys.argv[1], {})
@@ -56,7 +64,9 @@ for name in shelfgaze.__all__:
 
 @pytest.mark.parametrize(
     "first_access",
-    ["import shelfgaze.cli", "from shelfgaze import EyeLandmarks", "from shelfgaze import *", "import shelfgaze.ear"],
+    ["import shelfgaze.cli", "from shelfgaze import EyeLandmarks", "from shelfgaze import *", "import shelfgaze.blink",
+     pytest.param("import io, sys; sys.stdin = io.StringIO('0,0,1,1,3,1,4,0,3,-1,1,-1'); "
+                  "from shelfgaze.cli import main; assert main(['ear', '--input', '-']) == 0", id="shelfgaze ear")],
 )
 def test_every_export_is_its_submodules_object(first_access):
     _run_fresh(IDENTITY_PROBE, first_access)
@@ -74,10 +84,10 @@ def stdlib():
 import shelfgaze
 assert (loaded(), stdlib()) == (["shelfgaze"], []), (loaded(), stdlib())
 from shelfgaze import ear, EyeLandmarks, batch_stats
-assert (loaded(), stdlib()) == (["shelfgaze", "shelfgaze.ear", "shelfgaze.errors"], []), (loaded(), stdlib())
-assert shelfgaze.ear is ear is sys.modules["shelfgaze.ear"].ear
+assert (loaded(), stdlib()) == (["shelfgaze", "shelfgaze.blink", "shelfgaze.errors"], []), (loaded(), stdlib())
+assert shelfgaze.ear is ear is sys.modules["shelfgaze.blink"].ear
 from shelfgaze import ray_to_cell
-assert loaded() == ["shelfgaze", "shelfgaze.ear", "shelfgaze.errors", "shelfgaze.geometry", "shelfgaze.grid"], loaded()
+assert loaded() == ["shelfgaze", "shelfgaze.blink", "shelfgaze.errors", "shelfgaze.geometry", "shelfgaze.grid"], loaded()
 namespace = {}
 exec("from shelfgaze import *", namespace)
 assert sorted(set(namespace) - {"__builtins__"}) == shelfgaze.__all__

@@ -14,7 +14,7 @@ from shelfgaze.calibration import (
     plan_jsonl,
     validate_spec,
 )
-from shelfgaze.ear import EyeLandmarks
+from shelfgaze.blink import EyeLandmarks
 from shelfgaze.geometry import PersonSample, ShelfConfig, SplitResult, bisector_split
 from shelfgaze.pipeline import FixedTime, SimConfig, simulate, sweep_processing_time
 from shelfgaze.placement import PlacementResult, distance_table

@@ -21,8 +21,10 @@ option, a value that may not convert, an empty ``--opt=``, a leftover argument,
 an option before the subcommand, ``-h`` at a drawn position, a bad
 ``--format``, its required option left out or a flag with no value at the end;
 then, in a third of the lines, a flag given ``=--``, ``--``, ``-`` or a negative
-list as a separate token. Each line is drawn from its own generator, so that
-the configs stay those of earlier versions. A ``calib-plan`` line also draws
+list as a separate token; and one ``cell --x --y`` line at the panel's edges:
+0, the panel's width or height, each multiple of the cell's, or a float
+neighbour of one. Each line is drawn from its own generator, so that the
+configs stay those of earlier versions. A ``calib-plan`` line also draws
 the panel width and the camera's place, and sometimes a ``--config`` file with
 grid rows and columns and a ``--spec`` file with frame counts, written into the
 worker's temporary working directory.
@@ -180,6 +182,25 @@ def _draw_cli(rng: random.Random) -> dict:
     return {"argv": argv, "stdin": eyes if name == "ear" else None, "files": files}
 
 
+def _draw_edge_cell(rng: random.Random) -> dict:
+    """A replay case for ``cell --x --y`` at the panel's edges, on the default
+    shelf or, through a ``--config`` file, a drawn panel and grid: each
+    coordinate is 0, the panel's width or height, a multiple of the cell's,
+    or a float neighbour of one of these."""
+    width, height, rows, cols = 102.0, 138.0, 6, 6
+    argv, files = ["cell"], {}
+    if rng.random() < 0.5:  # a panel that the default shelf top (181) and camera place (51, 55.5) fit
+        width, height = float(f"{rng.uniform(51, 300):.6g}"), float(f"{rng.uniform(55.5, 181):.6g}")
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        files["shelf.json"] = json.dumps({"panel_width_cm": width, "panel_height_cm": height,
+                                          "grid_rows": rows, "grid_cols": cols})
+        argv += ["--config", "shelf.json"]
+    for flag, size, cells in (("--x", width, cols), ("--y", height, rows)):
+        edge = rng.choice([0.0, size, *(k * (size / cells) for k in range(1, cells + 1))])
+        argv += [flag, repr(rng.choice([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]))]
+    return {"argv": argv, "stdin": None, "files": files}
+
+
 def _cli_outcome(case: dict) -> str:
     try:
         ((_, (code, out, err)),) = run_cases([case])
@@ -229,8 +250,8 @@ def _outputs(configs: int, seed: int, numpy: bool):
             yield (f"{k} replay_metrics(trace, event k % n {damage})",
                    _outcome(lambda: replay_metrics(_damaged(trace(sim), k, copies), sim)))
         yield f"{k} sweep_processing_time", _outcome(lambda: sweep_processing_time(sim, times))
-        case = _draw_cli(random.Random(f"cli {seed} {k}"))
-        yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(case)
+        for case in (_draw_cli(random.Random(f"cli {seed} {k}")), _draw_edge_cell(random.Random(f"edge {seed} {k}"))):
+            yield f"{k} cli {json.dumps(case['argv'])}", _cli_outcome(case)
 
     for case in json.loads((ROOT / "tests" / "golden.json").read_text(encoding="utf-8")):
         if numpy or case["argv"][:1] != ["optimize"]:
